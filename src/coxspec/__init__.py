@@ -22,6 +22,7 @@ from .coxmaps import (
     psi_lambda_of,
     psi_maps,
 )
+from .errors import CoxspecError
 from .fourier import RepSpectrum, crosscheck_mu1, mu1, rep_fourier
 from .mesh import MeshDocument, build_cayley_mesh, build_orbit_mesh, export_obj, export_off
 from .randwalk import (

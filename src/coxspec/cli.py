@@ -14,6 +14,8 @@ import sys
 import numpy as np
 
 from .coxeter import BUILTIN_NAMES, build_group, cayley_graph
+from .coxmaps import DomainError
+from .errors import CoxspecError
 from .mesh import build_cayley_mesh, cayley_faces, export_obj, export_off
 from .randwalk import build_operator, simplex_point, uniform_point
 from .solids import curve_point, minimize_lambda1, sweep_lambda1
@@ -33,10 +35,13 @@ def _fmt(x):
 
 def _parse_point(args):
     if args.point is not None:
-        weights = np.array([float(t) for t in args.point.split(",")])
+        try:
+            weights = np.array([float(t) for t in args.point.split(",")])
+        except ValueError:
+            raise CoxspecError(f"--point must be numbers x,y,z, got {args.point!r}") from None
     elif args.x is not None or args.y is not None or args.z is not None:
         if None in (args.x, args.y, args.z):
-            raise SystemExit("either give all of --x/--y/--z or none")
+            raise CoxspecError("either give all of --x/--y/--z or none")
         weights = np.array([args.x, args.y, args.z])
     else:
         return None
@@ -89,7 +94,11 @@ def cmd_embed(args):
     if args.eigenvalue == "second":
         cluster = lambda1_cluster(op)
     else:
-        cluster = spectrum_clusters(op)[int(args.eigenvalue)]
+        clusters = spectrum_clusters(op)
+        if not args.eigenvalue.isdigit() or int(args.eigenvalue) >= len(clusters):
+            last = len(clusters) - 1
+            raise CoxspecError(f"--eigenvalue must be 'second' or a cluster index 0..{last}")
+        cluster = clusters[int(args.eigenvalue)]
     emb = spectral_representation(op, cluster)
     mesh = build_cayley_mesh(
         emb,
@@ -124,6 +133,8 @@ def cmd_minimize(args):
 
 
 def cmd_curve(args):
+    if not (args.t_min > 0 and args.t_max >= args.t_min and args.samples >= 1):
+        raise DomainError("curve needs 0 < --t-min <= --t-max and --samples >= 1")
     group = build_group(args.group)
     ts = np.geomspace(args.t_min, args.t_max, args.samples)
     with open(args.out, "w", newline="") as fh:
@@ -213,8 +224,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one verb; invalid input ends with a one-line message on stderr
+    and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CoxspecError as exc:
+        print(f"coxspec: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

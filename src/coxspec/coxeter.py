@@ -11,12 +11,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import det
+from .errors import CoxspecError
 
 DEDUP_TOL = 1e-6
 
 
-class CoxeterError(ValueError):
+class CoxeterError(CoxspecError):
     pass
 
 
@@ -83,7 +83,8 @@ def simple_roots(datum):
     except np.linalg.LinAlgError:
         raise CoxeterError(f"{datum.name}: not a finite Coxeter group") from None
     roots = chol  # row i is n_i
-    assert det(roots.T) > 0
+    if np.linalg.det(roots) <= 0:
+        raise CoxeterError(f"{datum.name}: simple roots are not positively oriented")
     return roots
 
 
@@ -205,10 +206,6 @@ class CayleyGraph:
     @property
     def n_classes(self):
         return self.successors.shape[1]
-
-    @property
-    def multiplicities(self):
-        return np.ones(self.n_classes, dtype=int)
 
     @cached_property
     def edges(self):

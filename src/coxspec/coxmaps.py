@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import ReflectionGroup
-from .linalg import cross_product_k, det, perron_frobenius, solve
+from .errors import CoxspecError
+from .linalg import perron_frobenius
 from .randwalk import SimplexPoint, simplex_point
 
 
-class DomainError(ValueError):
+class DomainError(CoxspecError):
     pass
 
 
@@ -35,34 +36,32 @@ def eta_rho(datum):
 
 
 def gram_inverse(datum):
-    """Inverse Gram matrix; closed form for the rank-3 built-ins, linear
-    solve otherwise."""
+    """Inverse Gram matrix; closed form for the rank-3 built-ins, numpy
+    inverse otherwise."""
     gram = datum.gram()
     if datum.rank == 3 and datum.orders[0, 1] == 2 and datum.orders[0, 2] == 3:
         eta, rho = eta_rho(datum)
         return (1.0 / rho) * np.array(
             [[1 + rho, eta, 2], [eta, 3, 2 * eta], [2, 2 * eta, 4]]
         )
-    return solve(gram, np.eye(datum.rank))
+    return np.linalg.inv(gram)
 
 
 def fundamental_vectors(group: ReflectionGroup):
     """Vectors p_j with <n_i, p_j> = V * delta_ij, V = det(n_1..n_k) > 0.
 
-    p_j is the alternating (k-1)-ary cross product of the simple roots
-    with n_j omitted.
+    The p_j are the rows of V * N^{-T} with N the matrix of simple roots
+    (rows n_i); for k = 3 they are the cross products of the other two
+    roots, alternating in sign.
     """
     roots = group.roots
-    k = group.rank
-    v = det(roots.T)
+    v = float(np.linalg.det(roots))
     if v <= 0:
         raise DomainError("root orientation must have positive determinant")
-    ps = []
-    for j in range(k):
-        others = [roots[i] for i in range(k) if i != j]
-        ps.append((-1.0) ** j * cross_product_k(*others))
-    p = np.stack(ps)
-    assert np.abs(roots @ p.T - v * np.eye(k)).max() <= 1e-12
+    p = v * np.linalg.inv(roots).T
+    dev = np.abs(roots @ p.T - v * np.eye(group.rank)).max()
+    if dev > 1e-12:
+        raise DomainError(f"fundamental vectors are not dual to the roots (deviation {dev:.2g})")
     return p, v
 
 
@@ -110,34 +109,34 @@ def psi_maps(fp: FundamentalPoint):
     rhs = sum(
         x.weights[j] * (group.generators[j] @ fp.point) for j in range(group.rank)
     )
-    assert np.abs(lhs - rhs).max() <= 1e-10
+    dev = np.abs(lhs - rhs).max()
+    if dev > 1e-10:
+        raise DomainError(f"lam p = sum_j x_j sigma_j(p) fails (deviation {dev:.2g})")
     return x, float(lam)
 
 
-def psi_delta_inverse(group, x: SimplexPoint):
-    """Fundamental point mapping to the given interior simplex point.
-
-    alpha is the Perron-Frobenius eigenvector of the positive matrix
-    A = V diag(x)^{-1} M^{-1}, scaled onto the unit sphere.
-    """
+def _pf_pair(group, x: SimplexPoint):
+    """Perron-Frobenius eigenvalue and eigenvector of the positive matrix
+    A = V diag(x)^{-1} M^{-1}, with the volume V."""
     if not x.interior:
-        raise DomainError("inverse map requires an interior simplex point")
+        raise DomainError("requires an interior simplex point")
     _, v = fundamental_vectors(group)
-    minv = gram_inverse(group.datum)
-    a = v * minv / x.weights[:, None]
-    _, alpha = perron_frobenius(a)
+    lam_pf, alpha = perron_frobenius(v * gram_inverse(group.datum) / x.weights[:, None])
+    return lam_pf, alpha, v
+
+
+def psi_delta_inverse(group, x: SimplexPoint):
+    """Fundamental point mapping to the given interior simplex point:
+    alpha is the Perron-Frobenius eigenvector of A, scaled onto the unit
+    sphere."""
+    _, alpha, _ = _pf_pair(group, x)
     return fundamental_point(group, alpha)
 
 
 def psi_lambda_of(group, x: SimplexPoint):
     """lam = 1 - 2 V mu with mu the reciprocal Perron-Frobenius
-    eigenvalue of V diag(x)^{-1} M^{-1}; equals psi_maps of the inverse."""
-    if not x.interior:
-        raise DomainError("requires an interior simplex point")
-    _, v = fundamental_vectors(group)
-    minv = gram_inverse(group.datum)
-    a = v * minv / x.weights[:, None]
-    lam_pf, _ = perron_frobenius(a)
+    eigenvalue of A; equals psi_maps of the inverse."""
+    lam_pf, _, v = _pf_pair(group, x)
     return 1.0 - 2.0 * v / lam_pf
 
 

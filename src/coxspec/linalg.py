@@ -1,5 +1,5 @@
-"""Dense linear algebra helpers: symmetric eigensolver, Perron-Frobenius
-power iteration, determinants and the (k-1)-ary cross product.
+"""Dense linear algebra helpers: symmetric eigensolver and
+Perron-Frobenius power iteration.
 
 All functions accept array-likes and return numpy arrays.  Matrices are
 small (at most ~200x200) and dense; everything is a pure function of its
@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CoxspecError
+
 SYMMETRY_RTOL = 1e-12
 
 
-class LinalgError(ValueError):
+class LinalgError(CoxspecError):
     """Raised on dimension / symmetry / domain violations."""
 
 
@@ -91,31 +93,3 @@ def perron_frobenius(a, tol=1e-13, max_iter=100_000):
             return lam, v
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
-
-def det(a):
-    """Determinant via LU with partial pivoting (LAPACK)."""
-    return float(np.linalg.det(_as_square(a)))
-
-
-def cross_product_k(*vectors):
-    """Generalized cross product of k-1 vectors in R^k.
-
-    The result w satisfies <w, u> = det(v_1, ..., v_{k-1}, u) with the
-    v_i as columns, so for k = 3 this is the ordinary cross product.
-    """
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    k = len(vs) + 1
-    if any(v.shape != (k,) for v in vs):
-        raise LinalgError(f"need {k - 1} vectors of dimension {k}")
-    m = np.column_stack(vs + [np.zeros(k)])
-    w = np.empty(k)
-    for i in range(k):
-        m[:, -1] = 0.0
-        m[i, -1] = 1.0
-        w[i] = np.linalg.det(m)
-    return w
-
-
-def solve(a, b):
-    """Solve the linear system a x = b."""
-    return np.linalg.solve(_as_square(a), np.asarray(b, dtype=float))

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coxmaps import orbit_points
+from .errors import CoxspecError
 
 
-class MeshError(ValueError):
+class MeshError(CoxspecError):
     pass
 
 
@@ -150,20 +151,31 @@ def export_off(mesh, destination):
 
 
 def parse_off(path):
+    """Read an OFF file; its counts must match its contents exactly."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
-    if tokens[0] != "OFF":
-        raise MeshError("missing OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    flat = [float(t) for t in tokens[pos : pos + 3 * nv]]
-    vertices = np.array(flat).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        n = int(tokens[pos])
-        faces.append([int(t) for t in tokens[pos + 1 : pos + 1 + n]])
-        pos += 1 + n
+    if not tokens or tokens[0] != "OFF":
+        raise MeshError(f"{path}: missing OFF header")
+    try:
+        nv, nf, _ = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        if nv < 0 or nf < 0:
+            raise ValueError("negative count")
+        pos = 4
+        flat = [float(t) for t in tokens[pos : pos + 3 * nv]]
+        vertices = np.array(flat).reshape(nv, 3)
+        pos += 3 * nv
+        faces = []
+        for _ in range(nf):
+            n = int(tokens[pos])
+            face = [int(t) for t in tokens[pos + 1 : pos + 1 + n]]
+            if len(face) != n or not all(0 <= i < nv for i in face):
+                raise ValueError("face is truncated or names a missing vertex")
+            faces.append(face)
+            pos += 1 + n
+    except (IndexError, ValueError) as exc:
+        raise MeshError(f"{path}: truncated or malformed OFF file ({exc})") from None
+    if pos != len(tokens):
+        raise MeshError(f"{path}: {len(tokens) - pos} tokens beyond the declared counts")
     return MeshDocument(vertices=vertices, faces=faces)
 
 

@@ -1,18 +1,21 @@
 """Invariant transition probabilities on a Cayley graph.
 
-A simplex point assigns one weight per edge equivalence class subject to
-sum_j m_j x_j = 1; it realizes a symmetric stochastic operator with zero
-diagonal on the graph.
+A simplex point assigns one weight per generator class subject to
+sum_j x_j = 1; it realizes a symmetric stochastic operator with zero
+diagonal on the graph.  Every class has multiplicity 1 because the
+generators are involutions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CoxspecError
+
 SIMPLEX_TOL = 1e-12
 
 
-class SimplexError(ValueError):
+class SimplexError(CoxspecError):
     pass
 
 
@@ -21,21 +24,18 @@ class SimplexPoint:
     """Invariant transition probabilities, one weight per edge class."""
 
     weights: np.ndarray
-    multiplicities: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.multiplicities, dtype=int)
-        if w.shape != m.shape or w.ndim != 1:
-            raise SimplexError("weights and multiplicities must be 1-d and aligned")
-        if np.any(m <= 0):
-            raise SimplexError("multiplicities must be positive")
+        if w.ndim != 1:
+            raise SimplexError("weights must be a 1-d array")
+        if not np.all(np.isfinite(w)):
+            raise SimplexError(f"weights must be finite: {w}")
         if np.any(w < -SIMPLEX_TOL) or np.any(w > 1 + SIMPLEX_TOL):
             raise SimplexError(f"weights outside [0, 1]: {w}")
-        if abs(float(m @ w) - 1.0) > SIMPLEX_TOL:
-            raise SimplexError(f"multiplicity-weighted sum is not 1: {w}")
+        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
+            raise SimplexError(f"weights do not sum to 1: {w}")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "multiplicities", m)
 
     @property
     def interior(self):
@@ -45,29 +45,19 @@ class SimplexPoint:
         return len(self.weights)
 
 
-def simplex_point(weights, multiplicities=None):
-    weights = np.asarray(weights, dtype=float)
-    if multiplicities is None:
-        multiplicities = np.ones(len(weights), dtype=int)
-    return SimplexPoint(weights, np.asarray(multiplicities, dtype=int))
+def simplex_point(weights):
+    return SimplexPoint(weights)
 
 
-def uniform_point(n_classes, multiplicities=None):
+def uniform_point(n_classes):
     """The canonical-Laplacian point: all classes carry equal weight."""
-    if multiplicities is None:
-        multiplicities = np.ones(n_classes, dtype=int)
-    m = np.asarray(multiplicities, dtype=int)
-    return SimplexPoint(np.full(n_classes, 1.0 / m.sum()), m)
+    return SimplexPoint(np.full(n_classes, 1.0 / n_classes))
 
 
-def sample_interior(rng, n_classes, multiplicities=None, margin=0.02):
+def sample_interior(rng, n_classes, margin=0.02):
     """Random interior simplex point, bounded away from the boundary."""
-    if multiplicities is None:
-        multiplicities = np.ones(n_classes, dtype=int)
-    m = np.asarray(multiplicities, dtype=int)
     w = margin + rng.random(n_classes)
-    w = w / (m @ w)
-    return SimplexPoint(w, m)
+    return SimplexPoint(w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -92,28 +82,23 @@ def build_operator(graph, x):
     return TransitionOperator(graph=graph, point=x, matrix=p)
 
 
-def project_to_simplex(raw, multiplicities):
-    """Euclidean projection onto {x >= 0, sum_j m_j x_j = 1}.
+def project_to_simplex(raw):
+    """Euclidean projection onto {x >= 0, sum_j x_j = 1}.
 
     Sorting-based active-set method: with multiplier theta the solution
-    is x_j = max(0, r_j - theta m_j); the correct support is found by
-    scanning breakpoints r_j / m_j in decreasing order and verified
-    against the KKT conditions.
+    is x_j = max(0, r_j - theta); the correct support is found by
+    scanning the sorted r_j in decreasing order and verified against the
+    constraint.
     """
     r = np.asarray(raw, dtype=float)
-    m = np.asarray(multiplicities, dtype=float)
-    if np.any(m <= 0):
-        raise SimplexError("multiplicities must be positive")
-    ratio = r / m
-    order = np.argsort(ratio)[::-1]
-    mr_cum = np.cumsum(m[order] * r[order])
-    mm_cum = np.cumsum(m[order] ** 2)
+    desc = np.sort(r)[::-1]
+    cum = np.cumsum(desc)
     for s in range(len(r), 0, -1):
-        theta = (mr_cum[s - 1] - 1.0) / mm_cum[s - 1]
-        if ratio[order[s - 1]] > theta:
-            x = np.maximum(0.0, r - theta * m)
-            # exact KKT check: support matches, constraint holds
-            assert abs(m @ x - 1.0) <= 1e-9
-            x = x / (m @ x)
-            return SimplexPoint(np.clip(x, 0.0, 1.0), m.astype(int))
+        theta = (cum[s - 1] - 1.0) / s
+        if desc[s - 1] > theta:
+            x = np.maximum(0.0, r - theta)
+            total = x.sum()
+            if abs(total - 1.0) > 1e-9:
+                raise SimplexError(f"projection violates the constraint: sum {total!r}")
+            return SimplexPoint(np.clip(x / total, 0.0, 1.0))
     raise SimplexError("projection failed (empty support)")

@@ -3,7 +3,6 @@ minimum of lambda_1 over the simplex, criticality certificates, the three
 equal-length curves and the boundary degenerations.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ from .coxmaps import (
     fundamental_vectors,
     orbit_points,
     psi_delta_inverse,
+    psi_maps,
 )
-from .coxmaps import psi_maps as _psi_maps
 from .randwalk import SimplexPoint, build_operator, project_to_simplex, simplex_point, uniform_point
 from .spectral import (
     edge_class_lengths,
@@ -116,13 +115,11 @@ def critical_certificate(x, group, graph=None, h=FD_STEP, gap_guard=1e-4):
 
     f = _lambda1_fn(graph)
     n = graph.n_classes
-    m = graph.multiplicities
     derivs = []
     for a in range(n):
         for b in range(a + 1, n):
             xi = np.zeros(n)
-            xi[a] = 1.0 / m[a]
-            xi[b] = -1.0 / m[b]
+            xi[a], xi[b] = 1.0, -1.0
             derivs.append(directional_derivative(f, x.weights, xi, h))
     grad_norm = float(np.linalg.norm(derivs))
 
@@ -146,8 +143,7 @@ def minimize_lambda1(group, max_iter=10_000, grad_tol=1e-9):
     x_closed, lam_closed = closed_form_minimum(group.datum)
 
     f = _lambda1_fn(graph)
-    m = graph.multiplicities
-    w = uniform_point(graph.n_classes, m).weights
+    w = uniform_point(graph.n_classes).weights
     g = _gradient(f, w)
     fw = f(w)
     step = 1.0
@@ -158,7 +154,7 @@ def minimize_lambda1(group, max_iter=10_000, grad_tol=1e-9):
         # Armijo backtracking from the BB-seeded step
         s = step
         for _ in range(60):
-            w_new = project_to_simplex(w - s * g, m).weights
+            w_new = project_to_simplex(w - s * g).weights
             f_new = f(w_new)
             if f_new <= fw - 1e-4 * float(g @ (w - w_new)):
                 break
@@ -207,7 +203,7 @@ def curve_point(curve, t, group, dedup_tol=1e-6):
     if not t > 0:
         raise DomainError("curve parameter must be positive")
     fp = fundamental_point(group, CURVE_PATTERNS[curve](float(t)))
-    x, lam = _psi_maps(fp)
+    x, lam = psi_maps(fp)
     lengths = edge_lengths_closed_form(fp)
     count = len(orbit_points(group, fp.point, dedup_tol)[0])
     return CurveSample(
@@ -292,8 +288,7 @@ def sweep_lambda1(group, g):
 
     Lattice points (i, j, k) / (g + 1) with positive integer parts; each
     row carries the second eigenvalue, its multiplicity and the measured
-    class lengths of its embedding.  COXSPEC_THREADS > 1 evaluates rows
-    in a thread pool (the assembled order stays deterministic).
+    class lengths of its embedding.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
@@ -305,22 +300,15 @@ def sweep_lambda1(group, g):
         for j in range(1, denom - i)
         if denom - i - j >= 1
     ]
-
-    def row(x):
+    rows = []
+    for x in points:
         op = build_operator(graph, x)
         cluster = lambda1_cluster(op)
         emb = spectral_representation(op, cluster)
-        return {
+        rows.append({
             "x": x,
             "lambda1": float(cluster.eigenvalue),
             "multiplicity": int(cluster.multiplicity),
             "class_lengths": edge_class_lengths(emb, graph),
-        }
-
-    threads = int(os.environ.get("COXSPEC_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, points))
-    return [row(x) for x in points]
+        })
+    return rows

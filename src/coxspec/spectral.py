@@ -110,7 +110,7 @@ def spectral_representation(op, cluster):
 
 def edge_class_lengths(emb, graph, spread_tol=1e-8):
     """Per-class Euclidean edge length; the within-class spread being
-    zero is asserted, not assumed."""
+    zero is checked, not assumed."""
     lengths = []
     for j in range(graph.n_classes):
         nb = graph.successors[:, j]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coxspec import build_group, cayley_graph
+from coxspec.verify import run_suite
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -29,3 +30,9 @@ def b3(groups):
 @pytest.fixture(scope="session")
 def graphs(groups):
     return {name: cayley_graph(g) for name, g in groups.items()}
+
+
+@pytest.fixture(scope="session")
+def verify_report():
+    """The records of `coxspec verify --suite all`, computed once."""
+    return run_suite("all")

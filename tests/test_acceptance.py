@@ -1,242 +1,53 @@
-"""End-to-end acceptance checks, one per numbered criterion.
+"""Acceptance gate: one test per numbered criterion over the records of
+`coxspec verify --suite all` (the checks themselves live in
+coxspec.verify).  Each test prints one pass/fail line, so the whole gate
+is readable from the pytest -s output."""
 
-Each test prints a single pass/fail line so the whole gate is readable
-from the pytest -s output.
-"""
-
-import numpy as np
-import pytest
-
-from coxspec.coxmaps import (
-    orbit_eigenfunctions,
-    psi_delta_inverse,
-    psi_lambda_of,
-    psi_maps,
-)
-from coxspec.fourier import char_poly_coeffs, crosscheck_mu1, rep_fourier
-from coxspec.linalg import eigh_symmetric
-from coxspec.mesh import cayley_faces
-from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
-from coxspec.solids import (
-    boundary_limit,
-    closed_form_minimum,
-    critical_certificate,
-    curve_limit,
-    curve_point,
-    directional_derivative,
-    minimize_lambda1,
-)
-from coxspec.spectral import (
-    gram_invariance_check,
-    lambda1,
-    lambda1_cluster,
-    spectral_representation,
-    spectrum_clusters,
-)
-
-PHI = (1 + np.sqrt(5)) / 2
+from coxspec.verify import CRITERIA
 
 
-def report(number, label, passed):
-    print(f"criterion {number:2d} [{'PASS' if passed else 'FAIL'}] {label}")
-    assert passed, f"criterion {number} failed: {label}"
+def gate(report, number):
+    records = [c for c in report["checks"] if c["criterion"] == number]
+    passed = bool(records) and all(c["passed"] for c in records)
+    print(f"criterion {number:2d} [{'PASS' if passed else 'FAIL'}] {CRITERIA[number]}")
+    assert passed, [c for c in records if not c["passed"]] or "no records"
 
 
-def test_criterion_01_h3_closed_form_minimum(h3):
-    res = minimize_lambda1(h3)
-    lam_expected = (10 + 7 * PHI) / (14 + 5 * PHI)
-    x_expected = np.array([5, 3 + 3 * PHI, 6 + 2 * PHI]) / (14 + 5 * PHI)
-    ok = (
-        abs(res.optimized.lam - lam_expected) <= 1e-9
-        and np.abs(res.optimized.x.weights - x_expected).max() <= 1e-6
-    )
-    report(1, "H3 minimum: lambda and weights match the closed form", ok)
+def test_criterion_01_h3_closed_form_minimum(verify_report):
+    gate(verify_report, 1)
 
 
-def test_criterion_02_b3_a3_closed_form_minima(groups):
-    r2 = np.sqrt(2)
-    expected = {
-        "B3": (
-            (11 + 6 * r2) / (13 + 6 * r2),
-            np.array([4 + r2, 3 + 3 * r2, 6 + 2 * r2]) / (13 + 6 * r2),
-        ),
-        "A3": (0.8, np.array([0.3, 0.3, 0.4])),
-    }
-    ok = True
-    for name, (lam_e, x_e) in expected.items():
-        res = minimize_lambda1(groups[name])
-        ok &= abs(res.optimized.lam - lam_e) <= 1e-9
-        ok &= np.abs(res.optimized.x.weights - x_e).max() <= 1e-6
-    report(2, "B3 and A3 minima match the closed forms", ok)
+def test_criterion_02_b3_a3_closed_form_minima(verify_report):
+    gate(verify_report, 2)
 
 
-def test_criterion_03_canonical_laplacian(groups, graphs):
-    expected = {
-        "A3": (1 + np.sqrt(2)) / 3,
-        "B3": (1 + np.sqrt(3)) / 3,
-        "H3": (1 + np.sqrt(2 + PHI)) / 3,
-    }
-    ok = True
-    for name, lam_e in expected.items():
-        cluster = lambda1_cluster(build_operator(graphs[name], uniform_point(3)))
-        ok &= abs(cluster.eigenvalue - lam_e) <= 1e-9
-        ok &= cluster.multiplicity == 3
-    report(3, "uniform-weight lambda_1 values with multiplicity 3", ok)
+def test_criterion_03_canonical_laplacian(verify_report):
+    gate(verify_report, 3)
 
 
-def test_criterion_04_equilateral_correspondence(h3, graphs):
-    x0, _ = closed_form_minimum(h3.datum)
-    cert0 = critical_certificate(x0, h3, graphs["H3"])
-    cert_hat = critical_certificate(uniform_point(3), h3, graphs["H3"])
-    ok = (
-        cert0.equilateral
-        and cert0.gradient_norm <= 1e-6
-        and not cert_hat.equilateral
-        and cert_hat.gradient_norm > 1e-3
-    )
-    report(4, "equilateral embedding exactly at the critical point", ok)
+def test_criterion_04_equilateral_correspondence(verify_report):
+    gate(verify_report, 4)
 
 
-def test_criterion_05_derivative_identity(h3, graphs):
-    graph = graphs["H3"]
-    rng = np.random.default_rng(42)
-
-    def f(w):
-        return lambda1(build_operator(graph, simplex_point(w)))
-
-    worst, done = 0.0, 0
-    while done < 20:
-        x = sample_interior(rng, 3)
-        op = build_operator(graph, x)
-        clusters = spectrum_clusters(op)
-        top = clusters[1]
-        gap = min(
-            clusters[0].eigenvalue - top.eigenvalue,
-            top.eigenvalue - clusters[2].eigenvalue,
-        )
-        if gap <= 1e-4:
-            continue
-        emb = spectral_representation(op, top)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                xi = np.zeros(3)
-                xi[a], xi[b] = 1.0, -1.0
-                ia, jb = graph.successors[0, a], graph.successors[0, b]
-                lhs = emb.points[0] @ emb.points[ia] - emb.points[0] @ emb.points[jb]
-                rhs = (3.0 / 120.0) * directional_derivative(f, x.weights, xi)
-                worst = max(worst, abs(lhs - rhs))
-        done += 1
-    report(5, f"Gram-difference derivative identity (worst {worst:.2e})", worst <= 1e-5)
+def test_criterion_05_derivative_identity(verify_report):
+    gate(verify_report, 5)
 
 
-def test_criterion_06_fourier_crosscheck(groups, graphs, h3):
-    rng = np.random.default_rng(7)
-    worst = max(
-        crosscheck_mu1(sample_interior(rng, 3), groups[name], graphs[name])
-        for name in groups
-        for _ in range(50)
-    )
-    poly_dev = 0.0
-    for i in range(1, 10):
-        for j in range(1, 10 - i):
-            x = simplex_point(np.array([i, j, 10 - i - j]) / 10)
-            c2, c1, c0 = char_poly_coeffs(rep_fourier(x, h3).matrix)
-            xx, yy, zz = x.weights
-            q = 1 - 4 * xx * yy - 3 * xx * zz - (3 - PHI) * yy * zz
-            poly_dev = max(
-                poly_dev,
-                abs(c2 + 1),
-                abs(c1 + q),
-                abs(c0 - (q + 2 * (2 - PHI) * xx * yy * zz)),
-            )
-    report(6, "3x3 Fourier block matches the full spectrum", worst <= 1e-9 and poly_dev <= 1e-12)
+def test_criterion_06_fourier_crosscheck(verify_report):
+    gate(verify_report, 6)
 
 
-def test_criterion_07_psi_consistency(groups, graphs):
-    rng = np.random.default_rng(8)
-    ok = True
-    for name, group in groups.items():
-        graph = graphs[name]
-        for _ in range(100):
-            x = sample_interior(rng, 3)
-            ok &= abs(
-                psi_lambda_of(group, x) - lambda1(build_operator(graph, x))
-            ) <= 1e-9
-            x_back, _ = psi_maps(psi_delta_inverse(group, x))
-            ok &= np.abs(x_back.weights - x.weights).max() <= 1e-9
-    report(7, "closed-form eigenvalue map agrees with the eigensolver", ok)
+def test_criterion_07_psi_consistency(verify_report):
+    gate(verify_report, 7)
 
 
-def test_criterion_08_structural_counts(groups, graphs):
-    ok = all(groups[n].order == o for n, o in (("A3", 24), ("B3", 48), ("H3", 120)))
-    graph = graphs["H3"]
-    census = {}
-    for f in cayley_faces(graph):
-        census[len(f)] = census.get(len(f), 0) + 1
-    ok &= graph.n_vertices == 120
-    ok &= len(graph.edges) == 180
-    ok &= census == {4: 30, 6: 20, 10: 12}
-    ok &= graph.n_vertices - len(graph.edges) + sum(census.values()) == 2
-    report(8, "group orders and H3 Cayley face census", ok)
+def test_criterion_08_structural_counts(verify_report):
+    gate(verify_report, 8)
 
 
-def test_criterion_09_boundary_and_curves(h3, graphs):
-    s = curve_point("C2", 1e3, h3)
-    ok = s.class_lengths[1] / min(s.class_lengths[0], s.class_lengths[2]) < 1e-2
-    ok &= len(curve_limit("C2", h3, 0)[1]) == 20
-    ok &= len(curve_limit("C2", h3, "inf")[1]) == 60
-    for target, count in (
-        ([0.0, 0.5, 0.5], 12),
-        ([0.5, 0.0, 0.5], 20),
-        ([0.5, 0.5, 0.0], 30),
-    ):
-        ok &= boundary_limit(target, h3)[1] == count
-    lams = [
-        lambda1(
-            build_operator(
-                graphs["H3"], simplex_point([(1 - eps) / 2, eps, (1 - eps) / 2])
-            )
-        )
-        for eps in (1e-2, 1e-3, 1e-4)
-    ]
-    ok &= lams[0] < lams[1] < lams[2] and lams[-1] > 0.999
-    report(9, "curve degenerations and boundary mixing collapse", ok)
+def test_criterion_09_boundary_and_curves(verify_report):
+    gate(verify_report, 9)
 
 
-def test_criterion_10_property_suites(h3, graphs):
-    rng = np.random.default_rng(9)
-    graph = graphs["H3"]
-
-    vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)).matrix)
-    ok = np.abs(vals + vals[::-1]).max() <= 1e-9
-
-    fp = psi_delta_inverse(h3, uniform_point(3))
-    funcs = orbit_eigenfunctions(h3, fp)
-    ok &= np.abs(funcs.T @ funcs - 40 * np.eye(3)).max() <= 1e-8
-
-    op = build_operator(graph, uniform_point(3))
-    emb = spectral_representation(op, lambda1_cluster(op))
-    ok &= gram_invariance_check(emb, h3) <= 1e-8
-
-    moment = sum(np.outer(e @ fp.point, e @ fp.point) for e in h3.elements)
-    ok &= np.abs(moment - 40 * np.eye(3)).max() <= 1e-8
-
-    def f(w):
-        return lambda1(build_operator(graph, simplex_point(w)))
-
-    for _ in range(200):
-        a, b = sample_interior(rng, 3), sample_interior(rng, 3)
-        ok &= f((a.weights + b.weights) / 2) <= (f(a.weights) + f(b.weights)) / 2 + 1e-9
-
-    margin, count = np.inf, 0
-    while count < 200:
-        x = sample_interior(rng, 3, margin=0.15)
-        d = rng.normal(size=3)
-        d -= d.mean()
-        d *= 0.05 / np.abs(d).max()
-        if np.any(x.weights + d <= 0) or np.any(x.weights - d <= 0):
-            continue
-        margin = min(margin, (f(x.weights + d) + f(x.weights - d)) / 2 - f(x.weights))
-        count += 1
-    ok &= margin > 1e-10
-    report(10, "symmetry, invariance and convexity property suites", bool(ok))
+def test_criterion_10_property_suites(verify_report):
+    gate(verify_report, 10)

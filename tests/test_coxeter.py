@@ -141,7 +141,6 @@ class TestCayleyGraph:
         assert g.n_vertices == 120
         assert len(g.edges) == 180
         assert g.n_classes == 3
-        assert list(g.multiplicities) == [1, 1, 1]
 
     def test_regular_degree(self, graphs):
         for g in graphs.values():

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxspec.coxmaps import (
     DomainError,
+    FundamentalPoint,
     edge_lengths_closed_form,
     eta_rho,
     fundamental_point,
@@ -44,6 +49,24 @@ class TestFundamentalVectors:
         assert v > 0
         assert np.abs(group.roots @ p.T - v * np.eye(3)).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_determinant_semantics(self, groups, name, seed):
+        # <p_j, u> is the determinant of the roots with n_j replaced by u
+        group = groups[name]
+        p, _ = fundamental_vectors(group)
+        u = np.random.default_rng(seed).normal(size=3)
+        for j in range(3):
+            replaced = group.roots.copy()
+            replaced[j] = u
+            assert abs(p[j] @ u - np.linalg.det(replaced)) <= 1e-12 * max(1.0, np.abs(u).max())
+
+    def test_rejects_negative_orientation(self, h3):
+        swapped = dataclasses.replace(h3, roots=h3.roots[[1, 0, 2]])
+        with pytest.raises(DomainError, match="orientation"):
+            fundamental_vectors(swapped)
+
     def test_h3_volume(self, h3):
         _, v = fundamental_vectors(h3)
         assert v**2 == pytest.approx((2 - PHI) / 4, abs=1e-12)
@@ -83,6 +106,12 @@ class TestPsiMaps:
                 x.weights[j] * (h3.generators[j] @ fp.point) for j in range(3)
             )
             assert np.abs(lam * fp.point - rhs).max() <= 1e-12
+
+    def test_defining_relation_violation_rejected(self, h3):
+        fp = fundamental_point(h3, [0.4, 0.8, 1.3])
+        other = fundamental_point(h3, [1.3, 0.8, 0.4]).point
+        with pytest.raises(DomainError, match="fails"):
+            psi_maps(FundamentalPoint(group=h3, alphas=fp.alphas, point=other))
 
     def test_lambda_matches_eigensolver(self, groups, graphs):
         rng = np.random.default_rng(13)

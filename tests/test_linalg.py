@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coxspec.coxeter import coxeter_datum
-from coxspec.linalg import (
-    LinalgError,
-    cross_product_k,
-    det,
-    eigh_symmetric,
-    perron_frobenius,
-)
+from coxspec.linalg import LinalgError, eigh_symmetric, perron_frobenius
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -112,43 +104,9 @@ class TestPerronFrobenius:
             perron_frobenius([[1, 0], [1, 1]])
 
 
-class TestCrossProduct:
-    def test_standard_basis(self):
-        e = np.eye(3)
-        assert np.allclose(cross_product_k(e[0], e[1]), e[2])
-
-    def test_parallel_inputs(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.abs(cross_product_k(v, 2 * v)).max() <= 1e-14
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_antisymmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        v, w = rng.normal(size=(2, 3))
-        assert np.abs(cross_product_k(v, w) + cross_product_k(w, v)).max() <= 1e-14
-
-    def test_determinant_semantics(self):
-        rng = np.random.default_rng(5)
-        vs = rng.normal(size=(3, 4))
-        w = cross_product_k(*vs)
-        for v in vs:
-            assert abs(w @ v) <= 1e-12
-        u = rng.normal(size=4)
-        assert abs(w @ u - np.linalg.det(np.column_stack([*vs, u]))) <= 1e-12
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(LinalgError):
-            cross_product_k(np.ones(3), np.ones(4))
-
-
 class TestDet:
-    def test_identity(self):
-        assert det(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert det(np.diag([2.0, 3.0, 4.0])) == pytest.approx(24.0)
-
     def test_h3_root_volume(self, h3):
-        v = det(h3.roots.T)
-        assert v**2 == pytest.approx((2 - PHI) / 4, abs=1e-12)
+        # det(N)^2 = det(N N^T), the product of the Gram matrix eigenvalues
+        gram = h3.roots @ h3.roots.T
+        v2 = np.prod(eigh_symmetric(gram).eigenvalues)
+        assert v2 == pytest.approx((2 - PHI) / 4, abs=1e-12)

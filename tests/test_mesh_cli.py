@@ -127,6 +127,22 @@ class TestOffObj:
         with pytest.raises(MeshError):
             parse_off(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "OFF\n3 1 3\n0 0 0\n1 0 0\n",
+            "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n4 0 1 2 3\n",
+            "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+        ],
+        ids=["empty", "truncated", "count-mismatch", "missing-vertex"],
+    )
+    def test_parse_rejects_broken_files(self, tmp_path, text):
+        path = tmp_path / "broken.off"
+        path.write_text(text)
+        with pytest.raises(MeshError):
+            parse_off(path)
+
     def test_export_reports_bytes(self, graphs, tmp_path):
         path = tmp_path / "h3.off"
         nbytes = export_off(h3_mesh(graphs), path)
@@ -187,8 +203,24 @@ class TestCli:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
-    def test_bad_point_rejected(self):
-        from coxspec.randwalk import SimplexError
+    def test_bad_point_rejected(self, capsys):
+        assert main(["spectrum", "--group", "A3", "--point", "0.5,0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: ") and err.count("\n") == 1
 
-        with pytest.raises(SimplexError):
-            main(["spectrum", "--group", "A3", "--point", "0.5,0.5,0.5"])
+    def test_bad_eigenvalue_names_range(self, tmp_path, capsys):
+        out_file = tmp_path / "a3.off"
+        assert main(["embed", "--group", "A3", "--eigenvalue", "99", "--out", str(out_file)]) == 2
+        assert "cluster index 0.." in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--t-min", "-1"], ["--t-min", "2", "--t-max", "1"], ["--samples", "0"]],
+    )
+    def test_bad_curve_parameters_leave_no_file(self, tmp_path, capsys, args):
+        out_file = tmp_path / "c2.csv"
+        argv = ["curve", "--group", "H3", "--curve", "C2", "--out", str(out_file), *args]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("coxspec: ")
+        assert not out_file.exists()

@@ -22,9 +22,10 @@ class TestSimplexPoint:
         with pytest.raises(SimplexError):
             simplex_point([0.5, 0.5, 0.5])
 
-    def test_weighted_constraint(self):
-        x = simplex_point([0.2, 0.4], multiplicities=[1, 2])
-        assert x.interior
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(SimplexError, match="finite"):
+            simplex_point([bad, 0.5, 0.5])
 
     def test_boundary_not_interior(self):
         assert not simplex_point([0.0, 0.4, 0.6]).interior
@@ -67,7 +68,7 @@ class TestOperator:
             build_operator(graphs["A3"], simplex_point([0.5, 0.5]))
 
 
-def brute_force_projection(raw, m):
+def brute_force_projection(raw):
     """Enumerate all active sets and return the closest feasible point."""
     n = len(raw)
     best, best_d = None, np.inf
@@ -75,12 +76,11 @@ def brute_force_projection(raw, m):
         free = [i for i in range(n) if active[i]]
         if not free:
             continue
-        # minimize ||x - r||^2 with x_j = 0 off the support, m.x = 1
-        mf = m[free]
+        # minimize ||x - r||^2 with x_j = 0 off the support, sum x = 1
         rf = raw[free]
-        theta = (mf @ rf - 1.0) / (mf @ mf)
+        theta = (rf.sum() - 1.0) / len(free)
         x = np.zeros(n)
-        x[free] = rf - theta * mf
+        x[free] = rf - theta
         if np.any(x[free] < -1e-12):
             continue
         d = np.sum((x - raw) ** 2)
@@ -92,18 +92,17 @@ def brute_force_projection(raw, m):
 class TestProjection:
     def test_idempotent(self):
         x = simplex_point([0.2, 0.3, 0.5])
-        y = project_to_simplex(x.weights, x.multiplicities)
+        y = project_to_simplex(x.weights)
         assert np.abs(y.weights - x.weights).max() <= 1e-12
 
     def test_symmetric(self):
-        y = project_to_simplex(np.ones(3), np.ones(3, dtype=int))
+        y = project_to_simplex(np.ones(3))
         assert np.abs(y.weights - 1 / 3).max() <= 1e-12
 
     def test_example_against_brute_force(self):
         raw = np.array([0.9, 0.2, -0.1])
-        m = np.ones(3)
-        y = project_to_simplex(raw, m)
-        expected = brute_force_projection(raw, m)
+        y = project_to_simplex(raw)
+        expected = brute_force_projection(raw)
         assert np.abs(y.weights - expected).max() <= 1e-10
 
     @given(st.integers(0, 2**32 - 1))
@@ -112,9 +111,8 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         raw = rng.normal(size=n)
-        m = rng.integers(1, 4, size=n).astype(float)
-        y = project_to_simplex(raw, m)
-        expected = brute_force_projection(raw, m)
+        y = project_to_simplex(raw)
+        expected = brute_force_projection(raw)
         assert np.abs(y.weights - expected).max() <= 1e-9
 
 

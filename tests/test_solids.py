@@ -206,15 +206,6 @@ class TestSweep:
         assert np.abs(best["x"].weights - x0.weights).max() <= 2.0 / g
         assert best["lambda1"] >= lam0 - 1e-12
 
-    def test_threaded_matches_serial(self, a3, monkeypatch):
-        serial = sweep_lambda1(a3, 5)
-        monkeypatch.setenv("COXSPEC_THREADS", "4")
-        threaded = sweep_lambda1(a3, 5)
-        assert len(serial) == len(threaded)
-        for r1, r2 in zip(serial, threaded):
-            assert np.array_equal(r1["x"].weights, r2["x"].weights)
-            assert r1["lambda1"] == r2["lambda1"]
-
     def test_rejects_small_grid(self, a3):
         with pytest.raises(DomainError):
             sweep_lambda1(a3, 1)
