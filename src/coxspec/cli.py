@@ -7,8 +7,10 @@ check suites as JSON).  Numeric output uses 15 significant digits.
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,6 +48,22 @@ def _parse_point(args):
     else:
         return None
     return simplex_point(weights)
+
+
+@contextlib.contextmanager
+def _open_out(path):
+    """Open the --out file before any work is done; a path that cannot be
+    written is a one-line error, and a verb that fails leaves no file."""
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise CoxspecError(f"cannot write --out {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _add_group_arg(parser):
@@ -135,9 +153,9 @@ def cmd_minimize(args):
 def cmd_curve(args):
     if not (args.t_min > 0 and args.t_max >= args.t_min and args.samples >= 1):
         raise DomainError("curve needs 0 < --t-min <= --t-max and --samples >= 1")
-    group = build_group(args.group)
     ts = np.geomspace(args.t_min, args.t_max, args.samples)
-    with open(args.out, "w", newline="") as fh:
+    with _open_out(args.out) as fh:
+        group = build_group(args.group)
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "z", "lambda1", "len1", "len2", "len3"])
         for t in ts:
@@ -151,9 +169,8 @@ def cmd_curve(args):
 
 
 def cmd_sweep(args):
-    group = build_group(args.group)
-    rows = sweep_lambda1(group, args.grid)
-    with open(args.out, "w", newline="") as fh:
+    with _open_out(args.out) as fh:
+        rows = sweep_lambda1(build_group(args.group), args.grid)
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "lambda1", "mult", "len1", "len2", "len3"])
         for row in rows:

@@ -24,7 +24,6 @@ from .spectral import (
     lambda1,
     lambda1_cluster,
     spectral_representation,
-    spectrum_clusters,
 )
 
 FD_STEP = 1e-6
@@ -103,15 +102,11 @@ def critical_certificate(x, group, graph=None, h=FD_STEP, gap_guard=1e-4):
     if graph is None:
         graph = cayley_graph(group)
     op = build_operator(graph, x)
-    clusters = spectrum_clusters(op)
-    top = clusters[1] if clusters[0].multiplicity == 1 else clusters[0]
-    i = clusters.index(top)
-    gap = min(
-        abs(clusters[i - 1].eigenvalue - top.eigenvalue) if i > 0 else np.inf,
-        abs(clusters[i + 1].eigenvalue - top.eigenvalue) if i + 1 < len(clusters) else np.inf,
-    )
-    if gap <= gap_guard:
-        raise DomainError(f"eigenvalue cluster gap {gap:.2g} too small for finite differences")
+    top = lambda1_cluster(op)
+    if top.gap <= gap_guard:
+        raise DomainError(
+            f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
+        )
 
     f = _lambda1_fn(graph)
     n = graph.n_classes
@@ -287,8 +282,9 @@ def sweep_lambda1(group, g):
     """Deterministic barycentric sweep of the open simplex.
 
     Lattice points (i, j, k) / (g + 1) with positive integer parts; each
-    row carries the second eigenvalue, its multiplicity and the measured
-    class lengths of its embedding.
+    row carries the second eigenvalue, its multiplicity, the measured
+    class lengths of its embedding and the path its cluster took
+    ("fourier" or "dense", see `lambda1_cluster`).
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
@@ -310,5 +306,6 @@ def sweep_lambda1(group, g):
             "lambda1": float(cluster.eigenvalue),
             "multiplicity": int(cluster.multiplicity),
             "class_lengths": edge_class_lengths(emb, graph),
+            "path": cluster.path,
         })
     return rows

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_symmetric, fix_signs
+from .linalg import check_symmetric, eigh_symmetric, fix_signs
 
 CLUSTER_TOL = 1e-7
 
@@ -26,6 +26,8 @@ class SpectralCluster:
     eigenvalue: float
     multiplicity: int
     basis: np.ndarray  # (n, multiplicity), orthonormal columns
+    gap: float = np.inf  # distance to the neighbouring clusters' eigenvalues
+    path: str = "dense"  # "fourier" (3x3 block) or "dense" (full eigensolve)
 
 
 @dataclass(frozen=True)
@@ -44,34 +46,50 @@ class Embedding:
         return float(np.linalg.norm(self.points, axis=1).mean())
 
 
-def spectrum_clusters(op, cluster_tol=CLUSTER_TOL):
-    """Partition the spectrum of the operator into multiplicity clusters.
+def _value_clusters(vals, cluster_tol):
+    """Clusters of the descending eigenvalues `vals` as (eigenvalue,
+    start, stop, gap) with the cluster mean as eigenvalue.
 
-    Eigenvalues closer than `cluster_tol` merge; if a within-cluster gap
-    is itself close to the tolerance the finer partition is chosen and a
-    warning is emitted.
+    Neighbouring eigenvalues closer than `cluster_tol` chain into one
+    cluster; a cluster whose spread exceeds half the tolerance is flagged
+    with a warning.
     """
+    cuts = np.flatnonzero(vals[:-1] - vals[1:] > cluster_tol) + 1
+    lo = np.concatenate(([0], cuts))
+    hi = np.concatenate((cuts, [len(vals)]))
+    spread = vals[lo] - vals[hi - 1]
+    for c in np.flatnonzero(spread > 0.5 * cluster_tol):
+        warnings.warn(
+            f"ambiguous eigenvalue cluster near {vals[lo[c]]:.6g} "
+            f"(spread {spread[c]:.2g}); keeping the finer partition"
+        )
+    means = np.add.reduceat(vals, lo) / (hi - lo)
+    padded = np.concatenate(([np.inf], means, [-np.inf]))
+    gaps = np.minimum(padded[:-2] - means, means - padded[2:])
+    return [
+        (float(m), int(a), int(b), float(g)) for m, a, b, g in zip(means, lo, hi, gaps)
+    ]
+
+
+def _lambda1_index(top_multiplicity):
+    # the cluster of the second-highest eigenvalue counted with
+    # multiplicity: the top one unless it is simple
+    return 1 if top_multiplicity == 1 else 0
+
+
+def spectrum_clusters(op, cluster_tol=CLUSTER_TOL):
+    """Partition the spectrum of the operator into multiplicity clusters
+    with oriented orthonormal bases (one dense eigensolve)."""
     vals, vecs = eigh_symmetric(op.matrix)
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i - 1] - vals[i] > cluster_tol:
-            block = slice(start, i)
-            spread = vals[start] - vals[i - 1]
-            if spread > 0.5 * cluster_tol:
-                warnings.warn(
-                    f"ambiguous eigenvalue cluster near {vals[start]:.6g} "
-                    f"(spread {spread:.2g}); keeping the finer partition"
-                )
-            clusters.append(
-                SpectralCluster(
-                    eigenvalue=float(vals[block].mean()),
-                    multiplicity=i - start,
-                    basis=_orient(vecs[:, block]),
-                )
-            )
-            start = i
-    return clusters
+    return [
+        SpectralCluster(
+            eigenvalue=mean,
+            multiplicity=hi - lo,
+            basis=_orient(vecs[:, lo:hi]),
+            gap=gap,
+        )
+        for mean, lo, hi, gap in _value_clusters(vals, cluster_tol)
+    ]
 
 
 def _orient(basis):
@@ -84,16 +102,32 @@ def _orient(basis):
 
 def lambda1(op):
     """Second-highest eigenvalue, counted with multiplicity."""
-    vals, _ = eigh_symmetric(op.matrix)
-    return float(vals[1])
+    return float(np.linalg.eigvalsh(check_symmetric(op.matrix))[-2])
 
 
 def lambda1_cluster(op, cluster_tol=CLUSTER_TOL):
-    """The cluster containing the second-highest eigenvalue."""
-    clusters = spectrum_clusters(op, cluster_tol)
-    if clusters[0].multiplicity > 1:
-        return clusters[0]
-    return clusters[1]
+    """The cluster containing the second-highest eigenvalue.
+
+    The eigenvalues come from one values-only eigensolve.  When the
+    cluster has multiplicity 3 and matches the top eigenvalue mu_1 of the
+    3x3 block M = sum_j x_j sigma_j, its basis is f_r(g) = (g v)_r for the
+    unit eigenvector M v = mu_1 v, scaled to orthonormal columns by
+    Schur's relations: (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
+    Otherwise (a boundary point whose graph falls apart, or a degenerate
+    block) the cluster comes from the dense eigensolve.
+    """
+    vals = np.linalg.eigvalsh(check_symmetric(op.matrix))[::-1]
+    clusters = _value_clusters(vals, cluster_tol)
+    # the top cluster starts at 0, so its stop is its multiplicity
+    lam, lo, hi, gap = clusters[_lambda1_index(clusters[0][2])]
+    if hi - lo == 3:
+        group = op.graph.group
+        mus, vecs = np.linalg.eigh(np.tensordot(op.point.weights, group.generators, axes=1))
+        if abs(mus[-1] - lam) <= cluster_tol:
+            basis = np.sqrt(3.0 / group.order) * (group.elements @ vecs[:, -1])
+            return SpectralCluster(lam, 3, fix_signs(basis), gap, "fourier")
+    dense = spectrum_clusters(op, cluster_tol)
+    return dense[_lambda1_index(dense[0].multiplicity)]
 
 
 def spectral_representation(op, cluster):

@@ -37,7 +37,6 @@ from .spectral import (
     lambda1,
     lambda1_cluster,
     spectral_representation,
-    spectrum_clusters,
 )
 
 SUITE_NAMES = ("closed_forms", "invariants", "theorem2", "curves", "all")
@@ -262,13 +261,8 @@ def suite_theorem2():
     while done < 20:
         x = sample_interior(rng, 3)
         op = build_operator(graph, x)
-        clusters = spectrum_clusters(op)
-        top = clusters[1]
-        gap = min(
-            clusters[0].eigenvalue - top.eigenvalue,
-            top.eigenvalue - clusters[2].eigenvalue,
-        )
-        if gap <= 1e-4:
+        top = lambda1_cluster(op)
+        if top.gap <= 1e-4:
             continue
         emb = spectral_representation(op, top)
         k, n = top.multiplicity, graph.n_vertices

@@ -224,3 +224,25 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("coxspec: ")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--group", "A3", "--grid", "3"], ["curve", "--group", "A3", "--curve", "C1"]],
+    )
+    def test_unwritable_out_is_one_line_error(self, tmp_path, capsys, argv, monkeypatch):
+        # the file is opened before any work: no group is built
+        def no_work(name):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr("coxspec.cli.build_group", no_work)
+        out_file = tmp_path / "missing" / "out.csv"
+        assert main([*argv, "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: cannot write --out ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_failed_sweep_leaves_no_file(self, tmp_path, capsys):
+        out_file = tmp_path / "sweep.csv"
+        assert main(["sweep", "--group", "A3", "--grid", "1", "--out", str(out_file)]) == 2
+        assert capsys.readouterr().err.startswith("coxspec: ")
+        assert not out_file.exists()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxspec.coxmaps import eta_rho
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
+from coxspec.solids import sweep_lambda1
 from coxspec.spectral import (
     Embedding,
     InvarianceError,
@@ -130,3 +133,88 @@ class TestInvariance:
             op = build_operator(graphs[name], uniform_point(3))
             emb = spectral_representation(op, lambda1_cluster(op))
             assert gram_invariance_check(emb, group) <= 1e-8
+
+
+BOUNDARY_EPS = 1e-6
+
+
+def region_point(group, region, raw, k):
+    """A simplex point of the given region: the interior, BOUNDARY_EPS from
+    side k (x_k = eps) or from vertex k (the other two weights eps), or
+    within 1e-3 of the minimiser X0."""
+    raw = np.array(raw)
+    if region == "side":
+        raw[k] = 0.0
+        w = raw / raw.sum() * (1 - BOUNDARY_EPS)
+        w[k] = BOUNDARY_EPS
+    elif region == "vertex":
+        w = np.full(3, BOUNDARY_EPS)
+        w[k] = 1 - 2 * BOUNDARY_EPS
+    elif region == "x0":
+        d = raw - raw.mean()
+        w = minimum_point(group).weights + 1e-3 * d / max(np.abs(d).max(), 1e-9)
+        w /= w.sum()
+    else:
+        w = raw / raw.sum()
+    return simplex_point(w)
+
+
+def dense_lambda1_cluster(op):
+    clusters = spectrum_clusters(op)
+    return clusters[1] if clusters[0].multiplicity == 1 else clusters[0]
+
+
+class TestFourierCluster:
+    """The 3x3-block cluster against the dense eigensolve as oracle."""
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["A3", "B3", "H3"]),
+        region=st.sampled_from(["interior", "side", "vertex", "x0"]),
+        raw=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+        k=st.integers(0, 2),
+    )
+    def test_matches_dense_oracle(self, groups, graphs, name, region, raw, k):
+        graph = graphs[name]
+        op = build_operator(graph, region_point(groups[name], region, raw, k))
+        fast, dense = lambda1_cluster(op), dense_lambda1_cluster(op)
+        assert fast.path == "fourier" and dense.path == "dense"
+        assert fast.multiplicity == dense.multiplicity == 3
+        assert abs(fast.eigenvalue - dense.eigenvalue) <= 1e-12
+        assert abs(fast.gap - dense.gap) <= 1e-12
+        # the block basis is exact; the dense eigenvectors carry an error of
+        # about n eps / gap (Davis-Kahan), which near the boundary, where
+        # the gap is ~1e-7, exceeds 1e-12
+        n = graph.n_vertices
+        tol = 1e-12 + n * np.finfo(float).eps / dense.gap
+        b = fast.basis
+        assert np.abs(b.T @ b - np.eye(3)).max() <= 1e-13
+        assert np.abs(op.matrix @ b - fast.eigenvalue * b).max() <= 1e-13
+        assert np.abs(b @ b.T - dense.basis @ dense.basis.T).max() <= tol
+        lengths = [
+            edge_class_lengths(spectral_representation(op, c), graph) for c in (fast, dense)
+        ]
+        assert np.abs(np.subtract(*lengths)).max() <= tol
+
+    def test_fourier_path_on_sweep_grid(self, groups):
+        for group in groups.values():
+            rows = sweep_lambda1(group, 24)
+            assert len(rows) == 276
+            assert {row["path"] for row in rows} == {"fourier"}
+
+    @pytest.mark.parametrize(
+        "weights,components",
+        [([0.5, 0.5, 0.0], 4), ([1.0, 0.0, 0.0], 2), ([0.0, 0.0, 1.0], 2)],
+    )
+    def test_dense_path_where_graph_falls_apart(self, graphs, weights, components):
+        # generators 0 and 1 commute, so x = (1/2, 1/2, 0) leaves 4-cycles
+        # and a simplex vertex a perfect matching: lambda_1 = 1 with
+        # multiplicity n / (component size)
+        for graph in graphs.values():
+            op = build_operator(graph, simplex_point(weights))
+            cluster = lambda1_cluster(op)
+            assert cluster.path == "dense"
+            assert cluster.multiplicity == graph.n_vertices // components
+            assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
+            spectral_representation(op, cluster)
