@@ -148,19 +148,31 @@ def edge_lengths_closed_form(fp: FundamentalPoint):
 
 
 def orbit_points(group, p, dedup_tol=1e-6):
-    """Deduplicated orbit of a point and the element -> orbit-index map."""
-    images = group.elements @ np.asarray(p, dtype=float)
+    """Deduplicated orbit of a point and the element -> orbit-index map.
+
+    Images g p closer than `dedup_tol` in every coordinate are one orbit
+    point.  The first image not yet assigned becomes the next
+    representative and takes every unassigned image close to it, so each
+    image joins the earliest representative it is close to, also where
+    closeness is not transitive.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (group.rank,) or not np.all(np.isfinite(p)):
+        raise DomainError(f"orbit point must be {group.rank} finite coordinates")
+    if not 0 < dedup_tol < np.inf:
+        raise DomainError("dedup_tol must be a finite positive number")
+    images = group.elements @ p
+    # per coordinate: a max over a length-3 last axis is ten times slower
+    close = np.ones((group.order, group.order), dtype=bool)
+    for c in range(group.rank):
+        close &= np.abs(images[:, c, None] - images[None, :, c]) < dedup_tol
+    index = np.full(group.order, -1)
     reps = []
-    index = np.empty(group.order, dtype=int)
-    for i, q in enumerate(images):
-        for r, rep in enumerate(reps):
-            if np.abs(rep - q).max() < dedup_tol:
-                index[i] = r
-                break
-        else:
-            index[i] = len(reps)
-            reps.append(q)
-    return np.stack(reps), index
+    for i in range(group.order):
+        if index[i] < 0:
+            index[close[i] & (index < 0)] = len(reps)
+            reps.append(i)
+    return images[reps], index
 
 
 def orbit_eigenfunctions(group, fp: FundamentalPoint):

@@ -61,7 +61,8 @@ def _value_clusters(vals, cluster_tol):
     for c in np.flatnonzero(spread > 0.5 * cluster_tol):
         warnings.warn(
             f"ambiguous eigenvalue cluster near {vals[lo[c]]:.6g} "
-            f"(spread {spread[c]:.2g}); keeping the finer partition"
+            f"(spread {spread[c]:.2g}); merged into one cluster of multiplicity "
+            f"{hi[c] - lo[c]}"
         )
     means = np.add.reduceat(vals, lo) / (hi - lo)
     padded = np.concatenate(([np.inf], means, [-np.inf]))

@@ -85,6 +85,80 @@ class TestFundamentalVectors:
             fundamental_point(h3, [1.0, 1.0])
 
 
+def _greedy_orbit(group, p, dedup_tol=1e-6):
+    # reference: each image against every representative found so far
+    images = group.elements @ np.asarray(p, dtype=float)
+    reps = []
+    index = np.empty(group.order, dtype=int)
+    for i, q in enumerate(images):
+        for r, rep in enumerate(reps):
+            if np.abs(rep - q).max() < dedup_tol:
+                index[i] = r
+                break
+        else:
+            index[i] = len(reps)
+            reps.append(q)
+    return np.stack(reps), index
+
+
+# cone coefficients of zero, far below, just below, at and just above the
+# default dedup_tol, and well clear of it
+NEAR_TOL = [0.0, 1e-9, 3e-7, 1e-6, 2e-6, 1e-3]
+coefficient = st.one_of(st.sampled_from(NEAR_TOL), st.floats(0.0, 1.0))
+
+
+class TestOrbitPoints:
+    def assert_matches_greedy(self, group, p):
+        reps, index = orbit_points(group, p)
+        ref_reps, ref_index = _greedy_orbit(group, p)
+        assert np.array_equal(reps, ref_reps)
+        assert np.array_equal(index, ref_index)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["A3", "B3", "H3"]),
+        # tinier cone points underflow when normalised
+        alphas=st.tuples(coefficient, coefficient, coefficient).filter(lambda a: max(a) >= 1e-9),
+    )
+    def test_matches_greedy_on_cone_points(self, groups, name, alphas):
+        pvecs, _ = fundamental_vectors(groups[name])
+        p = np.array(alphas) @ pvecs
+        self.assert_matches_greedy(groups[name], p / np.linalg.norm(p))
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(["A3", "B3", "H3"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_greedy_on_unit_vectors(self, groups, name, seed):
+        u = np.random.default_rng(seed).normal(size=3)
+        self.assert_matches_greedy(groups[name], u / np.linalg.norm(u))
+
+    def test_non_transitive_closeness(self, groups):
+        # images within dedup_tol of a representative are not all within
+        # dedup_tol of each other; first-match keeps 12 points where
+        # "first close image" would keep 16
+        a3 = groups["A3"]
+        pvecs, _ = fundamental_vectors(a3)
+        p = np.array([3e-7, 0.5, 3e-7]) @ pvecs
+        p /= np.linalg.norm(p)
+        images = a3.elements @ p
+        close = (np.abs(images[:, None] - images[None]) < 1e-6).all(axis=-1)
+        assert ((close.astype(int) @ close > 0) & ~close).any()
+        assert len(np.unique(close.argmax(axis=1))) == 16
+        self.assert_matches_greedy(a3, p)
+        assert len(orbit_points(a3, p)[0]) == 12
+
+    @pytest.mark.parametrize(
+        "p", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0], [[1.0, 0.0, 0.0]]]
+    )
+    def test_rejects_bad_point(self, h3, p):
+        with pytest.raises(DomainError, match="finite coordinates"):
+            orbit_points(h3, p)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_rejects_bad_tolerance(self, h3, tol):
+        with pytest.raises(DomainError, match="dedup_tol"):
+            orbit_points(h3, [1.0, 0.0, 0.0], dedup_tol=tol)
+
+
 class TestPsiMaps:
     @pytest.mark.parametrize(
         "name,eta", [("A3", 1.0), ("B3", np.sqrt(2)), ("H3", PHI)]

@@ -7,6 +7,7 @@ from coxspec.coxmaps import eta_rho
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import sweep_lambda1
 from coxspec.spectral import (
+    CLUSTER_TOL,
     Embedding,
     InvarianceError,
     check_faithful,
@@ -15,6 +16,7 @@ from coxspec.spectral import (
     lambda1,
     lambda1_cluster,
     spectral_representation,
+    _value_clusters,
     spectrum_clusters,
 )
 
@@ -59,6 +61,16 @@ class TestClusters:
         assert vals == sorted(vals, reverse=True)
         assert clusters[0].eigenvalue == pytest.approx(1.0, abs=1e-12)
         assert clusters[0].multiplicity == 1
+
+    def test_chained_values_merge_with_warning(self):
+        # neighbours 0.6 tol apart chain into one cluster spanning 1.2 tol;
+        # the absolute tolerance merges them rather than splitting the chain
+        step = 0.6 * CLUSTER_TOL
+        vals = np.array([1.0, 0.5, 0.5 - step, 0.5 - 2 * step, 0.0])
+        with pytest.warns(UserWarning, match="ambiguous eigenvalue cluster.*multiplicity 3"):
+            clusters = _value_clusters(vals, CLUSTER_TOL)
+        assert [(lo, hi) for _, lo, hi, _ in clusters] == [(0, 1), (1, 4), (4, 5)]
+        assert clusters[1][0] == pytest.approx(0.5 - step, abs=1e-15)
 
 
 class TestEmbedding:
