@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from .coxeter import BUILTIN_NAMES, build_group, cayley_graph
-from .coxmaps import DomainError
-from .errors import CoxspecError
+from .errors import CoxspecError, DomainError
 from .mesh import build_cayley_mesh, cayley_faces, export_obj, export_off
 from .randwalk import build_operator, simplex_point, uniform_point
 from .solids import curve_point, minimize_lambda1, sweep_lambda1

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoxspecError
+from .errors import CoxspecError, DomainError
 
 DEDUP_TOL = 1e-6
 
@@ -125,6 +125,22 @@ class ReflectionGroup:
         if dist[i] >= DEDUP_TOL:
             raise CoxeterError("matrix is not a group element")
         return i
+
+    @cached_property
+    def fundamental_vectors(self):
+        """(p, V): the rows p_j of V * N^{-T}, N the matrix of simple roots
+        (rows n_i), satisfy <n_i, p_j> = V * delta_ij with V = det(N) > 0;
+        for k = 3 they are signed cross products of the other two roots.
+        Computed once per group; p is read-only."""
+        v = float(np.linalg.det(self.roots))
+        if v <= 0:
+            raise DomainError("root orientation must have positive determinant")
+        p = v * np.linalg.inv(self.roots).T
+        dev = np.abs(self.roots @ p.T - v * np.eye(self.rank)).max()
+        if dev > 1e-12:
+            raise DomainError(f"fundamental vectors are not dual to the roots (deviation {dev:.2g})")
+        p.flags.writeable = False
+        return p, v
 
     @cached_property
     def word_parity(self):

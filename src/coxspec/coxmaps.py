@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import ReflectionGroup
-from .errors import CoxspecError
+from .errors import DomainError
 from .linalg import perron_frobenius
 from .randwalk import SimplexPoint, simplex_point
-
-
-class DomainError(CoxspecError):
-    pass
 
 
 def eta_rho(datum):
@@ -48,21 +44,8 @@ def gram_inverse(datum):
 
 
 def fundamental_vectors(group: ReflectionGroup):
-    """Vectors p_j with <n_i, p_j> = V * delta_ij, V = det(n_1..n_k) > 0.
-
-    The p_j are the rows of V * N^{-T} with N the matrix of simple roots
-    (rows n_i); for k = 3 they are the cross products of the other two
-    roots, alternating in sign.
-    """
-    roots = group.roots
-    v = float(np.linalg.det(roots))
-    if v <= 0:
-        raise DomainError("root orientation must have positive determinant")
-    p = v * np.linalg.inv(roots).T
-    dev = np.abs(roots @ p.T - v * np.eye(group.rank)).max()
-    if dev > 1e-12:
-        raise DomainError(f"fundamental vectors are not dual to the roots (deviation {dev:.2g})")
-    return p, v
+    """The dual vectors p_j and volume V, cached on the group."""
+    return group.fundamental_vectors
 
 
 @dataclass(frozen=True)
@@ -72,10 +55,6 @@ class FundamentalPoint:
     group: ReflectionGroup
     alphas: np.ndarray  # positive coefficients over the p_j
     point: np.ndarray   # sum_j alpha_j p_j, unit norm
-
-    @property
-    def volume(self):
-        return fundamental_vectors(self.group)[1]
 
 
 def fundamental_point(group, alphas):
@@ -116,13 +95,16 @@ def psi_maps(fp: FundamentalPoint):
 
 
 def _pf_pair(group, x: SimplexPoint):
-    """Perron-Frobenius eigenvalue and eigenvector of the positive matrix
-    A = V diag(x)^{-1} M^{-1}, with the volume V."""
+    """Perron-Frobenius eigenvalue and positive eigenvector of
+    A = V D^{-1} M^{-1}, D = diag(x), with the volume V: A is similar to
+    the symmetric S = V D^{-1/2} M^{-1} D^{-1/2}, and S u = lam u gives
+    A alpha = lam alpha for alpha = D^{-1/2} u."""
     if not x.interior:
         raise DomainError("requires an interior simplex point")
     _, v = fundamental_vectors(group)
-    lam_pf, alpha = perron_frobenius(v * gram_inverse(group.datum) / x.weights[:, None])
-    return lam_pf, alpha, v
+    d = 1.0 / np.sqrt(x.weights)
+    lam_pf, u = perron_frobenius(v * gram_inverse(group.datum) * np.outer(d, d))
+    return lam_pf, d * u, v
 
 
 def psi_delta_inverse(group, x: SimplexPoint):

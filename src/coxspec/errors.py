@@ -4,3 +4,7 @@ violated invariant; the CLI turns any of them into a one-line message."""
 
 class CoxspecError(ValueError):
     pass
+
+
+class DomainError(CoxspecError):
+    """Input outside the domain a function is defined on."""

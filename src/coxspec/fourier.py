@@ -10,26 +10,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_symmetric
+from .errors import DomainError
 from .randwalk import SimplexPoint, build_operator
-from .coxeter import cayley_graph
-from .spectral import lambda1
 
 
 @dataclass(frozen=True)
 class RepSpectrum:
-    point: SimplexPoint
-    matrix: np.ndarray  # 3x3 symmetric
-    roots: np.ndarray   # descending eigenvalues mu_1 >= mu_2 >= mu_3
+    matrix: np.ndarray   # 3x3 symmetric
+    roots: np.ndarray    # descending eigenvalues mu_1 >= mu_2 >= mu_3
+    vectors: np.ndarray  # unit eigenvectors, column r belongs to roots[r]
 
 
 def rep_fourier(x: SimplexPoint, group):
-    """Fourier transform of the walk at the geometric representation."""
+    """Fourier transform of the walk at the geometric representation: the
+    one place that forms M = sum_j x_j sigma_j and diagonalises it."""
     if group.rank != 3:
-        raise ValueError("geometric Fourier transform implemented for rank 3")
+        raise DomainError(f"geometric Fourier transform needs rank 3, got rank {group.rank}")
     mat = np.tensordot(x.weights, group.generators, axes=1)
-    vals, _ = eigh_symmetric(mat)
-    return RepSpectrum(point=x, matrix=mat, roots=vals)
+    vals, vecs = np.linalg.eigh(mat)
+    return RepSpectrum(matrix=mat, roots=vals[::-1], vectors=vecs[:, ::-1])
 
 
 def char_poly_coeffs(mat):
@@ -44,9 +43,8 @@ def mu1(x: SimplexPoint, group):
     return float(rep_fourier(x, group).roots[0])
 
 
-def crosscheck_mu1(x: SimplexPoint, group, graph=None):
+def crosscheck_mu1(x: SimplexPoint, group, graph):
     """|mu_1(X) - lambda_1(P_X)| against the full eigensolver."""
-    if graph is None:
-        graph = cayley_graph(group)
-    lam = lambda1(build_operator(graph, x))
-    return abs(mu1(x, group) - lam)
+    from .spectral import lambda1  # spectral imports this module
+
+    return abs(mu1(x, group) - lambda1(build_operator(graph, x)))

@@ -1,5 +1,5 @@
-"""Dense linear algebra helpers: symmetric eigensolver and
-Perron-Frobenius power iteration.
+"""Dense linear algebra helpers: symmetric eigensolver and the
+Perron-Frobenius pair of a symmetric positive matrix.
 
 All functions accept array-likes and return numpy arrays.  Matrices are
 small (at most ~200x200) and dense; everything is a pure function of its
@@ -19,10 +19,6 @@ class LinalgError(CoxspecError):
     """Raised on dimension / symmetry / domain violations."""
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative method exceeds its iteration cap."""
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues sorted descending with aligned orthonormal columns."""
@@ -34,18 +30,14 @@ class EigenDecomposition:
         return iter((self.eigenvalues, self.eigenvectors))
 
 
-def _as_square(a):
+def check_symmetric(a):
+    """Return `a` as a float array, raising if it is not a finite
+    symmetric matrix."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise LinalgError("matrix has non-finite entries")
-    return a
-
-
-def check_symmetric(a):
-    """Return `a` as a float array, raising if it is not symmetric."""
-    a = _as_square(a)
     scale = max(1.0, np.abs(a).max())
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
         raise LinalgError("matrix is not symmetric within tolerance")
@@ -73,23 +65,12 @@ def eigh_symmetric(a):
     return EigenDecomposition(vals[order], fix_signs(vecs[:, order]))
 
 
-def perron_frobenius(a, tol=1e-13, max_iter=100_000):
-    """Spectral radius and positive unit eigenvector of a positive matrix.
-
-    Power iteration; the matrices handled here are tiny (k x k with
-    k <= 4) and well conditioned.
-    """
-    a = _as_square(a)
+def perron_frobenius(a):
+    """Spectral radius and positive unit eigenvector of a symmetric matrix
+    with strictly positive entries: the top pair of one `eigh`, with the
+    vector's sign made positive."""
+    a = check_symmetric(a)
     if np.any(a <= 0):
         raise LinalgError("Perron-Frobenius requires strictly positive entries")
-    scale = max(1.0, np.abs(a).max())
-    v = np.ones(a.shape[0]) / np.sqrt(a.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        lam = np.linalg.norm(w)
-        v = w / lam
-        if np.linalg.norm(a @ v - lam * v) <= tol * scale:
-            return lam, v
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
-
+    vals, vecs = np.linalg.eigh(a)
+    return vals[-1], np.abs(vecs[:, -1])

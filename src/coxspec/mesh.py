@@ -88,13 +88,13 @@ def _collapse_cycle(cycle):
     return out
 
 
-def build_orbit_mesh(group, point, dedup_tol=1e-6, metadata=None):
+def build_orbit_mesh(group, point, metadata=None):
     """Polytope of a group orbit: Cayley faces projected through the
     orbit quotient, with degenerate cycles dropped."""
     from .coxeter import cayley_graph
 
     graph = cayley_graph(group)
-    pts, index = orbit_points(group, point, dedup_tol)
+    pts, index = orbit_points(group, point)
     faces = {}
     for cycle in cayley_faces(graph):
         projected = _collapse_cycle([int(index[v]) for v in cycle])

@@ -9,7 +9,6 @@ import numpy as np
 
 from .coxeter import cayley_graph
 from .coxmaps import (
-    DomainError,
     edge_lengths_closed_form,
     eta_rho,
     fundamental_point,
@@ -18,8 +17,11 @@ from .coxmaps import (
     psi_delta_inverse,
     psi_maps,
 )
+from .errors import CoxspecError, DomainError
+from .fourier import rep_fourier
 from .randwalk import SimplexPoint, build_operator, project_to_simplex, simplex_point, uniform_point
 from .spectral import (
+    CLUSTER_TOL,
     edge_class_lengths,
     lambda1,
     lambda1_cluster,
@@ -27,8 +29,16 @@ from .spectral import (
 )
 
 FD_STEP = 1e-6
-GRAD_TOL = 1e-6
 EQUILATERAL_TOL = 1e-7
+# smallest cluster gap at which finite differences of lambda_1 with step
+# FD_STEP stay on one eigenvalue branch
+GAP_GUARD = 1e-4
+MIN_GRAD_TOL = 1e-9
+MAX_ITER = 10_000
+# boundary_limit: geometric steps towards the target, and the decay over
+# the last step below which a cone coefficient counts as vanishing
+LIMIT_STEPS = 8
+VANISH_RATIO = 0.1
 
 CURVE_PATTERNS = {
     # cone-coefficient pattern in t; two equal coefficients force two
@@ -57,27 +67,12 @@ def _lambda1_fn(graph):
     return f
 
 
-def _tangent_basis(n_classes):
-    # orthonormal basis of the simplex tangent space {sum xi = 0}
-    basis = []
-    for a in range(1, n_classes):
-        v = np.zeros(n_classes)
-        v[:a] = 1.0
-        v[a] = -a
-        basis.append(v / np.linalg.norm(v))
-    return basis
-
-
-def _gradient(f, weights, h=FD_STEP):
-    g = np.zeros_like(weights)
-    for v in _tangent_basis(len(weights)):
-        d = (f(weights + h * v) - f(weights - h * v)) / (2 * h)
-        g += d * v
-    return g
-
-
 def directional_derivative(f, weights, xi, h=FD_STEP):
     return (f(weights + h * xi) - f(weights - h * xi)) / (2 * h)
+
+
+class MinimizationError(CoxspecError):
+    """The minimiser did not converge, or its mu_1 is not lambda_1."""
 
 
 @dataclass(frozen=True)
@@ -96,14 +91,16 @@ class MinimizationResult:
     iterations: int
 
 
-def critical_certificate(x, group, graph=None, h=FD_STEP, gap_guard=1e-4):
+def _is_equilateral(lengths):
+    return bool(abs(max(lengths) / min(lengths) - 1.0) <= EQUILATERAL_TOL)
+
+
+def critical_certificate(x, group, graph):
     """Finite-difference criticality check paired with the equilateral
     measurement of the second-eigenvalue embedding."""
-    if graph is None:
-        graph = cayley_graph(group)
     op = build_operator(graph, x)
     top = lambda1_cluster(op)
-    if top.gap <= gap_guard:
+    if top.gap <= GAP_GUARD:
         raise DomainError(
             f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
         )
@@ -115,66 +112,82 @@ def critical_certificate(x, group, graph=None, h=FD_STEP, gap_guard=1e-4):
         for b in range(a + 1, n):
             xi = np.zeros(n)
             xi[a], xi[b] = 1.0, -1.0
-            derivs.append(directional_derivative(f, x.weights, xi, h))
+            derivs.append(directional_derivative(f, x.weights, xi))
     grad_norm = float(np.linalg.norm(derivs))
 
     emb = spectral_representation(op, top)
     lengths = edge_class_lengths(emb, graph)
-    ratio = max(lengths) / min(lengths)
     return CriticalReport(
         x=x,
         lam=float(top.eigenvalue),
         gradient_norm=grad_norm,
         class_lengths=lengths,
-        equilateral=bool(abs(ratio - 1.0) <= EQUILATERAL_TOL),
+        equilateral=_is_equilateral(lengths),
     )
 
 
-def minimize_lambda1(group, max_iter=10_000, grad_tol=1e-9):
-    """Closed-form minimum of lambda_1 together with an independent
-    numerical minimization (projected gradient, Armijo backtracking,
-    Barzilai-Borwein initial steps)."""
-    graph = cayley_graph(group)
-    x_closed, lam_closed = closed_form_minimum(group.datum)
+def block_state(x, group):
+    """mu_1 of the 3x3 block at x, its tangent gradient and the class
+    lengths of the block embedding.
 
-    f = _lambda1_fn(graph)
-    w = uniform_point(graph.n_classes).weights
-    g = _gradient(f, w)
-    fw = f(w)
+    For M v = mu_1 v with |v| = 1, d mu_1 / d x_j = v' sigma_j v
+    = 1 - 2 <n_j, v>^2 (Hellmann-Feynman); the gradient along the simplex
+    is that minus its mean.  The class-j edges of the embedding
+    sqrt(3/|G|) g v have length sqrt(3/|G|) 2 |<n_j, v>|.
+    """
+    rep = rep_fourier(x, group)
+    c = group.roots @ rep.vectors[:, 0]
+    g = 1.0 - 2.0 * c**2
+    lengths = np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
+    return float(rep.roots[0]), g - g.mean(), lengths
+
+
+def minimize_lambda1(group):
+    """Closed-form minimum of lambda_1 together with an independent
+    numerical minimization of mu_1, which is convex as the top eigenvalue
+    of a matrix affine in x: projected gradient on `block_state`, Armijo
+    backtracking, Barzilai-Borwein initial steps.  One dense `lambda1` at
+    the result is the oracle that mu_1 is lambda_1 there."""
+    graph = cayley_graph(group)
+    x_closed, _ = closed_form_minimum(group.datum)
+
+    x = uniform_point(group.rank)
+    fx, g, lengths = block_state(x, group)
     step = 1.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.linalg.norm(g) <= grad_tol:
+    for iterations in range(1, MAX_ITER + 1):
+        if np.linalg.norm(g) <= MIN_GRAD_TOL:
             break
         # Armijo backtracking from the BB-seeded step
         s = step
         for _ in range(60):
-            w_new = project_to_simplex(w - s * g).weights
-            f_new = f(w_new)
-            if f_new <= fw - 1e-4 * float(g @ (w - w_new)):
+            x_new = project_to_simplex(x.weights - s * g)
+            f_new, g_new, lengths_new = block_state(x_new, group)
+            if f_new <= fx - 1e-4 * float(g @ (x.weights - x_new.weights)):
                 break
             s *= 0.5
-        g_new = _gradient(f, w_new)
-        dw, dg = w_new - w, g_new - g
+        dw, dg = x_new.weights - x.weights, g_new - g
         denom = float(dg @ dg)
         step = float(dw @ dg) / denom if denom > 0 else 1.0
         step = min(max(abs(step), 1e-6), 1e3)
+        x, g, fx, lengths = x_new, g_new, f_new, lengths_new
         if np.abs(dw).max() < 1e-13:
-            w, g, fw = w_new, g_new, f_new
             break
-        w, g, fw = w_new, g_new, f_new
     else:
-        raise RuntimeError(f"lambda_1 minimization did not converge; best {w}")
+        raise MinimizationError(f"lambda_1 minimization did not converge; best {x.weights}")
 
-    x_opt = simplex_point(w)
-    report_closed = critical_certificate(x_closed, group, graph)
+    lam_dense = lambda1(build_operator(graph, x))
+    if abs(lam_dense - fx) > CLUSTER_TOL:
+        raise MinimizationError(
+            f"mu_1 = {fx!r} is not lambda_1 = {lam_dense!r} at {x.weights}"
+        )
     report_opt = CriticalReport(
-        x=x_opt,
-        lam=float(fw),
+        x=x,
+        lam=fx,
         gradient_norm=float(np.linalg.norm(g)),
-        class_lengths=report_closed.class_lengths,
-        equilateral=report_closed.equilateral,
+        class_lengths=lengths.tolist(),
+        equilateral=_is_equilateral(lengths),
     )
+    report_closed = critical_certificate(x_closed, group, graph)
     return MinimizationResult(
         closed_form=report_closed, optimized=report_opt, iterations=iterations
     )
@@ -190,7 +203,7 @@ class CurveSample:
     distinct_points: int
 
 
-def curve_point(curve, t, group, dedup_tol=1e-6):
+def curve_point(curve, t, group):
     """Sample of the equal-length curve: two of the three class lengths
     coincide for every t > 0, and the curves meet at the minimizer at t = 1."""
     if curve not in CURVE_PATTERNS:
@@ -200,7 +213,7 @@ def curve_point(curve, t, group, dedup_tol=1e-6):
     fp = fundamental_point(group, CURVE_PATTERNS[curve](float(t)))
     x, lam = psi_maps(fp)
     lengths = edge_lengths_closed_form(fp)
-    count = len(orbit_points(group, fp.point, dedup_tol)[0])
+    count = len(orbit_points(group, fp.point)[0])
     return CurveSample(
         curve=curve, t=float(t), x=x, lam=lam,
         class_lengths=lengths, distinct_points=count,
@@ -217,11 +230,11 @@ def h3_curve_c2(t):
     )
 
 
-def _limit_from_pattern(group, pattern, dedup_tol=1e-6):
+def _limit_from_pattern(group, pattern):
     pvecs, _ = fundamental_vectors(group)
     p = np.asarray(pattern, dtype=float) @ pvecs
     p = p / np.linalg.norm(p)
-    pts, _ = orbit_points(group, p, dedup_tol)
+    pts, _ = orbit_points(group, p)
     return p, pts
 
 
@@ -240,7 +253,7 @@ def curve_limit(curve, group, end):
     return p, pts, pattern
 
 
-def boundary_limit(target, group, curve=None, steps=8, vanish_ratio=0.1):
+def boundary_limit(target, group, curve=None):
     """Limit orbit as the weights approach a boundary target.
 
     Edge-interior targets are approached on the straight line from the
@@ -265,12 +278,12 @@ def boundary_limit(target, group, curve=None, steps=8, vanish_ratio=0.1):
 
     center = np.full(group.rank, 1.0 / group.rank)
     alphas = []
-    for n in range(1, steps + 1):
+    for n in range(1, LIMIT_STEPS + 1):
         eps = 2.0**-n
         xn = simplex_point((1 - eps) * target + eps * center)
         a = psi_delta_inverse(group, xn).alphas
         alphas.append(a / a.max())
-    surviving = alphas[-1] / alphas[-2] > 1.0 - vanish_ratio
+    surviving = alphas[-1] / alphas[-2] > 1.0 - VANISH_RATIO
     surviving &= alphas[-1] > 1e-4
     # linear extrapolation in eps of the surviving coefficients
     pattern = np.where(surviving, 2 * alphas[-1] - alphas[-2], 0.0)

@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import rep_fourier
 from .linalg import check_symmetric, eigh_symmetric, fix_signs
 
 CLUSTER_TOL = 1e-7
+EDGE_SPREAD_TOL = 1e-8
+FAITHFUL_RTOL = 1e-6
+GRAM_PAIRS = 50
 
 
 class InvarianceError(RuntimeError):
@@ -78,7 +82,7 @@ def _lambda1_index(top_multiplicity):
     return 1 if top_multiplicity == 1 else 0
 
 
-def spectrum_clusters(op, cluster_tol=CLUSTER_TOL):
+def spectrum_clusters(op):
     """Partition the spectrum of the operator into multiplicity clusters
     with oriented orthonormal bases (one dense eigensolve)."""
     vals, vecs = eigh_symmetric(op.matrix)
@@ -89,7 +93,7 @@ def spectrum_clusters(op, cluster_tol=CLUSTER_TOL):
             basis=_orient(vecs[:, lo:hi]),
             gap=gap,
         )
-        for mean, lo, hi, gap in _value_clusters(vals, cluster_tol)
+        for mean, lo, hi, gap in _value_clusters(vals, CLUSTER_TOL)
     ]
 
 
@@ -106,28 +110,28 @@ def lambda1(op):
     return float(np.linalg.eigvalsh(check_symmetric(op.matrix))[-2])
 
 
-def lambda1_cluster(op, cluster_tol=CLUSTER_TOL):
+def lambda1_cluster(op):
     """The cluster containing the second-highest eigenvalue.
 
     The eigenvalues come from one values-only eigensolve.  When the
     cluster has multiplicity 3 and matches the top eigenvalue mu_1 of the
-    3x3 block M = sum_j x_j sigma_j, its basis is f_r(g) = (g v)_r for the
-    unit eigenvector M v = mu_1 v, scaled to orthonormal columns by
-    Schur's relations: (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
+    3x3 block M = sum_j x_j sigma_j (`fourier.rep_fourier`), its basis is
+    f_r(g) = (g v)_r for the unit eigenvector M v = mu_1 v, scaled to
+    orthonormal columns by Schur's relations: (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
     Otherwise (a boundary point whose graph falls apart, or a degenerate
     block) the cluster comes from the dense eigensolve.
     """
     vals = np.linalg.eigvalsh(check_symmetric(op.matrix))[::-1]
-    clusters = _value_clusters(vals, cluster_tol)
+    clusters = _value_clusters(vals, CLUSTER_TOL)
     # the top cluster starts at 0, so its stop is its multiplicity
     lam, lo, hi, gap = clusters[_lambda1_index(clusters[0][2])]
     if hi - lo == 3:
         group = op.graph.group
-        mus, vecs = np.linalg.eigh(np.tensordot(op.point.weights, group.generators, axes=1))
-        if abs(mus[-1] - lam) <= cluster_tol:
-            basis = np.sqrt(3.0 / group.order) * (group.elements @ vecs[:, -1])
+        rep = rep_fourier(op.point, group)
+        if abs(rep.roots[0] - lam) <= CLUSTER_TOL:
+            basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[:, 0])
             return SpectralCluster(lam, 3, fix_signs(basis), gap, "fourier")
-    dense = spectrum_clusters(op, cluster_tol)
+    dense = spectrum_clusters(op)
     return dense[_lambda1_index(dense[0].multiplicity)]
 
 
@@ -143,14 +147,14 @@ def spectral_representation(op, cluster):
     return Embedding(points=cluster.basis.copy(), cluster=cluster)
 
 
-def edge_class_lengths(emb, graph, spread_tol=1e-8):
+def edge_class_lengths(emb, graph):
     """Per-class Euclidean edge length; the within-class spread being
     zero is checked, not assumed."""
     lengths = []
     for j in range(graph.n_classes):
         nb = graph.successors[:, j]
         d = np.linalg.norm(emb.points - emb.points[nb], axis=1)
-        if d.max() - d.min() > spread_tol:
+        if d.max() - d.min() > EDGE_SPREAD_TOL:
             raise InvarianceError(
                 f"edge class {j} has non-constant length (spread {d.max() - d.min():.2g})"
             )
@@ -158,28 +162,28 @@ def edge_class_lengths(emb, graph, spread_tol=1e-8):
     return lengths
 
 
-def check_faithful(emb, tol=None):
-    """True iff all pairwise vertex images are separated by more than tol."""
-    if tol is None:
-        tol = 1e-6 * max(emb.radius, 1e-30)
+def check_faithful(emb):
+    """True iff all pairwise vertex images are separated by more than
+    `FAITHFUL_RTOL` times the radius."""
+    tol = FAITHFUL_RTOL * max(emb.radius, 1e-30)
     pts = emb.points
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     return bool(d2.min() > tol**2)
 
 
-def gram_invariance_check(emb, group, gamma_indices=None, n_pairs=50, seed=0):
+def gram_invariance_check(emb, group, gamma_indices=None):
     """Max deviation of <Phi(i), Phi(j)> under the left group action.
 
     With `gamma_indices=None` a random sample of group elements is used;
     pass `range(group.order)` for the exhaustive check.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     if gamma_indices is None:
         gamma_indices = rng.integers(0, group.order, size=12)
     gram = emb.points @ emb.points.T
-    pairs_i = rng.integers(0, group.order, size=n_pairs)
-    pairs_j = rng.integers(0, group.order, size=n_pairs)
+    pairs_i = rng.integers(0, group.order, size=GRAM_PAIRS)
+    pairs_j = rng.integers(0, group.order, size=GRAM_PAIRS)
     worst = 0.0
     for g in gamma_indices:
         perm = group.left_action_permutation(int(g))

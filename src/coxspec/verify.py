@@ -24,6 +24,7 @@ from .linalg import eigh_symmetric, perron_frobenius
 from .mesh import cayley_faces
 from .randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from .solids import (
+    GAP_GUARD,
     _lambda1_fn,
     boundary_limit,
     critical_certificate,
@@ -262,7 +263,7 @@ def suite_theorem2():
         x = sample_interior(rng, 3)
         op = build_operator(graph, x)
         top = lambda1_cluster(op)
-        if top.gap <= 1e-4:
+        if top.gap <= GAP_GUARD:
             continue
         emb = spectral_representation(op, top)
         k, n = top.multiplicity, graph.n_vertices

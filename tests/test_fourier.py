@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from coxspec.coxeter import CoxeterDatum, generate_group
+from coxspec.errors import DomainError
 from coxspec.fourier import char_poly_coeffs, crosscheck_mu1, mu1, rep_fourier
 from coxspec.linalg import eigh_symmetric
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
@@ -19,6 +21,11 @@ class TestRepFourier:
         # a single reflection has eigenvalues (1, 1, -1)
         rep = rep_fourier(simplex_point([1.0, 0.0, 0.0]), h3)
         assert np.abs(rep.roots - np.array([1.0, 1.0, -1.0])).max() <= 1e-12
+
+    def test_rejects_rank_two(self):
+        dihedral = generate_group(CoxeterDatum("I2(5)", np.array([[2, 5], [5, 2]])))
+        with pytest.raises(DomainError, match="rank 3"):
+            rep_fourier(simplex_point([0.5, 0.5]), dihedral)
 
     @pytest.mark.parametrize(
         "name,expected",

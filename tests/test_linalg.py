@@ -103,6 +103,10 @@ class TestPerronFrobenius:
         with pytest.raises(LinalgError):
             perron_frobenius([[1, 0], [1, 1]])
 
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(LinalgError, match="symmetric"):
+            perron_frobenius([[1, 2], [3, 1]])
+
 
 class TestDet:
     def test_h3_root_volume(self, h3):

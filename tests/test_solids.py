@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from coxspec import solids
 from coxspec.coxmaps import DomainError
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
     CURVE_VERTICES,
+    MinimizationError,
     boundary_limit,
     closed_form_minimum,
     critical_certificate,
@@ -48,6 +50,17 @@ class TestMinimize:
         assert np.abs(opt.x.weights - closed.x.weights).max() <= 1e-5
         assert opt.lam == pytest.approx(closed.lam, abs=1e-9)
         assert res.iterations < 200
+
+    def test_non_convergence_is_typed(self, a3, monkeypatch):
+        monkeypatch.setattr(solids, "MAX_ITER", 1)
+        with pytest.raises(MinimizationError, match="did not converge"):
+            minimize_lambda1(a3)
+
+    def test_oracle_disagreement_is_typed(self, a3, monkeypatch):
+        # the dense lambda_1 at the result must equal the block's mu_1
+        monkeypatch.setattr(solids, "lambda1", lambda op: 0.5)
+        with pytest.raises(MinimizationError, match="is not lambda_1"):
+            minimize_lambda1(a3)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_certificate_at_minimum(self, groups, graphs, name):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from coxspec.coxmaps import eta_rho
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
-from coxspec.solids import sweep_lambda1
+from coxspec.solids import (
+    block_state,
+    directional_derivative,
+    minimize_lambda1,
+    sweep_lambda1,
+)
 from coxspec.spectral import (
     CLUSTER_TOL,
     Embedding,
@@ -230,3 +235,47 @@ class TestFourierCluster:
             assert cluster.multiplicity == graph.n_vertices // components
             assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
             spectral_representation(op, cluster)
+
+
+class TestBlockGradient:
+    """The Hellmann-Feynman gradient of mu_1 against central differences
+    of the dense lambda_1 as oracle."""
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["A3", "B3", "H3"]),
+        region=st.sampled_from(["interior", "side", "vertex", "x0"]),
+        raw=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+        k=st.integers(0, 2),
+    )
+    def test_matches_dense_differences(self, groups, graphs, name, region, raw, k):
+        group, graph = groups[name], graphs[name]
+        x = region_point(group, region, raw, k)
+        gap = lambda1_cluster(build_operator(graph, x)).gap
+        _, grad, _ = block_state(x, group)
+        # a step far below the cluster gap keeps both differences on the
+        # lambda_1 branch (near the boundary the gap is ~1e-7); the dense
+        # eigenvalues carry a rounding error of about n eps, which the
+        # difference quotient divides by h
+        h = min(1e-6, gap / 1000, x.weights.min() / 2)
+        tol = 1e-6 + graph.n_vertices * np.finfo(float).eps / h
+
+        def f(w):
+            return lambda1(build_operator(graph, simplex_point(w)))
+
+        for a in range(3):
+            for b in range(a + 1, 3):
+                xi = np.zeros(3)
+                xi[a], xi[b] = 1.0, -1.0
+                d = directional_derivative(f, x.weights, xi, h=h)
+                assert abs(d - (grad[a] - grad[b])) <= tol
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_optimized_lengths_are_measured(self, groups, graphs, name):
+        opt = minimize_lambda1(groups[name]).optimized
+        op = build_operator(graphs[name], opt.x)
+        emb = spectral_representation(op, lambda1_cluster(op))
+        measured = edge_class_lengths(emb, graphs[name])
+        assert np.abs(np.subtract(opt.class_lengths, measured)).max() <= 1e-12
+        assert opt.gradient_norm <= 1e-9
