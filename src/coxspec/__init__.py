@@ -48,6 +48,7 @@ from .solids import (
 from .spectral import (
     Embedding,
     SpectralCluster,
+    block_spectrum,
     check_faithful,
     edge_class_lengths,
     gram_invariance_check,

@@ -14,6 +14,12 @@ import numpy as np
 from .errors import CoxspecError, DomainError
 
 DEDUP_TOL = 1e-6
+# irreducible_blocks: seed of the generic left operator, the relative
+# eigenvalue distance that separates its eigenspaces, and the largest
+# allowed deviation from invariance (observed: 2e-14 on H3)
+BLOCK_SEED = 0
+BLOCK_SPLIT_RTOL = 1e-8
+BLOCK_INVARIANCE_TOL = 1e-10
 
 
 class CoxeterError(CoxspecError):
@@ -101,7 +107,8 @@ class ReflectionGroup:
     """Complete matrix group with generator-multiplication structure.
 
     elements[0] is the identity; successors[i, j] is the index of
-    elements[i] @ generators[j].
+    elements[i] @ generators[j].  The Cayley table `mult` and the
+    `irreducible_blocks` are derived from `successors` on first use.
     """
 
     datum: CoxeterDatum
@@ -148,13 +155,87 @@ class ReflectionGroup:
         dets = np.linalg.det(self.elements)
         return (dets < 0).astype(int)
 
+    @cached_property
+    def mult(self):
+        """Integer Cayley table: mult[a, b] is the index of
+        elements[a] @ elements[b].
+
+        Built from `successors` alone: column 0 is the identity map, and
+        for b = b' s_j reached in breadth-first order,
+        mult[:, b] = successors[mult[:, b'], j].  The group axioms are
+        checked once on every edge: each row is a permutation, element 0
+        is the identity, and mult[a, b s_j] = mult[a, b] s_j.  Read-only.
+        """
+        n, k = self.successors.shape
+        mult = np.full((n, n), -1, dtype=np.intp)
+        mult[:, 0] = np.arange(n)
+        order = [0]
+        # every edge (b', j) is visited once, so every edge is checked
+        for b_prev in order:
+            for j in range(k):
+                b = self.successors[b_prev, j]
+                col = self.successors[mult[:, b_prev], j]
+                if mult[0, b] < 0:
+                    mult[:, b] = col
+                    order.append(b)
+                elif not np.array_equal(mult[:, b], col):
+                    raise CoxeterError(f"Cayley table is not compatible with generator {j}")
+        if len(order) != n or not np.array_equal(mult[0], np.arange(n)):
+            raise CoxeterError("successor table does not reach every element from the identity")
+        seen = np.zeros((n, n), dtype=bool)
+        seen[np.arange(n)[:, None], mult] = True
+        if not seen.all():
+            raise CoxeterError("Cayley table row is not a permutation")
+        mult.flags.writeable = False
+        return mult
+
+    @cached_property
+    def irreducible_blocks(self):
+        """Matrices rho(s_j) = U' R_j U of the right action on every
+        eigenspace U of one generic symmetric left operator.
+
+        A = sum_h c_h (L_h + L_h') with fixed random c commutes with every
+        right multiplication R_j, (R_j f)(g) = f(g s_j), so each of its
+        eigenspaces is right-invariant; for generic c each one is an
+        irreducible representation, and a d-dimensional one occurs in d
+        eigenspaces.  All copies are kept, so the spectrum of
+        P_X = sum_j x_j R_j is the union of the spectra of the blocks
+        sum_j x_j rho(s_j), each eigenvalue with its multiplicity.
+        Returns one read-only array (k, copies, d, d) per dimension d,
+        ascending in d, with [j, c] = rho_c(s_j).  The invariance
+        R_j U = U rho(s_j) is checked for every eigenspace.
+        """
+        n, k = self.successors.shape
+        coeffs = np.random.default_rng(BLOCK_SEED).standard_normal(n)
+        coeffs += coeffs[np.argmin(self.mult, axis=1)]  # c_h + c_{h^-1}: A is symmetric
+        left = np.zeros((n, n))
+        left[np.arange(n)[None, :], self.mult] = coeffs[:, None]  # A[g, h g]
+        vals, vecs = np.linalg.eigh(left)
+        del left
+        cuts = np.flatnonzero(np.diff(vals) > BLOCK_SPLIT_RTOL * np.abs(vals).max()) + 1
+        by_dim = {}
+        for u in np.split(vecs, cuts, axis=1):
+            shifted = u[self.successors.T]  # (k, n, d): rows of R_j U
+            rho = np.einsum("na,jnb->jab", u, shifted)
+            dev = np.abs(shifted - u @ rho).max()
+            if dev > BLOCK_INVARIANCE_TOL:
+                raise CoxeterError(
+                    f"eigenspace of dimension {u.shape[1]} is not invariant under the "
+                    f"generators (deviation {dev:.2g})"
+                )
+            # R_j is a symmetric involution, so rho(s_j) is symmetric up to rounding
+            by_dim.setdefault(u.shape[1], []).append((rho + rho.transpose(0, 2, 1)) / 2)
+        blocks = []
+        for d in sorted(by_dim):
+            stack = np.stack(by_dim[d], axis=1)
+            stack.flags.writeable = False
+            blocks.append(stack)
+        return tuple(blocks)
+
     def left_action_permutation(self, g):
-        """Vertex permutation i -> index(element_g . element_i)."""
-        products = self.elements[g][None, :, :] @ self.elements
-        perm = np.empty(self.order, dtype=int)
-        for i in range(self.order):
-            perm[i] = self.element_index(products[i])
-        return perm
+        """Vertex permutation i -> index(element_g . element_i): row g of
+        the Cayley table."""
+        return self.mult[g]
 
 
 def generate_group(datum, max_elements=100_000):

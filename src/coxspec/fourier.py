@@ -26,7 +26,8 @@ def rep_fourier(x: SimplexPoint, group):
     one place that forms M = sum_j x_j sigma_j and diagonalises it."""
     if group.rank != 3:
         raise DomainError(f"geometric Fourier transform needs rank 3, got rank {group.rank}")
-    mat = np.tensordot(x.weights, group.generators, axes=1)
+    gens = group.generators
+    mat = (x.weights @ gens.reshape(len(gens), -1)).reshape(gens.shape[1:])
     vals, vecs = np.linalg.eigh(mat)
     return RepSpectrum(matrix=mat, roots=vals[::-1], vectors=vecs[:, ::-1])
 

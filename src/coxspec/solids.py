@@ -22,7 +22,10 @@ from .fourier import rep_fourier
 from .randwalk import SimplexPoint, build_operator, project_to_simplex, simplex_point, uniform_point
 from .spectral import (
     CLUSTER_TOL,
+    block_cluster,
+    block_spectrum,
     edge_class_lengths,
+    embed_cluster,
     lambda1,
     lambda1_cluster,
     spectral_representation,
@@ -61,8 +64,11 @@ def closed_form_minimum(datum):
 
 
 def _lambda1_fn(graph):
+    """lambda_1 as a function of the weights, read from the irreducible
+    blocks: the function the finite differences and convexity probes
+    evaluate."""
     def f(weights):
-        return lambda1(build_operator(graph, simplex_point(weights)))
+        return float(block_spectrum(graph.group, simplex_point(weights).weights)[1])
 
     return f
 
@@ -297,7 +303,9 @@ def sweep_lambda1(group, g):
     Lattice points (i, j, k) / (g + 1) with positive integer parts; each
     row carries the second eigenvalue, its multiplicity, the measured
     class lengths of its embedding and the path its cluster took
-    ("fourier" or "dense", see `lambda1_cluster`).
+    ("fourier" or "dense", see `lambda1_cluster`).  The spectra of all
+    points come from one batch of block eigensolves; a dense operator is
+    built only for a point whose cluster the 3x3 block does not give.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
@@ -309,11 +317,13 @@ def sweep_lambda1(group, g):
         for j in range(1, denom - i)
         if denom - i - j >= 1
     ]
+    spectra = block_spectrum(group, np.array([x.weights for x in points]))
     rows = []
-    for x in points:
-        op = build_operator(graph, x)
-        cluster = lambda1_cluster(op)
-        emb = spectral_representation(op, cluster)
+    for x, vals in zip(points, spectra):
+        cluster = block_cluster(group, x, vals)
+        if cluster is None:
+            cluster = lambda1_cluster(build_operator(graph, x))
+        emb = embed_cluster(graph, x, cluster)
         rows.append({
             "x": x,
             "lambda1": float(cluster.eigenvalue),

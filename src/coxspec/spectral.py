@@ -18,6 +18,9 @@ CLUSTER_TOL = 1e-7
 EDGE_SPREAD_TOL = 1e-8
 FAITHFUL_RTOL = 1e-6
 GRAM_PAIRS = 50
+# block_spectrum: points per stacked eigensolve, which bounds the
+# temporary block matrices to about 0.1 MiB on H3
+SPECTRUM_CHUNK = 64
 
 
 class InvarianceError(RuntimeError):
@@ -71,9 +74,7 @@ def _value_clusters(vals, cluster_tol):
     means = np.add.reduceat(vals, lo) / (hi - lo)
     padded = np.concatenate(([np.inf], means, [-np.inf]))
     gaps = np.minimum(padded[:-2] - means, means - padded[2:])
-    return [
-        (float(m), int(a), int(b), float(g)) for m, a, b, g in zip(means, lo, hi, gaps)
-    ]
+    return list(zip(means.tolist(), lo.tolist(), hi.tolist(), gaps.tolist()))
 
 
 def _lambda1_index(top_multiplicity):
@@ -105,61 +106,110 @@ def _orient(basis):
     return fix_signs(q)
 
 
+def block_spectrum(group, weights):
+    """Descending eigenvalues of P_X, counted with multiplicity, from the
+    irreducible blocks sum_j x_j rho(s_j) of `group.irreducible_blocks`.
+
+    `weights` is one weight vector (k,) or a stack of them (m, k); the
+    result is (|G|,) or (m, |G|).  One stacked `eigvalsh` per block
+    dimension and chunk of `SPECTRUM_CHUNK` points.
+    """
+    w = np.asarray(weights, dtype=float)
+    rows = np.atleast_2d(w)
+    vals = np.empty((len(rows), group.order))
+    for start in range(0, len(rows), SPECTRUM_CHUNK):
+        chunk = rows[start:start + SPECTRUM_CHUNK]
+        col = 0
+        for blocks in group.irreducible_blocks:
+            k, copies, d, _ = blocks.shape
+            mats = (chunk @ blocks.reshape(k, -1)).reshape(-1, copies, d, d)
+            vals[start:start + len(chunk), col:col + copies * d] = (
+                np.linalg.eigvalsh(mats).reshape(len(chunk), -1)
+            )
+            col += copies * d
+    vals.sort(axis=1)
+    vals = vals[:, ::-1]
+    return vals[0] if w.ndim == 1 else vals
+
+
 def lambda1(op):
-    """Second-highest eigenvalue, counted with multiplicity."""
+    """Second-highest eigenvalue, counted with multiplicity, from one dense
+    values-only eigensolve: the oracle the block spectrum is checked
+    against."""
     return float(np.linalg.eigvalsh(check_symmetric(op.matrix))[-2])
+
+
+def block_cluster(group, x, vals):
+    """The lambda_1 cluster read from the descending spectrum `vals` of
+    P_X, with its basis from the 3x3 block, or None where that block does
+    not give it.
+
+    When the cluster has multiplicity 3 and matches the top eigenvalue
+    mu_1 of M = sum_j x_j sigma_j (`fourier.rep_fourier`), its basis is
+    f_r(g) = (g v)_r for the unit eigenvector M v = mu_1 v, scaled to
+    orthonormal columns by Schur's relations:
+    (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
+    """
+    clusters = _value_clusters(vals, CLUSTER_TOL)
+    # the top cluster starts at 0, so its stop is its multiplicity
+    lam, lo, hi, gap = clusters[_lambda1_index(clusters[0][2])]
+    if hi - lo != 3:
+        return None
+    rep = rep_fourier(x, group)
+    if abs(rep.roots[0] - lam) > CLUSTER_TOL:
+        return None
+    basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[:, 0])
+    return SpectralCluster(lam, 3, fix_signs(basis), gap, "fourier")
 
 
 def lambda1_cluster(op):
     """The cluster containing the second-highest eigenvalue.
 
-    The eigenvalues come from one values-only eigensolve.  When the
-    cluster has multiplicity 3 and matches the top eigenvalue mu_1 of the
-    3x3 block M = sum_j x_j sigma_j (`fourier.rep_fourier`), its basis is
-    f_r(g) = (g v)_r for the unit eigenvector M v = mu_1 v, scaled to
-    orthonormal columns by Schur's relations: (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
-    Otherwise (a boundary point whose graph falls apart, or a degenerate
+    The eigenvalues, the multiplicity and the gap come from
+    `block_spectrum`, the basis from the 3x3 block (`block_cluster`).
+    Elsewhere (a boundary point whose graph falls apart, or a degenerate
     block) the cluster comes from the dense eigensolve.
     """
-    vals = np.linalg.eigvalsh(check_symmetric(op.matrix))[::-1]
-    clusters = _value_clusters(vals, CLUSTER_TOL)
-    # the top cluster starts at 0, so its stop is its multiplicity
-    lam, lo, hi, gap = clusters[_lambda1_index(clusters[0][2])]
-    if hi - lo == 3:
-        group = op.graph.group
-        rep = rep_fourier(op.point, group)
-        if abs(rep.roots[0] - lam) <= CLUSTER_TOL:
-            basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[:, 0])
-            return SpectralCluster(lam, 3, fix_signs(basis), gap, "fourier")
-    dense = spectrum_clusters(op)
-    return dense[_lambda1_index(dense[0].multiplicity)]
+    group = op.graph.group
+    cluster = block_cluster(group, op.point, block_spectrum(group, op.point.weights))
+    if cluster is None:
+        dense = spectrum_clusters(op)
+        cluster = dense[_lambda1_index(dense[0].multiplicity)]
+    return cluster
+
+
+def embed_cluster(graph, x, cluster):
+    """Embedding by the rows of the cluster basis B, after checking
+    ||P B - lambda B|| with P B = sum_j x_j B[successors[:, j]] (gathers
+    along the Cayley graph, no dense operator); flagged (warning) when
+    the eigenvalue is simple."""
+    if cluster.multiplicity == 1:
+        warnings.warn("multiplicity-1 cluster: embedding into R^1")
+    b = cluster.basis
+    k = graph.n_classes
+    pb = (x.weights @ b[graph.successors.T].reshape(k, -1)).reshape(b.shape)
+    res = np.linalg.norm(pb - cluster.eigenvalue * b)
+    if res > 1e-8 * max(1.0, abs(cluster.eigenvalue)) * np.sqrt(b.shape[0]):
+        raise InvarianceError(f"cluster basis residual too large: {res:.2g}")
+    return Embedding(points=b.copy(), cluster=cluster)
 
 
 def spectral_representation(op, cluster):
     """Rows of the returned embedding are the per-vertex eigenfunction
-    evaluations; flagged (warning) when the eigenvalue is simple."""
-    if cluster.multiplicity == 1:
-        warnings.warn("multiplicity-1 cluster: embedding into R^1")
-    n = cluster.basis.shape[0]
-    res = np.linalg.norm(op.matrix @ cluster.basis - cluster.eigenvalue * cluster.basis)
-    if res > 1e-8 * max(1.0, abs(cluster.eigenvalue)) * np.sqrt(n):
-        raise InvarianceError(f"cluster basis residual too large: {res:.2g}")
-    return Embedding(points=cluster.basis.copy(), cluster=cluster)
+    evaluations (`embed_cluster` on the operator's graph and point)."""
+    return embed_cluster(op.graph, op.point, cluster)
 
 
 def edge_class_lengths(emb, graph):
     """Per-class Euclidean edge length; the within-class spread being
     zero is checked, not assumed."""
-    lengths = []
-    for j in range(graph.n_classes):
-        nb = graph.successors[:, j]
-        d = np.linalg.norm(emb.points - emb.points[nb], axis=1)
-        if d.max() - d.min() > EDGE_SPREAD_TOL:
-            raise InvarianceError(
-                f"edge class {j} has non-constant length (spread {d.max() - d.min():.2g})"
-            )
-        lengths.append(float(d.mean()))
-    return lengths
+    pts = emb.points
+    d = np.linalg.norm(pts[graph.successors] - pts[:, None, :], axis=-1)  # (n, classes)
+    spread = d.max(axis=0) - d.min(axis=0)
+    j = int(spread.argmax())
+    if spread[j] > EDGE_SPREAD_TOL:
+        raise InvarianceError(f"edge class {j} has non-constant length (spread {spread[j]:.2g})")
+    return d.mean(axis=0).tolist()
 
 
 def check_faithful(emb):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from coxspec.coxeter import (
     CoxeterError,
+    build_group,
     coxeter_datum,
     generate_group,
     reflection_matrix,
@@ -180,3 +182,60 @@ class TestCayleyGraph:
             for i, j, label in graph.edges:
                 a, b = perm[i], perm[j]
                 assert (min(a, b), max(a, b), label) in edge_set
+
+
+def scan_left_action(group, g):
+    """The left action found by a float scan of every product: the oracle
+    for the Cayley table."""
+    products = group.elements[g][None, :, :] @ group.elements
+    return np.array([group.element_index(m) for m in products])
+
+
+def with_permuted_column(group, j, seed):
+    rng = np.random.default_rng(seed)
+    succ = group.successors.copy()
+    succ[:, j] = succ[rng.permutation(group.order), j]
+    return dataclasses.replace(group, successors=succ)
+
+
+class TestCayleyTable:
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_left_action_matches_float_scan(self, groups, name):
+        group = groups[name]
+        if name == "H3":
+            gs = np.random.default_rng(5).choice(group.order, size=20, replace=False)
+        else:
+            gs = range(group.order)
+        for g in gs:
+            assert np.array_equal(group.left_action_permutation(int(g)), scan_left_action(group, g))
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_table_axioms(self, groups, name):
+        group = groups[name]
+        mult, succ, n = group.mult, group.successors, group.order
+        assert mult.dtype.kind == "i" and mult.shape == (n, n)
+        assert np.all(np.sort(mult, axis=1) == np.arange(n))
+        assert np.array_equal(mult[0], np.arange(n))
+        assert np.array_equal(mult[:, 0], np.arange(n))
+        for j in range(group.rank):
+            # mult[a, successors[b, j]] == successors[mult[a, b], j]
+            assert np.array_equal(mult[:, succ[:, j]], succ[mult, j])
+
+    def test_table_matches_matrix_products(self, h3):
+        rng = np.random.default_rng(6)
+        for a, b in rng.integers(0, h3.order, size=(200, 2)):
+            prod = h3.elements[a] @ h3.elements[b]
+            assert np.abs(h3.elements[h3.mult[a, b]] - prod).max() <= 1e-12
+
+    def test_table_is_read_only(self, a3):
+        with pytest.raises(ValueError):
+            a3.mult[0, 0] = 1
+
+    def test_built_lazily(self):
+        group = build_group("A3")
+        assert "mult" not in vars(group) and "irreducible_blocks" not in vars(group)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_broken_successor_column_rejected(self, b3, j):
+        with pytest.raises(CoxeterError):
+            with_permuted_column(b3, j, seed=j).mult

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from coxspec import verify
 from coxspec.cli import main
 from coxspec.coxmaps import fundamental_point, fundamental_vectors
 from coxspec.mesh import (
@@ -193,10 +194,24 @@ class TestCli:
         assert lines[0] == "x,y,z,lambda1,mult,len1,len2,len3"
         assert len(lines) == 7
 
-    def test_verify_suite(self, capsys):
+    @staticmethod
+    def one_record_suite(monkeypatch, passed):
+        record = {"id": "stub", "value": 0.0 if passed else 1.0, "tolerance": 0.5,
+                  "passed": passed, "criterion": None}
+        monkeypatch.setattr(verify, "_SUITES", {"closed_forms": lambda: [record]})
+        return record
+
+    def test_verify_suite(self, capsys, monkeypatch):
+        record = self.one_record_suite(monkeypatch, passed=True)
         assert main(["verify", "--suite", "closed_forms"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["passed"]
+        assert report == {"suite": "closed_forms", "checks": [record], "passed": True}
+
+    def test_verify_failing_record_exits_one(self, capsys, monkeypatch):
+        record = self.one_record_suite(monkeypatch, passed=False)
+        assert main(["verify", "--suite", "closed_forms"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"suite": "closed_forms", "checks": [record], "passed": False}
 
     def test_verify_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:

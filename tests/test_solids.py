@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coxspec import solids
+from coxspec import solids, spectral
 from coxspec.coxmaps import DomainError
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
@@ -17,7 +17,13 @@ from coxspec.solids import (
     minimize_lambda1,
     sweep_lambda1,
 )
-from coxspec.spectral import lambda1, lambda1_cluster, spectral_representation
+from coxspec.spectral import (
+    edge_class_lengths,
+    lambda1,
+    lambda1_cluster,
+    spectral_representation,
+    spectrum_clusters,
+)
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -44,12 +50,22 @@ class TestClosedFormMinimum:
 
 class TestMinimize:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_optimizer_recovers_closed_form(self, groups, name):
+    def test_optimizer_recovers_closed_form(self, groups, name, monkeypatch):
+        # the gate checks the optimised point and value; this checks the
+        # closed-form report that `coxspec minimize` prints next to them,
+        # the step count, and that one dense eigensolve (the final oracle)
+        # is all the minimiser and its certificate make
+        calls = []
+        monkeypatch.setattr(solids, "lambda1", lambda op: calls.append(op) or lambda1(op))
         res = minimize_lambda1(groups[name])
         closed, opt = res.closed_form, res.optimized
-        assert np.abs(opt.x.weights - closed.x.weights).max() <= 1e-5
-        assert opt.lam == pytest.approx(closed.lam, abs=1e-9)
-        assert res.iterations < 200
+        x0, lam0 = closed_form_minimum(groups[name].datum)
+        assert np.array_equal(closed.x.weights, x0.weights)
+        assert abs(closed.lam - lam0) <= 1e-12 and abs(opt.lam - closed.lam) <= 1e-12
+        assert closed.equilateral and closed.gradient_norm <= 1e-6
+        assert opt.equilateral
+        assert res.iterations < 50
+        assert len(calls) == 1
 
     def test_non_convergence_is_typed(self, a3, monkeypatch):
         monkeypatch.setattr(solids, "MAX_ITER", 1)
@@ -63,11 +79,19 @@ class TestMinimize:
             minimize_lambda1(a3)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_certificate_at_minimum(self, groups, graphs, name):
-        x, _ = closed_form_minimum(groups[name].datum)
+    def test_certificate_at_minimum(self, groups, graphs, name, monkeypatch):
+        # the certificate's finite differences read the irreducible blocks:
+        # it certifies X0 with the dense lambda_1 disabled
+        def no_dense(op):
+            raise AssertionError("dense lambda_1 called")
+
+        monkeypatch.setattr(solids, "lambda1", no_dense)
+        monkeypatch.setattr(spectral, "lambda1", no_dense)
+        x, lam = closed_form_minimum(groups[name].datum)
         report = critical_certificate(x, groups[name], graphs[name])
         assert report.gradient_norm <= 1e-6
         assert report.equilateral
+        assert abs(report.lam - lam) <= 1e-12
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_uniform_point_is_not_critical(self, groups, graphs, name):
@@ -218,6 +242,27 @@ class TestSweep:
         x0, lam0 = closed_form_minimum(a3.datum)
         assert np.abs(best["x"].weights - x0.weights).max() <= 2.0 / g
         assert best["lambda1"] >= lam0 - 1e-12
+
+    def test_builds_no_operator(self, h3, monkeypatch):
+        def no_operator(graph, x):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(solids, "build_operator", no_operator)
+        rows = sweep_lambda1(h3, 6)
+        assert len(rows) == 15
+        assert {row["path"] for row in rows} == {"fourier"}
+
+    def test_rows_match_dense_clusters(self, b3, graphs):
+        # the dense eigensolve as oracle: lambda_1 is the top cluster
+        # after the simple eigenvalue 1
+        graph = graphs["B3"]
+        for row in sweep_lambda1(b3, 7):
+            op = build_operator(graph, row["x"])
+            dense = spectrum_clusters(op)[1]
+            assert abs(row["lambda1"] - lambda1(op)) <= 1e-12
+            assert row["multiplicity"] == dense.multiplicity
+            lengths = edge_class_lengths(spectral_representation(op, dense), graph)
+            assert np.abs(np.subtract(row["class_lengths"], lengths)).max() <= 1e-12
 
     def test_rejects_small_grid(self, a3):
         with pytest.raises(DomainError):

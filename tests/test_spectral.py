@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec.coxeter import CoxeterError
 from coxspec.coxmaps import eta_rho
+from coxspec.fourier import rep_fourier
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
+    _lambda1_fn,
     block_state,
     directional_derivative,
     minimize_lambda1,
@@ -15,6 +20,7 @@ from coxspec.spectral import (
     CLUSTER_TOL,
     Embedding,
     InvarianceError,
+    block_spectrum,
     check_faithful,
     edge_class_lengths,
     gram_invariance_check,
@@ -235,6 +241,126 @@ class TestFourierCluster:
             assert cluster.multiplicity == graph.n_vertices // components
             assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
             spectral_representation(op, cluster)
+
+
+REGION_POINTS = dict(
+    name=st.sampled_from(["A3", "B3", "H3"]),
+    region=st.sampled_from(["interior", "side", "vertex", "x0"]),
+    raw=st.tuples(*[st.floats(0.05, 1.0)] * 3),
+    k=st.integers(0, 2),
+)
+
+# number of conjugacy classes, which is the number of irreducible
+# representations: S4, Z2 x S4 and Z2 x A5
+CLASS_COUNTS = {"A3": 5, "B3": 10, "H3": 10}
+
+
+def dense_value_cluster(op):
+    """(eigenvalue, multiplicity, gap, path) of the lambda_1 cluster from a
+    dense `eigvalsh`, by the rule `lambda1_cluster` follows."""
+    vals = np.linalg.eigvalsh(op.matrix)[::-1]
+    clusters = _value_clusters(vals, CLUSTER_TOL)
+    lam, lo, hi, gap = clusters[1 if clusters[0][2] == 1 else 0]
+    mu1 = rep_fourier(op.point, op.graph.group).roots[0]
+    path = "fourier" if hi - lo == 3 and abs(mu1 - lam) <= CLUSTER_TOL else "dense"
+    return lam, hi - lo, gap, path
+
+
+class TestBlockSpectrum:
+    """The spectrum from the irreducible blocks against the dense
+    eigensolve as oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**REGION_POINTS)
+    def test_matches_dense_eigvalsh(self, groups, graphs, name, region, raw, k):
+        x = region_point(groups[name], region, raw, k)
+        op = build_operator(graphs[name], x)
+        dense = np.linalg.eigvalsh(op.matrix)[::-1]
+        vals = block_spectrum(groups[name], x.weights)
+        assert vals.shape == dense.shape
+        assert np.abs(vals - dense).max() <= 1e-12
+        # the lambda_1 of the certificates and convexity probes
+        assert abs(_lambda1_fn(graphs[name])(x.weights) - lambda1(op)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    @settings(max_examples=80, deadline=None)
+    @given(**REGION_POINTS)
+    def test_lambda1_cluster_matches_dense_clustering(self, groups, graphs, name, region, raw, k):
+        op = build_operator(graphs[name], region_point(groups[name], region, raw, k))
+        cluster = lambda1_cluster(op)
+        lam, multiplicity, gap, path = dense_value_cluster(op)
+        assert cluster.multiplicity == multiplicity
+        assert cluster.path == path
+        assert abs(cluster.eigenvalue - lam) <= 1e-12
+        assert abs(cluster.gap - gap) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
+    def test_boundary_points(self, groups, graphs, weights):
+        for name, group in groups.items():
+            op = build_operator(graphs[name], simplex_point(weights))
+            dense = np.linalg.eigvalsh(op.matrix)[::-1]
+            assert np.abs(block_spectrum(group, op.point.weights) - dense).max() <= 1e-12
+            cluster = lambda1_cluster(op)
+            lam, multiplicity, gap, path = dense_value_cluster(op)
+            assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
+            assert abs(cluster.eigenvalue - lam) <= 1e-12
+
+    def test_stack_matches_single_points(self, h3):
+        rng = np.random.default_rng(12)
+        stack = np.array([sample_interior(rng, 3).weights for _ in range(7)])
+        vals = block_spectrum(h3, stack)
+        assert vals.shape == (7, h3.order)
+        for w, row in zip(stack, vals):
+            assert np.abs(block_spectrum(h3, w) - row).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_dimensions_cover_the_group(self, groups, name):
+        group = groups[name]
+        blocks = group.irreducible_blocks
+        dims = [b.shape[2] for b in blocks]
+        copies = [b.shape[1] for b in blocks]
+        assert dims == sorted(set(dims))
+        assert all(b.shape == (3, c, d, d) for b, c, d in zip(blocks, copies, dims))
+        assert sum(c * d for c, d in zip(copies, dims)) == group.order
+        # a d-dimensional irreducible representation occurs in d copies
+        assert all(c % d == 0 for c, d in zip(copies, dims))
+        mult = group.mult
+        inverse = np.argmin(mult, axis=1)
+        conj = mult[mult, inverse[:, None]]  # conj[h, a] = h a h^-1
+        classes = {frozenset(conj[:, a].tolist()) for a in range(group.order)}
+        assert sum(c // d for c, d in zip(copies, dims)) == len(classes) == CLASS_COUNTS[name]
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_blocks_represent_the_generators(self, groups, name):
+        # each rho(s_j) is a symmetric involution, and the pair products
+        # have the Coxeter orders
+        group = groups[name]
+        orders = group.datum.orders
+        for b in group.irreducible_blocks:
+            eye = np.eye(b.shape[2])
+            assert np.array_equal(b, b.transpose(0, 1, 3, 2))
+            assert np.abs(b @ b - eye).max() <= 1e-12
+            for i, j in [(0, 1), (0, 2), (1, 2)]:
+                prod = np.linalg.matrix_power(b[i] @ b[j], int(orders[i, j]))
+                assert np.abs(prod - eye).max() <= 1e-12
+
+    def test_non_invariant_eigenspace_raises(self, h3):
+        # the true table keeps the left operator's eigenspaces, but a
+        # permuted generator column no longer maps them into themselves
+        succ = h3.successors.copy()
+        succ[:, 2] = succ[np.random.default_rng(3).permutation(h3.order), 2]
+        broken = dataclasses.replace(h3, successors=succ)
+        vars(broken)["mult"] = h3.mult
+        with pytest.raises(CoxeterError, match="not invariant"):
+            broken.irreducible_blocks
+
+    def test_broken_group_raises_typed_error(self, b3):
+        succ = b3.successors.copy()
+        succ[:, 1] = succ[np.random.default_rng(4).permutation(b3.order), 1]
+        broken = dataclasses.replace(b3, successors=succ)
+        with pytest.raises(CoxeterError):
+            block_spectrum(broken, uniform_point(3).weights)
 
 
 class TestBlockGradient:
