@@ -27,7 +27,6 @@ from .fourier import RepSpectrum, crosscheck_mu1, mu1, rep_fourier
 from .mesh import MeshDocument, build_cayley_mesh, build_orbit_mesh, export_obj, export_off
 from .randwalk import (
     SimplexPoint,
-    TransitionOperator,
     build_operator,
     project_to_simplex,
     sample_interior,

@@ -96,9 +96,8 @@ def cmd_spectrum(args):
     group = build_group(args.group)
     graph = cayley_graph(group)
     x = _parse_point(args) or uniform_point(graph.n_classes)
-    op = build_operator(graph, x)
     print("point", " ".join(_fmt(w) for w in x.weights))
-    for c in spectrum_clusters(op):
+    for c in spectrum_clusters(build_operator(graph, x)):
         print(f"{_fmt(c.eigenvalue)} multiplicity {c.multiplicity}")
     return 0
 
@@ -107,16 +106,15 @@ def cmd_embed(args):
     group = build_group(args.group)
     graph = cayley_graph(group)
     x = _parse_point(args) or uniform_point(graph.n_classes)
-    op = build_operator(graph, x)
     if args.eigenvalue == "second":
-        cluster = lambda1_cluster(op)
+        cluster = lambda1_cluster(graph, x)
     else:
-        clusters = spectrum_clusters(op)
+        clusters = spectrum_clusters(build_operator(graph, x))
         if not args.eigenvalue.isdigit() or int(args.eigenvalue) >= len(clusters):
             last = len(clusters) - 1
             raise CoxspecError(f"--eigenvalue must be 'second' or a cluster index 0..{last}")
         cluster = clusters[int(args.eigenvalue)]
-    emb = spectral_representation(op, cluster)
+    emb = spectral_representation(graph, x, cluster)
     mesh = build_cayley_mesh(
         emb,
         graph,
@@ -150,8 +148,8 @@ def cmd_minimize(args):
 
 
 def cmd_curve(args):
-    if not (args.t_min > 0 and args.t_max >= args.t_min and args.samples >= 1):
-        raise DomainError("curve needs 0 < --t-min <= --t-max and --samples >= 1")
+    if not (0 < args.t_min <= args.t_max and np.isfinite(args.t_max) and args.samples >= 1):
+        raise DomainError("curve needs 0 < --t-min <= --t-max < inf and --samples >= 1")
     ts = np.geomspace(args.t_min, args.t_max, args.samples)
     with _open_out(args.out) as fh:
         group = build_group(args.group)

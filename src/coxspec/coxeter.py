@@ -150,12 +150,6 @@ class ReflectionGroup:
         return p, v
 
     @cached_property
-    def word_parity(self):
-        """Parity of each element's word length (0 for rotations)."""
-        dets = np.linalg.det(self.elements)
-        return (dets < 0).astype(int)
-
-    @cached_property
     def mult(self):
         """Integer Cayley table: mult[a, b] is the index of
         elements[a] @ elements[b].
@@ -314,12 +308,6 @@ class CayleyGraph:
                 if i < nb:
                     out.append((i, nb, j))
         return out
-
-    def adjacency(self, i):
-        return [(int(self.successors[i, j]), j) for j in range(self.n_classes)]
-
-    def bipartition(self):
-        return self.group.word_parity
 
 
 def cayley_graph(group):

@@ -58,10 +58,10 @@ class FundamentalPoint:
 
 
 def fundamental_point(group, alphas):
-    """Normalize positive cone coefficients onto the unit sphere."""
+    """Normalize finite positive cone coefficients onto the unit sphere."""
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (group.rank,) or np.any(alphas <= 0):
-        raise DomainError("need strictly positive coefficients, one per generator")
+    if alphas.shape != (group.rank,) or not np.all((alphas > 0) & (alphas < np.inf)):
+        raise DomainError("need finite, strictly positive coefficients, one per generator")
     pvecs, _ = fundamental_vectors(group)
     p = alphas @ pvecs
     scale = np.linalg.norm(p)

@@ -6,8 +6,6 @@ small (at most ~200x200) and dense; everything is a pure function of its
 inputs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoxspecError
@@ -17,17 +15,6 @@ SYMMETRY_RTOL = 1e-12
 
 class LinalgError(CoxspecError):
     """Raised on dimension / symmetry / domain violations."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending with aligned orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __iter__(self):
-        return iter((self.eigenvalues, self.eigenvectors))
 
 
 def check_symmetric(a):
@@ -54,15 +41,16 @@ def fix_signs(vectors):
 
 
 def eigh_symmetric(a):
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition (vals, vecs) of a symmetric matrix.
 
-    Eigenvalues come out in descending order; eigenvector signs are fixed
-    by the largest-magnitude-entry-positive rule so repeated runs agree.
+    Eigenvalues come out in descending order, column r of vecs belonging
+    to vals[r]; eigenvector signs are fixed by the
+    largest-magnitude-entry-positive rule so repeated runs agree.
     """
     a = check_symmetric(a)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
-    return EigenDecomposition(vals[order], fix_signs(vecs[:, order]))
+    return vals[order], fix_signs(vecs[:, order])
 
 
 def perron_frobenius(a):

@@ -60,16 +60,9 @@ def sample_interior(rng, n_classes, margin=0.02):
     return SimplexPoint(w / w.sum())
 
 
-@dataclass(frozen=True)
-class TransitionOperator:
-    """Symmetric stochastic matrix with zero diagonal realizing X."""
-
-    graph: object
-    point: SimplexPoint
-    matrix: np.ndarray
-
-
 def build_operator(graph, x):
+    """The dense |G| x |G| symmetric stochastic matrix with zero diagonal
+    realizing X: only the dense oracle and the dense clusters read it."""
     if len(x) != graph.n_classes:
         raise SimplexError(
             f"point has {len(x)} classes, graph has {graph.n_classes}"
@@ -79,7 +72,7 @@ def build_operator(graph, x):
     for j in range(graph.n_classes):
         nb = graph.successors[:, j]
         p[np.arange(n), nb] += x.weights[j]
-    return TransitionOperator(graph=graph, point=x, matrix=p)
+    return p
 
 
 def project_to_simplex(raw):

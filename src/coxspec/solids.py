@@ -25,7 +25,6 @@ from .spectral import (
     block_cluster,
     block_spectrum,
     edge_class_lengths,
-    embed_cluster,
     lambda1,
     lambda1_cluster,
     spectral_representation,
@@ -52,6 +51,11 @@ CURVE_PATTERNS = {
 }
 # simplex vertex reached as t -> infinity along each curve
 CURVE_VERTICES = {"C1": 0, "C2": 1, "C3": 2}
+
+
+def _check_curve(curve):
+    if curve not in CURVE_PATTERNS:
+        raise DomainError(f"unknown curve {curve!r}; choose from {', '.join(CURVE_PATTERNS)}")
 
 
 def closed_form_minimum(datum):
@@ -104,8 +108,7 @@ def _is_equilateral(lengths):
 def critical_certificate(x, group, graph):
     """Finite-difference criticality check paired with the equilateral
     measurement of the second-eigenvalue embedding."""
-    op = build_operator(graph, x)
-    top = lambda1_cluster(op)
+    top = lambda1_cluster(graph, x)
     if top.gap <= GAP_GUARD:
         raise DomainError(
             f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
@@ -121,7 +124,7 @@ def critical_certificate(x, group, graph):
             derivs.append(directional_derivative(f, x.weights, xi))
     grad_norm = float(np.linalg.norm(derivs))
 
-    emb = spectral_representation(op, top)
+    emb = spectral_representation(graph, x, top)
     lengths = edge_class_lengths(emb, graph)
     return CriticalReport(
         x=x,
@@ -212,10 +215,9 @@ class CurveSample:
 def curve_point(curve, t, group):
     """Sample of the equal-length curve: two of the three class lengths
     coincide for every t > 0, and the curves meet at the minimizer at t = 1."""
-    if curve not in CURVE_PATTERNS:
-        raise DomainError(f"unknown curve {curve!r}")
-    if not t > 0:
-        raise DomainError("curve parameter must be positive")
+    _check_curve(curve)
+    if not 0 < t < np.inf:
+        raise DomainError("curve parameter must be positive and finite")
     fp = fundamental_point(group, CURVE_PATTERNS[curve](float(t)))
     x, lam = psi_maps(fp)
     lengths = edge_lengths_closed_form(fp)
@@ -246,8 +248,7 @@ def _limit_from_pattern(group, pattern):
 
 def curve_limit(curve, group, end):
     """Degenerate orbit at a curve endpoint (`end` is 0 or "inf")."""
-    if curve not in CURVE_PATTERNS:
-        raise DomainError(f"unknown curve {curve!r}")
+    _check_curve(curve)
     base = CURVE_PATTERNS[curve]
     if end == 0:
         pattern = np.where(base(0.0) > 0, base(0.0), 0.0)
@@ -276,6 +277,7 @@ def boundary_limit(target, group, curve=None):
     if len(zeros) >= 2:
         if curve is None:
             raise DomainError("vertex targets are curve dependent; pass a curve id")
+        _check_curve(curve)
         vertex = int(np.argmax(target))
         if CURVE_VERTICES[curve] != vertex:
             raise DomainError(f"curve {curve} does not end at this simplex vertex")
@@ -305,7 +307,8 @@ def sweep_lambda1(group, g):
     class lengths of its embedding and the path its cluster took
     ("fourier" or "dense", see `lambda1_cluster`).  The spectra of all
     points come from one batch of block eigensolves; a dense operator is
-    built only for a point whose cluster the 3x3 block does not give.
+    built (by `lambda1_cluster`) only for a point whose cluster the 3x3
+    block does not give.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
@@ -322,8 +325,8 @@ def sweep_lambda1(group, g):
     for x, vals in zip(points, spectra):
         cluster = block_cluster(group, x, vals)
         if cluster is None:
-            cluster = lambda1_cluster(build_operator(graph, x))
-        emb = embed_cluster(graph, x, cluster)
+            cluster = lambda1_cluster(graph, x)
+        emb = spectral_representation(graph, x, cluster)
         rows.append({
             "x": x,
             "lambda1": float(cluster.eigenvalue),

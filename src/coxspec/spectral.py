@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .fourier import rep_fourier
 from .linalg import check_symmetric, eigh_symmetric, fix_signs
+from .randwalk import build_operator
 
 CLUSTER_TOL = 1e-7
 EDGE_SPREAD_TOL = 1e-8
@@ -83,27 +85,20 @@ def _lambda1_index(top_multiplicity):
     return 1 if top_multiplicity == 1 else 0
 
 
-def spectrum_clusters(op):
-    """Partition the spectrum of the operator into multiplicity clusters
-    with oriented orthonormal bases (one dense eigensolve)."""
-    vals, vecs = eigh_symmetric(op.matrix)
+def spectrum_clusters(p):
+    """Partition the spectrum of the dense operator `p` into multiplicity
+    clusters; each basis is the cluster's columns of one dense
+    `eigh_symmetric`, orthonormal and sign-fixed."""
+    vals, vecs = eigh_symmetric(p)
     return [
         SpectralCluster(
             eigenvalue=mean,
             multiplicity=hi - lo,
-            basis=_orient(vecs[:, lo:hi]),
+            basis=vecs[:, lo:hi],
             gap=gap,
         )
         for mean, lo, hi, gap in _value_clusters(vals, CLUSTER_TOL)
     ]
-
-
-def _orient(basis):
-    # deterministic in-cluster orientation: QR re-orthonormalization
-    # followed by the largest-magnitude-entry-positive sign rule
-    q, r = np.linalg.qr(basis)
-    q = q * np.sign(np.diag(r))[None, :]
-    return fix_signs(q)
 
 
 def block_spectrum(group, weights):
@@ -112,9 +107,15 @@ def block_spectrum(group, weights):
 
     `weights` is one weight vector (k,) or a stack of them (m, k); the
     result is (|G|,) or (m, |G|).  One stacked `eigvalsh` per block
-    dimension and chunk of `SPECTRUM_CHUNK` points.
+    dimension and chunk of `SPECTRUM_CHUNK` points.  Weights of another
+    shape, or not finite, raise `DomainError`.
     """
     w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != group.rank or not np.all(np.isfinite(w)):
+        raise DomainError(
+            f"weights must be finite, of shape ({group.rank},) or (m, {group.rank}); "
+            f"got shape {w.shape}"
+        )
     rows = np.atleast_2d(w)
     vals = np.empty((len(rows), group.order))
     for start in range(0, len(rows), SPECTRUM_CHUNK):
@@ -132,11 +133,11 @@ def block_spectrum(group, weights):
     return vals[0] if w.ndim == 1 else vals
 
 
-def lambda1(op):
-    """Second-highest eigenvalue, counted with multiplicity, from one dense
-    values-only eigensolve: the oracle the block spectrum is checked
-    against."""
-    return float(np.linalg.eigvalsh(check_symmetric(op.matrix))[-2])
+def lambda1(p):
+    """Second-highest eigenvalue of the dense operator `p`, counted with
+    multiplicity, from one values-only eigensolve: the oracle the block
+    spectrum is checked against."""
+    return float(np.linalg.eigvalsh(check_symmetric(p))[-2])
 
 
 def block_cluster(group, x, vals):
@@ -162,27 +163,28 @@ def block_cluster(group, x, vals):
     return SpectralCluster(lam, 3, fix_signs(basis), gap, "fourier")
 
 
-def lambda1_cluster(op):
-    """The cluster containing the second-highest eigenvalue.
+def lambda1_cluster(graph, x):
+    """The cluster of P_X containing the second-highest eigenvalue.
 
     The eigenvalues, the multiplicity and the gap come from
     `block_spectrum`, the basis from the 3x3 block (`block_cluster`).
     Elsewhere (a boundary point whose graph falls apart, or a degenerate
     block) the cluster comes from the dense eigensolve.
     """
-    group = op.graph.group
-    cluster = block_cluster(group, op.point, block_spectrum(group, op.point.weights))
+    group = graph.group
+    cluster = block_cluster(group, x, block_spectrum(group, x.weights))
     if cluster is None:
-        dense = spectrum_clusters(op)
+        dense = spectrum_clusters(build_operator(graph, x))
         cluster = dense[_lambda1_index(dense[0].multiplicity)]
     return cluster
 
 
-def embed_cluster(graph, x, cluster):
-    """Embedding by the rows of the cluster basis B, after checking
-    ||P B - lambda B|| with P B = sum_j x_j B[successors[:, j]] (gathers
-    along the Cayley graph, no dense operator); flagged (warning) when
-    the eigenvalue is simple."""
+def spectral_representation(graph, x, cluster):
+    """Embedding of the vertices by the rows of the cluster basis B (the
+    per-vertex eigenfunction evaluations), after checking ||P B - lambda B||
+    with P B = sum_j x_j B[successors[:, j]] (gathers along the Cayley
+    graph, no dense operator); flagged (warning) when the eigenvalue is
+    simple."""
     if cluster.multiplicity == 1:
         warnings.warn("multiplicity-1 cluster: embedding into R^1")
     b = cluster.basis
@@ -192,12 +194,6 @@ def embed_cluster(graph, x, cluster):
     if res > 1e-8 * max(1.0, abs(cluster.eigenvalue)) * np.sqrt(b.shape[0]):
         raise InvarianceError(f"cluster basis residual too large: {res:.2g}")
     return Embedding(points=b.copy(), cluster=cluster)
-
-
-def spectral_representation(op, cluster):
-    """Rows of the returned embedding are the per-vertex eigenfunction
-    evaluations (`embed_cluster` on the operator's graph and point)."""
-    return embed_cluster(op.graph, op.point, cluster)
 
 
 def edge_class_lengths(emb, graph):

@@ -117,8 +117,7 @@ def suite_closed_forms():
         )
 
         graph = cayley_graph(group)
-        op = build_operator(graph, uniform_point(3))
-        cluster = lambda1_cluster(op)
+        cluster = lambda1_cluster(graph, uniform_point(3))
         dev = abs(cluster.eigenvalue - CANONICAL_LAMBDA1[name])
         checks.append(_check(f"canonical_lambda1_{name}", dev, 1e-9, 3))
         checks.append(_count_check(f"canonical_mult_{name}", cluster.multiplicity, 3, 3))
@@ -190,7 +189,7 @@ def suite_invariants():
         checks.append(_check(f"psi_round_trip_{name}", dev_rt, 1e-9, 7))
 
     # bipartite spectral symmetry on H3
-    vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)).matrix)
+    vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
     checks.append(_check("h3_spectrum_symmetry", np.abs(vals + vals[::-1]).max(), 1e-9, 10))
 
     # orbit eigenfunction norms and Gram invariance at the uniform point
@@ -198,8 +197,8 @@ def suite_invariants():
     phi_mat = orbit_eigenfunctions(h3, fp)
     dev = np.abs(phi_mat.T @ phi_mat - (h3.order / 3) * np.eye(3)).max()
     checks.append(_check("orbit_eigenfunction_norms", dev, 1e-8, 10))
-    op = build_operator(graph, uniform_point(3))
-    emb = spectral_representation(op, lambda1_cluster(op))
+    x = uniform_point(3)
+    emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
     checks.append(_check("gram_invariance", gram_invariance_check(emb, h3), 1e-8, 10))
 
     # orbit moment matrix proportional to the identity
@@ -261,11 +260,10 @@ def suite_theorem2():
     done = 0
     while done < 20:
         x = sample_interior(rng, 3)
-        op = build_operator(graph, x)
-        top = lambda1_cluster(op)
+        top = lambda1_cluster(graph, x)
         if top.gap <= GAP_GUARD:
             continue
-        emb = spectral_representation(op, top)
+        emb = spectral_representation(graph, x, top)
         k, n = top.multiplicity, graph.n_vertices
         for a in range(3):
             for b in range(a + 1, 3):

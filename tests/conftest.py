@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from coxspec import build_group, cayley_graph
+import coxspec.cli  # noqa: F401  (binds build_operator; patched by no_operator)
+from coxspec import build_group, cayley_graph, randwalk
 from coxspec.verify import run_suite
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -36,3 +39,21 @@ def graphs(groups):
 def verify_report():
     """The records of `coxspec verify --suite all`, computed once."""
     return run_suite("all")
+
+
+@pytest.fixture
+def no_operator(monkeypatch):
+    """`build_operator` raises at every module that binds it: a test that
+    takes this fixture shows that its calls build no dense operator."""
+    original = randwalk.build_operator
+
+    def refuse(graph, x):
+        raise AssertionError("dense operator built")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxspec" and getattr(module, "build_operator", None) is original:
+            monkeypatch.setattr(module, "build_operator", refuse)
+            patched.append(name)
+    assert {"coxspec.randwalk", "coxspec.spectral", "coxspec.solids", "coxspec.verify",
+            "coxspec.cli"} <= set(patched)

@@ -84,6 +84,11 @@ class TestFundamentalVectors:
         with pytest.raises(DomainError):
             fundamental_point(h3, [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_alphas(self, h3, bad):
+        with pytest.raises(DomainError, match="finite"):
+            fundamental_point(h3, [bad, 1.0, 1.0])
+
 
 def _greedy_orbit(group, p, dedup_tol=1e-6):
     # reference: each image against every representative found so far
@@ -194,8 +199,7 @@ class TestPsiMaps:
             for _ in range(10):
                 fp = fundamental_point(group, rng.random(3) + 0.05)
                 x, lam = psi_maps(fp)
-                op = build_operator(graph, x)
-                cluster = lambda1_cluster(op)
+                cluster = lambda1_cluster(graph, x)
                 assert lam == pytest.approx(cluster.eigenvalue, abs=1e-9)
                 assert cluster.multiplicity == 3
 
@@ -246,8 +250,7 @@ class TestEdgeLengths:
             graph = graphs[name]
             fp = fundamental_point(group, rng.random(3) + 0.1)
             x, _ = psi_maps(fp)
-            op = build_operator(graph, x)
-            emb = spectral_representation(op, lambda1_cluster(op))
+            emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
             measured = np.array(edge_class_lengths(emb, graph))
             expected = edge_lengths_closed_form(fp) * np.sqrt(3.0 / group.order)
             assert np.abs(measured - expected).max() <= 1e-8
@@ -266,6 +269,6 @@ class TestOrbitEigenfunctions:
     def test_eigenfunction_relation(self, h3, graphs):
         fp = fundamental_point(h3, [0.4, 0.8, 1.3])
         x, lam = psi_maps(fp)
-        op = build_operator(graphs["H3"], x)
+        p = build_operator(graphs["H3"], x)
         funcs = orbit_eigenfunctions(h3, fp)
-        assert np.abs(op.matrix @ funcs - lam * funcs).max() <= 1e-10
+        assert np.abs(p @ funcs - lam * funcs).max() <= 1e-10

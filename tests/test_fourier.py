@@ -74,6 +74,6 @@ class TestCrosscheck:
         rng = np.random.default_rng(22)
         x = sample_interior(rng, 3)
         roots = rep_fourier(x, h3).roots
-        vals, _ = eigh_symmetric(build_operator(graphs["H3"], x).matrix)
+        vals, _ = eigh_symmetric(build_operator(graphs["H3"], x))
         for mu in roots:
             assert np.sum(np.abs(vals - mu) <= 1e-9) >= 3

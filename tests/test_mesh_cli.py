@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -18,14 +19,14 @@ from coxspec.mesh import (
     parse_off,
     vertex_configuration,
 )
-from coxspec.randwalk import build_operator, uniform_point
+from coxspec.randwalk import uniform_point
 from coxspec.solids import curve_limit
 from coxspec.spectral import lambda1_cluster, spectral_representation
 
 
 def h3_mesh(graphs):
-    op = build_operator(graphs["H3"], uniform_point(3))
-    emb = spectral_representation(op, lambda1_cluster(op))
+    x = uniform_point(3)
+    emb = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
     return build_cayley_mesh(emb, graphs["H3"])
 
 
@@ -231,13 +232,17 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "args",
-        [["--t-min", "-1"], ["--t-min", "2", "--t-max", "1"], ["--samples", "0"]],
+        [["--t-min", "-1"], ["--t-min", "2", "--t-max", "1"], ["--samples", "0"],
+         ["--t-max", "inf"], ["--t-min", "nan"]],
     )
     def test_bad_curve_parameters_leave_no_file(self, tmp_path, capsys, args):
         out_file = tmp_path / "c2.csv"
         argv = ["curve", "--group", "H3", "--curve", "C2", "--out", str(out_file), *args]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("coxspec: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: ") and err.count("\n") == 1
         assert not out_file.exists()
 
     @pytest.mark.parametrize(

@@ -37,31 +37,31 @@ class TestSimplexPoint:
 
 class TestOperator:
     def test_canonical_laplacian(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        p = op.matrix
+        p = build_operator(graphs["H3"], uniform_point(3))
         off = p[~np.eye(120, dtype=bool)]
         assert set(np.round(off, 12)) <= {0.0, np.round(1 / 3, 12)}
         assert np.abs(p.sum(axis=1) - 1).max() <= 1e-12
 
     def test_symmetric_zero_diagonal(self, graphs):
         rng = np.random.default_rng(0)
-        op = build_operator(graphs["B3"], sample_interior(rng, 3))
-        assert np.abs(op.matrix - op.matrix.T).max() <= 1e-15
-        assert np.abs(np.diag(op.matrix)).max() == 0.0
+        p = build_operator(graphs["B3"], sample_interior(rng, 3))
+        assert p.shape == (48, 48)
+        assert np.abs(p - p.T).max() <= 1e-15
+        assert np.abs(np.diag(p)).max() == 0.0
 
     def test_support_respects_edges(self, graphs):
         graph = graphs["A3"]
-        op = build_operator(graph, simplex_point([0.3, 0.3, 0.4]))
+        p = build_operator(graph, simplex_point([0.3, 0.3, 0.4]))
         edge_set = {(i, j) for i, j, _ in graph.edges}
-        ii, jj = np.nonzero(op.matrix)
+        ii, jj = np.nonzero(p)
         for i, j in zip(ii, jj):
             assert (min(i, j), max(i, j)) in edge_set
 
     def test_zero_weight_drops_class(self, graphs):
         graph = graphs["A3"]
-        op = build_operator(graph, simplex_point([0.0, 0.5, 0.5]))
+        p = build_operator(graph, simplex_point([0.0, 0.5, 0.5]))
         for i, j, label in graph.edges:
-            assert (op.matrix[i, j] > 0) == (label != 0)
+            assert (p[i, j] > 0) == (label != 0)
 
     def test_class_count_mismatch(self, graphs):
         with pytest.raises(SimplexError):
@@ -120,13 +120,13 @@ class TestSpectralStructure:
     def test_bipartite_symmetry(self, graphs):
         rng = np.random.default_rng(4)
         for graph in graphs.values():
-            vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)).matrix)
+            vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
             assert np.abs(vals + vals[::-1]).max() <= 1e-9
 
     def test_top_eigenvalue_simple_constant(self, graphs):
         rng = np.random.default_rng(5)
         graph = graphs["H3"]
-        vals, vecs = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)).matrix)
+        vals, vecs = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
         assert abs(vals[0] - 1) <= 1e-12
         assert vals[1] < 1 - 1e-6
         top = vecs[:, 0]

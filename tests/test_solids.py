@@ -18,6 +18,7 @@ from coxspec.solids import (
     sweep_lambda1,
 )
 from coxspec.spectral import (
+    block_spectrum,
     edge_class_lengths,
     lambda1,
     lambda1_cluster,
@@ -56,7 +57,7 @@ class TestMinimize:
         # the step count, and that one dense eigensolve (the final oracle)
         # is all the minimiser and its certificate make
         calls = []
-        monkeypatch.setattr(solids, "lambda1", lambda op: calls.append(op) or lambda1(op))
+        monkeypatch.setattr(solids, "lambda1", lambda p: calls.append(p) or lambda1(p))
         res = minimize_lambda1(groups[name])
         closed, opt = res.closed_form, res.optimized
         x0, lam0 = closed_form_minimum(groups[name].datum)
@@ -74,24 +75,30 @@ class TestMinimize:
 
     def test_oracle_disagreement_is_typed(self, a3, monkeypatch):
         # the dense lambda_1 at the result must equal the block's mu_1
-        monkeypatch.setattr(solids, "lambda1", lambda op: 0.5)
+        monkeypatch.setattr(solids, "lambda1", lambda p: 0.5)
         with pytest.raises(MinimizationError, match="is not lambda_1"):
             minimize_lambda1(a3)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_certificate_at_minimum(self, groups, graphs, name, monkeypatch):
+    def test_certificate_at_minimum(self, groups, graphs, name, monkeypatch, no_operator):
         # the certificate's finite differences read the irreducible blocks:
-        # it certifies X0 with the dense lambda_1 disabled
-        def no_dense(op):
+        # it certifies X0, and measures a seeded point, with the dense
+        # lambda_1 disabled and no dense operator built
+        def no_dense(p):
             raise AssertionError("dense lambda_1 called")
 
         monkeypatch.setattr(solids, "lambda1", no_dense)
         monkeypatch.setattr(spectral, "lambda1", no_dense)
-        x, lam = closed_form_minimum(groups[name].datum)
-        report = critical_certificate(x, groups[name], graphs[name])
+        group, graph = groups[name], graphs[name]
+        x, lam = closed_form_minimum(group.datum)
+        report = critical_certificate(x, group, graph)
         assert report.gradient_norm <= 1e-6
         assert report.equilateral
         assert abs(report.lam - lam) <= 1e-12
+        x = sample_interior(np.random.default_rng(36), 3, margin=0.1)
+        report = critical_certificate(x, group, graph)
+        assert abs(report.lam - block_spectrum(group, x.weights)[1]) <= 1e-12
+        assert report.gradient_norm > 1e-3 and not report.equilateral
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_uniform_point_is_not_critical(self, groups, graphs, name):
@@ -122,8 +129,7 @@ class TestDerivativeIdentity:
         e = h3.element_index(np.eye(3))
         for _ in range(5):
             x = sample_interior(rng, 3, margin=0.1)
-            op = build_operator(graph, x)
-            emb = spectral_representation(op, lambda1_cluster(op))
+            emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
             gram = emb.points @ emb.points.T
 
             def f(w):
@@ -182,6 +188,11 @@ class TestCurves:
         with pytest.raises(DomainError):
             curve_point("C1", 0.0, h3)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_rejects_non_finite_parameter(self, h3, t):
+        with pytest.raises(DomainError, match="finite"):
+            curve_point("C2", t, h3)
+
 
 class TestLimits:
     @pytest.mark.parametrize("curve,count", [("C1", 12), ("C2", 20), ("C3", 30)])
@@ -215,6 +226,12 @@ class TestLimits:
         with pytest.raises(DomainError, match="does not end"):
             boundary_limit([1.0, 0.0, 0.0], h3, curve="C2")
 
+    def test_unknown_curve_names_the_curves(self, h3):
+        with pytest.raises(DomainError, match="unknown curve 'C9'; choose from C1, C2, C3"):
+            boundary_limit(np.array([1.0, 0.0, 0.0]), h3, curve="C9")
+        with pytest.raises(DomainError, match="choose from C1, C2, C3"):
+            curve_limit("C9", h3, 0)
+
     def test_interior_target_rejected(self, h3):
         with pytest.raises(DomainError):
             boundary_limit([0.3, 0.3, 0.4], h3)
@@ -243,25 +260,22 @@ class TestSweep:
         assert np.abs(best["x"].weights - x0.weights).max() <= 2.0 / g
         assert best["lambda1"] >= lam0 - 1e-12
 
-    def test_builds_no_operator(self, h3, monkeypatch):
-        def no_operator(graph, x):
-            raise AssertionError("dense operator built")
-
-        monkeypatch.setattr(solids, "build_operator", no_operator)
-        rows = sweep_lambda1(h3, 6)
-        assert len(rows) == 15
-        assert {row["path"] for row in rows} == {"fourier"}
+    def test_builds_no_operator(self, a3, h3, no_operator):
+        for group in (a3, h3):
+            rows = sweep_lambda1(group, 6)
+            assert len(rows) == 15
+            assert {row["path"] for row in rows} == {"fourier"}
 
     def test_rows_match_dense_clusters(self, b3, graphs):
         # the dense eigensolve as oracle: lambda_1 is the top cluster
         # after the simple eigenvalue 1
         graph = graphs["B3"]
         for row in sweep_lambda1(b3, 7):
-            op = build_operator(graph, row["x"])
-            dense = spectrum_clusters(op)[1]
-            assert abs(row["lambda1"] - lambda1(op)) <= 1e-12
+            p = build_operator(graph, row["x"])
+            dense = spectrum_clusters(p)[1]
+            assert abs(row["lambda1"] - lambda1(p)) <= 1e-12
             assert row["multiplicity"] == dense.multiplicity
-            lengths = edge_class_lengths(spectral_representation(op, dense), graph)
+            lengths = edge_class_lengths(spectral_representation(graph, row["x"], dense), graph)
             assert np.abs(np.subtract(row["class_lengths"], lengths)).max() <= 1e-12
 
     def test_rejects_small_grid(self, a3):

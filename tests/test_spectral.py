@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coxspec.coxeter import CoxeterError
 from coxspec.coxmaps import eta_rho
+from coxspec.errors import DomainError
 from coxspec.fourier import rep_fourier
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
@@ -46,32 +47,50 @@ def minimum_point(group):
     return simplex_point(np.array([3 + rho + eta, 3 + 3 * eta, 6 + 2 * eta]) / denom)
 
 
+def h3_uniform_embedding(graphs):
+    x = uniform_point(3)
+    return spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+
+
 class TestClusters:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_canonical_lambda1(self, graphs, name):
-        op = build_operator(graphs[name], uniform_point(3))
-        assert lambda1(op) == pytest.approx(CANONICAL[name], abs=1e-10)
+        p = build_operator(graphs[name], uniform_point(3))
+        assert lambda1(p) == pytest.approx(CANONICAL[name], abs=1e-10)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_lambda1_multiplicity_three(self, graphs, name):
-        op = build_operator(graphs[name], uniform_point(3))
-        assert lambda1_cluster(op).multiplicity == 3
+        assert lambda1_cluster(graphs[name], uniform_point(3)).multiplicity == 3
 
-    def test_multiplicity_three_at_random_interior(self, graphs):
+    def test_multiplicity_three_at_random_interior(self, graphs, no_operator):
+        # interior clusters and their embeddings come from the blocks alone
         rng = np.random.default_rng(8)
         for name, graph in graphs.items():
             for _ in range(5):
-                op = build_operator(graph, sample_interior(rng, 3))
-                assert lambda1_cluster(op).multiplicity == 3
+                x = sample_interior(rng, 3)
+                cluster = lambda1_cluster(graph, x)
+                assert cluster.multiplicity == 3 and cluster.path == "fourier"
+                assert spectral_representation(graph, x, cluster).dim == 3
 
     def test_clusters_cover_spectrum(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        clusters = spectrum_clusters(op)
+        clusters = spectrum_clusters(build_operator(graphs["H3"], uniform_point(3)))
         assert sum(c.multiplicity for c in clusters) == 120
         vals = [c.eigenvalue for c in clusters]
         assert vals == sorted(vals, reverse=True)
         assert clusters[0].eigenvalue == pytest.approx(1.0, abs=1e-12)
         assert clusters[0].multiplicity == 1
+
+    @pytest.mark.parametrize("name,weights", [("H3", [1 / 3] * 3), ("B3", [0.2, 0.3, 0.5]),
+                                              ("A3", [0.5, 0.5, 0.0])])
+    def test_cluster_bases_are_orthonormal_eigenbases(self, graphs, name, weights):
+        p = build_operator(graphs[name], simplex_point(weights))
+        clusters = spectrum_clusters(p)
+        for c, again in zip(clusters, spectrum_clusters(p)):
+            b = c.basis
+            assert b.shape == (p.shape[0], c.multiplicity)
+            assert np.abs(b.T @ b - np.eye(c.multiplicity)).max() <= 1e-12
+            assert np.linalg.norm(p @ b - c.eigenvalue * b) <= 1e-12
+            assert np.array_equal(b, again.basis)
 
     def test_chained_values_merge_with_warning(self):
         # neighbours 0.6 tol apart chain into one cluster spanning 1.2 tol;
@@ -86,56 +105,52 @@ class TestClusters:
 
 class TestEmbedding:
     def test_points_on_sphere(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        emb = h3_uniform_embedding(graphs)
         assert emb.dim == 3
         norms = np.linalg.norm(emb.points, axis=1)
         assert norms.max() - norms.min() <= 1e-9
 
     def test_faithful_at_interior(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        emb = h3_uniform_embedding(graphs)
         assert check_faithful(emb)
 
     def test_top_cluster_not_faithful(self, graphs):
         # the constant eigenfunction collapses all vertices to one point
-        op = build_operator(graphs["A3"], uniform_point(3))
-        top = spectrum_clusters(op)[0]
+        x = uniform_point(3)
+        top = spectrum_clusters(build_operator(graphs["A3"], x))[0]
         with pytest.warns(UserWarning, match="multiplicity-1"):
-            emb = spectral_representation(op, top)
+            emb = spectral_representation(graphs["A3"], x, top)
         assert not check_faithful(emb)
         assert np.abs(emb.points - emb.points[0]).max() <= 1e-10
 
     def test_residual_guard(self, graphs):
-        op = build_operator(graphs["A3"], uniform_point(3))
-        cluster = lambda1_cluster(op)
+        x = uniform_point(3)
+        cluster = lambda1_cluster(graphs["A3"], x)
         broken = type(cluster)(
             eigenvalue=cluster.eigenvalue + 0.1,
             multiplicity=cluster.multiplicity,
             basis=cluster.basis,
         )
         with pytest.raises(InvarianceError):
-            spectral_representation(op, broken)
+            spectral_representation(graphs["A3"], x, broken)
 
 
 class TestClassLengths:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_equilateral_at_minimum(self, groups, graphs, name):
-        op = build_operator(graphs[name], minimum_point(groups[name]))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        x = minimum_point(groups[name])
+        emb = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
         lengths = edge_class_lengths(emb, graphs[name])
         assert max(lengths) / min(lengths) == pytest.approx(1.0, abs=1e-7)
 
     def test_three_distinct_lengths_at_uniform(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        emb = h3_uniform_embedding(graphs)
         lengths = sorted(edge_class_lengths(emb, graphs["H3"]))
         assert lengths[1] - lengths[0] > 1e-4
         assert lengths[2] - lengths[1] > 1e-4
 
     def test_tampered_embedding_detected(self, graphs):
-        op = build_operator(graphs["H3"], uniform_point(3))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        emb = h3_uniform_embedding(graphs)
         pts = emb.points.copy()
         pts[17] *= 1.5
         bad = Embedding(points=pts, cluster=emb.cluster)
@@ -146,15 +161,15 @@ class TestClassLengths:
 class TestInvariance:
     def test_gram_invariance_exhaustive(self, h3, graphs):
         rng = np.random.default_rng(9)
-        op = build_operator(graphs["H3"], sample_interior(rng, 3))
-        emb = spectral_representation(op, lambda1_cluster(op))
+        x = sample_interior(rng, 3)
+        emb = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
         dev = gram_invariance_check(emb, h3, gamma_indices=range(h3.order))
         assert dev <= 1e-8
 
     def test_gram_invariance_all_groups(self, groups, graphs):
         for name, group in groups.items():
-            op = build_operator(graphs[name], uniform_point(3))
-            emb = spectral_representation(op, lambda1_cluster(op))
+            x = uniform_point(3)
+            emb = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
             assert gram_invariance_check(emb, group) <= 1e-8
 
 
@@ -182,8 +197,8 @@ def region_point(group, region, raw, k):
     return simplex_point(w)
 
 
-def dense_lambda1_cluster(op):
-    clusters = spectrum_clusters(op)
+def dense_lambda1_cluster(p):
+    clusters = spectrum_clusters(p)
     return clusters[1] if clusters[0].multiplicity == 1 else clusters[0]
 
 
@@ -200,8 +215,9 @@ class TestFourierCluster:
     )
     def test_matches_dense_oracle(self, groups, graphs, name, region, raw, k):
         graph = graphs[name]
-        op = build_operator(graph, region_point(groups[name], region, raw, k))
-        fast, dense = lambda1_cluster(op), dense_lambda1_cluster(op)
+        x = region_point(groups[name], region, raw, k)
+        p = build_operator(graph, x)
+        fast, dense = lambda1_cluster(graph, x), dense_lambda1_cluster(p)
         assert fast.path == "fourier" and dense.path == "dense"
         assert fast.multiplicity == dense.multiplicity == 3
         assert abs(fast.eigenvalue - dense.eigenvalue) <= 1e-12
@@ -213,10 +229,10 @@ class TestFourierCluster:
         tol = 1e-12 + n * np.finfo(float).eps / dense.gap
         b = fast.basis
         assert np.abs(b.T @ b - np.eye(3)).max() <= 1e-13
-        assert np.abs(op.matrix @ b - fast.eigenvalue * b).max() <= 1e-13
+        assert np.abs(p @ b - fast.eigenvalue * b).max() <= 1e-13
         assert np.abs(b @ b.T - dense.basis @ dense.basis.T).max() <= tol
         lengths = [
-            edge_class_lengths(spectral_representation(op, c), graph) for c in (fast, dense)
+            edge_class_lengths(spectral_representation(graph, x, c), graph) for c in (fast, dense)
         ]
         assert np.abs(np.subtract(*lengths)).max() <= tol
 
@@ -234,13 +250,13 @@ class TestFourierCluster:
         # generators 0 and 1 commute, so x = (1/2, 1/2, 0) leaves 4-cycles
         # and a simplex vertex a perfect matching: lambda_1 = 1 with
         # multiplicity n / (component size)
+        x = simplex_point(weights)
         for graph in graphs.values():
-            op = build_operator(graph, simplex_point(weights))
-            cluster = lambda1_cluster(op)
+            cluster = lambda1_cluster(graph, x)
             assert cluster.path == "dense"
             assert cluster.multiplicity == graph.n_vertices // components
             assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
-            spectral_representation(op, cluster)
+            spectral_representation(graph, x, cluster)
 
 
 REGION_POINTS = dict(
@@ -255,13 +271,13 @@ REGION_POINTS = dict(
 CLASS_COUNTS = {"A3": 5, "B3": 10, "H3": 10}
 
 
-def dense_value_cluster(op):
+def dense_value_cluster(graph, x):
     """(eigenvalue, multiplicity, gap, path) of the lambda_1 cluster from a
     dense `eigvalsh`, by the rule `lambda1_cluster` follows."""
-    vals = np.linalg.eigvalsh(op.matrix)[::-1]
+    vals = np.linalg.eigvalsh(build_operator(graph, x))[::-1]
     clusters = _value_clusters(vals, CLUSTER_TOL)
     lam, lo, hi, gap = clusters[1 if clusters[0][2] == 1 else 0]
-    mu1 = rep_fourier(op.point, op.graph.group).roots[0]
+    mu1 = rep_fourier(x, graph.group).roots[0]
     path = "fourier" if hi - lo == 3 and abs(mu1 - lam) <= CLUSTER_TOL else "dense"
     return lam, hi - lo, gap, path
 
@@ -274,21 +290,21 @@ class TestBlockSpectrum:
     @given(**REGION_POINTS)
     def test_matches_dense_eigvalsh(self, groups, graphs, name, region, raw, k):
         x = region_point(groups[name], region, raw, k)
-        op = build_operator(graphs[name], x)
-        dense = np.linalg.eigvalsh(op.matrix)[::-1]
+        p = build_operator(graphs[name], x)
+        dense = np.linalg.eigvalsh(p)[::-1]
         vals = block_spectrum(groups[name], x.weights)
         assert vals.shape == dense.shape
         assert np.abs(vals - dense).max() <= 1e-12
         # the lambda_1 of the certificates and convexity probes
-        assert abs(_lambda1_fn(graphs[name])(x.weights) - lambda1(op)) <= 1e-12
+        assert abs(_lambda1_fn(graphs[name])(x.weights) - lambda1(p)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @settings(max_examples=80, deadline=None)
     @given(**REGION_POINTS)
     def test_lambda1_cluster_matches_dense_clustering(self, groups, graphs, name, region, raw, k):
-        op = build_operator(graphs[name], region_point(groups[name], region, raw, k))
-        cluster = lambda1_cluster(op)
-        lam, multiplicity, gap, path = dense_value_cluster(op)
+        x = region_point(groups[name], region, raw, k)
+        cluster = lambda1_cluster(graphs[name], x)
+        lam, multiplicity, gap, path = dense_value_cluster(graphs[name], x)
         assert cluster.multiplicity == multiplicity
         assert cluster.path == path
         assert abs(cluster.eigenvalue - lam) <= 1e-12
@@ -297,12 +313,12 @@ class TestBlockSpectrum:
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
     def test_boundary_points(self, groups, graphs, weights):
+        x = simplex_point(weights)
         for name, group in groups.items():
-            op = build_operator(graphs[name], simplex_point(weights))
-            dense = np.linalg.eigvalsh(op.matrix)[::-1]
-            assert np.abs(block_spectrum(group, op.point.weights) - dense).max() <= 1e-12
-            cluster = lambda1_cluster(op)
-            lam, multiplicity, gap, path = dense_value_cluster(op)
+            dense = np.linalg.eigvalsh(build_operator(graphs[name], x))[::-1]
+            assert np.abs(block_spectrum(group, x.weights) - dense).max() <= 1e-12
+            cluster = lambda1_cluster(graphs[name], x)
+            lam, multiplicity, gap, path = dense_value_cluster(graphs[name], x)
             assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
             assert abs(cluster.eigenvalue - lam) <= 1e-12
 
@@ -355,6 +371,19 @@ class TestBlockSpectrum:
         with pytest.raises(CoxeterError, match="not invariant"):
             broken.irreducible_blocks
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.5, 0.5], [[0.2, 0.8]], [[[1 / 3] * 3]], [np.nan, 0.5, 0.5], [[0.2, 0.3, np.inf]]],
+    )
+    def test_rejects_bad_weights(self, h3, weights):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            block_spectrum(h3, weights)
+
+    def test_class_count_mismatch(self, graphs):
+        # the check in block_spectrum stands in for the one in build_operator
+        with pytest.raises(DomainError, match=r"shape \(3,\)"):
+            lambda1_cluster(graphs["A3"], simplex_point([0.5, 0.5]))
+
     def test_broken_group_raises_typed_error(self, b3):
         succ = b3.successors.copy()
         succ[:, 1] = succ[np.random.default_rng(4).permutation(b3.order), 1]
@@ -378,7 +407,7 @@ class TestBlockGradient:
     def test_matches_dense_differences(self, groups, graphs, name, region, raw, k):
         group, graph = groups[name], graphs[name]
         x = region_point(group, region, raw, k)
-        gap = lambda1_cluster(build_operator(graph, x)).gap
+        gap = lambda1_cluster(graph, x).gap
         _, grad, _ = block_state(x, group)
         # a step far below the cluster gap keeps both differences on the
         # lambda_1 branch (near the boundary the gap is ~1e-7); the dense
@@ -400,8 +429,7 @@ class TestBlockGradient:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_optimized_lengths_are_measured(self, groups, graphs, name):
         opt = minimize_lambda1(groups[name]).optimized
-        op = build_operator(graphs[name], opt.x)
-        emb = spectral_representation(op, lambda1_cluster(op))
+        emb = spectral_representation(graphs[name], opt.x, lambda1_cluster(graphs[name], opt.x))
         measured = edge_class_lengths(emb, graphs[name])
         assert np.abs(np.subtract(opt.class_lengths, measured)).max() <= 1e-12
         assert opt.gradient_norm <= 1e-9
