@@ -23,7 +23,7 @@ from .coxmaps import (
     psi_maps,
 )
 from .errors import CoxspecError
-from .fourier import RepSpectrum, crosscheck_mu1, mu1, rep_fourier
+from .fourier import RepSpectrum, crosscheck_mu1, rep_fourier
 from .mesh import MeshDocument, build_cayley_mesh, build_orbit_mesh, export_obj, export_off
 from .randwalk import (
     SimplexPoint,
@@ -45,7 +45,6 @@ from .solids import (
     sweep_lambda1,
 )
 from .spectral import (
-    Embedding,
     SpectralCluster,
     block_spectrum,
     check_faithful,

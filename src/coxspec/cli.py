@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -35,17 +36,12 @@ def _fmt(x):
 
 
 def _parse_point(args):
-    if args.point is not None:
-        try:
-            weights = np.array([float(t) for t in args.point.split(",")])
-        except ValueError:
-            raise CoxspecError(f"--point must be numbers x,y,z, got {args.point!r}") from None
-    elif args.x is not None or args.y is not None or args.z is not None:
-        if None in (args.x, args.y, args.z):
-            raise CoxspecError("either give all of --x/--y/--z or none")
-        weights = np.array([args.x, args.y, args.z])
-    else:
+    if args.point is None:
         return None
+    try:
+        weights = np.array([float(t) for t in args.point.split(",")])
+    except ValueError:
+        raise CoxspecError(f"--point must be numbers x,y,z, got {args.point!r}") from None
     return simplex_point(weights)
 
 
@@ -69,24 +65,15 @@ def _add_group_arg(parser):
     parser.add_argument("--group", choices=BUILTIN_NAMES, default="H3")
 
 
-def _add_point_args(parser):
-    parser.add_argument("--point", help="comma-separated class weights x,y,z")
-    parser.add_argument("--x", type=float)
-    parser.add_argument("--y", type=float)
-    parser.add_argument("--z", type=float)
-
-
 def cmd_group(args):
     group = build_group(args.group)
     graph = cayley_graph(group)
-    census = {}
-    for f in cayley_faces(graph):
-        census[len(f)] = census.get(len(f), 0) + 1
+    census = Counter(len(f) for f in cayley_faces(graph))
     print(f"group {args.group}")
     print(f"order {group.order}")
     print(f"edges {len(graph.edges)}")
     print(f"edge classes {graph.n_classes}")
-    faces = sum(census.values())
+    faces = census.total()
     print("faces", " ".join(f"{size}-gon:{census[size]}" for size in sorted(census)))
     print(f"euler {group.order - len(graph.edges) + faces}")
     return 0
@@ -114,22 +101,22 @@ def cmd_embed(args):
             last = len(clusters) - 1
             raise CoxspecError(f"--eigenvalue must be 'second' or a cluster index 0..{last}")
         cluster = clusters[int(args.eigenvalue)]
-    emb = spectral_representation(graph, x, cluster)
+    pts = spectral_representation(graph, x, cluster)
     mesh = build_cayley_mesh(
-        emb,
+        pts,
         graph,
         metadata={
             "group": args.group,
             "point": [float(w) for w in x.weights],
             "eigenvalue": float(cluster.eigenvalue),
-            "class_lengths": edge_class_lengths(emb, graph),
+            "class_lengths": edge_class_lengths(pts, graph),
         },
     )
     writer = export_off if args.format == "off" else export_obj
     nbytes = writer(mesh, args.out)
     print(f"wrote {nbytes} bytes to {args.out}")
     print("eigenvalue", _fmt(cluster.eigenvalue), "multiplicity", cluster.multiplicity)
-    print("faithful", check_faithful(emb))
+    print("faithful", check_faithful(pts))
     print("class lengths", " ".join(_fmt(v) for v in mesh.metadata["class_lengths"]))
     return 0
 
@@ -199,12 +186,12 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="eigenvalue clusters at a simplex point")
     _add_group_arg(p)
-    _add_point_args(p)
+    p.add_argument("--point", help="comma-separated class weights x,y,z")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("embed", help="export a spectral embedding as a mesh")
     _add_group_arg(p)
-    _add_point_args(p)
+    p.add_argument("--point", help="comma-separated class weights x,y,z")
     p.add_argument("--eigenvalue", default="second",
                    help="'second' or a cluster index (0 = top)")
     p.add_argument("--out", required=True)

@@ -7,13 +7,15 @@ by breadth-first closure under right multiplication.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import CoxspecError, DomainError
 
 DEDUP_TOL = 1e-6
+# generate_group: closure size at which a datum counts as not finite
+MAX_ELEMENTS = 100_000
 # irreducible_blocks: seed of the generic left operator, the relative
 # eigenvalue distance that separates its eigenspaces, and the largest
 # allowed deviation from invariance (observed: 2e-14 on H3)
@@ -54,9 +56,6 @@ class CoxeterDatum:
         g = -np.cos(np.pi / self.orders)
         np.fill_diagonal(g, 1.0)
         return g
-
-    def is_finite(self):
-        return np.all(np.linalg.eigvalsh(self.gram()) > 0)
 
 
 def _rank3_datum(name, m23):
@@ -107,8 +106,9 @@ class ReflectionGroup:
     """Complete matrix group with generator-multiplication structure.
 
     elements[0] is the identity; successors[i, j] is the index of
-    elements[i] @ generators[j].  The Cayley table `mult` and the
-    `irreducible_blocks` are derived from `successors` on first use.
+    elements[i] @ generators[j]; `generate_group` makes all four arrays
+    read-only.  The Cayley table `mult` and the `irreducible_blocks` are
+    derived from `successors` on first use.
     """
 
     datum: CoxeterDatum
@@ -232,7 +232,7 @@ class ReflectionGroup:
         return self.mult[g]
 
 
-def generate_group(datum, max_elements=100_000):
+def generate_group(datum):
     """Breadth-first closure of the generating reflections.
 
     Elements are floating matrices deduplicated by entrywise distance;
@@ -258,7 +258,7 @@ def generate_group(datum, max_elements=100_000):
                 if dist[hit] < DEDUP_TOL:
                     successors[i][j] = hit
                 else:
-                    if len(elements) >= max_elements:
+                    if len(elements) >= MAX_ELEMENTS:
                         raise CoxeterError("group too large or not finite")
                     elements.append(cand)
                     stacked = np.concatenate([stacked, cand[None]], axis=0)
@@ -266,17 +266,23 @@ def generate_group(datum, max_elements=100_000):
                     new_frontier.append(len(elements) - 1)
         frontier = new_frontier
 
+    successors = np.stack(successors)
+    for arr in (roots, gens, stacked, successors):
+        arr.flags.writeable = False
     return ReflectionGroup(
         datum=datum,
         roots=roots,
         generators=gens,
         elements=stacked,
-        successors=np.stack(successors),
+        successors=successors,
     )
 
 
-def build_group(name, **kwargs):
-    return generate_group(coxeter_datum(name), **kwargs)
+@cache
+def build_group(name):
+    """The built-in group `name`, built once per process and shared, so
+    its cached properties are computed once per datum."""
+    return generate_group(coxeter_datum(name))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ from .errors import DomainError
 from .linalg import perron_frobenius
 from .randwalk import SimplexPoint, simplex_point
 
+# orbit_points: images closer than this in every coordinate are one point
+ORBIT_DEDUP_TOL = 1e-6
+
 
 def eta_rho(datum):
     """Shape constants of the built-in rank-3 family.
@@ -129,11 +132,11 @@ def edge_lengths_closed_form(fp: FundamentalPoint):
     return 2.0 * fp.alphas * v
 
 
-def orbit_points(group, p, dedup_tol=1e-6):
+def orbit_points(group, p):
     """Deduplicated orbit of a point and the element -> orbit-index map.
 
-    Images g p closer than `dedup_tol` in every coordinate are one orbit
-    point.  The first image not yet assigned becomes the next
+    Images g p closer than `ORBIT_DEDUP_TOL` in every coordinate are one
+    orbit point.  The first image not yet assigned becomes the next
     representative and takes every unassigned image close to it, so each
     image joins the earliest representative it is close to, also where
     closeness is not transitive.
@@ -141,13 +144,11 @@ def orbit_points(group, p, dedup_tol=1e-6):
     p = np.asarray(p, dtype=float)
     if p.shape != (group.rank,) or not np.all(np.isfinite(p)):
         raise DomainError(f"orbit point must be {group.rank} finite coordinates")
-    if not 0 < dedup_tol < np.inf:
-        raise DomainError("dedup_tol must be a finite positive number")
     images = group.elements @ p
     # per coordinate: a max over a length-3 last axis is ten times slower
     close = np.ones((group.order, group.order), dtype=bool)
     for c in range(group.rank):
-        close &= np.abs(images[:, c, None] - images[None, :, c]) < dedup_tol
+        close &= np.abs(images[:, c, None] - images[None, :, c]) < ORBIT_DEDUP_TOL
     index = np.full(group.order, -1)
     reps = []
     for i in range(group.order):

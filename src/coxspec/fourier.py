@@ -39,13 +39,9 @@ def char_poly_coeffs(mat):
     return -float(tr), float(minors), -float(np.linalg.det(mat))
 
 
-def mu1(x: SimplexPoint, group):
-    """Largest geometric-representation eigenvalue."""
-    return float(rep_fourier(x, group).roots[0])
-
-
 def crosscheck_mu1(x: SimplexPoint, group, graph):
-    """|mu_1(X) - lambda_1(P_X)| against the full eigensolver."""
+    """|mu_1(X) - lambda_1(P_X)|: the top eigenvalue of the 3x3 block
+    against the full eigensolver."""
     from .spectral import lambda1  # spectral imports this module
 
-    return abs(mu1(x, group) - lambda1(build_operator(graph, x)))
+    return abs(float(rep_fourier(x, group).roots[0]) - lambda1(build_operator(graph, x)))

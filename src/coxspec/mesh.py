@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coxeter import cayley_graph
 from .coxmaps import orbit_points
 from .errors import CoxspecError
 
@@ -66,12 +67,12 @@ def cayley_faces(graph):
     return faces
 
 
-def build_cayley_mesh(embedding, graph, metadata=None):
-    """Mesh of a faithful 3-dimensional Cayley embedding."""
-    if embedding.points.shape[1] != 3:
+def build_cayley_mesh(pts, graph, metadata=None):
+    """Mesh of a faithful 3-dimensional Cayley embedding `pts`, (n, 3)."""
+    if pts.shape[1] != 3:
         raise MeshError("mesh export needs a 3-dimensional embedding")
     return MeshDocument(
-        vertices=embedding.points.copy(),
+        vertices=pts.copy(),
         faces=cayley_faces(graph),
         metadata=dict(metadata or {}),
     )
@@ -91,8 +92,6 @@ def _collapse_cycle(cycle):
 def build_orbit_mesh(group, point, metadata=None):
     """Polytope of a group orbit: Cayley faces projected through the
     orbit quotient, with degenerate cycles dropped."""
-    from .coxeter import cayley_graph
-
     graph = cayley_graph(group)
     pts, index = orbit_points(group, point)
     faces = {}

@@ -124,8 +124,7 @@ def critical_certificate(x, group, graph):
             derivs.append(directional_derivative(f, x.weights, xi))
     grad_norm = float(np.linalg.norm(derivs))
 
-    emb = spectral_representation(graph, x, top)
-    lengths = edge_class_lengths(emb, graph)
+    lengths = edge_class_lengths(spectral_representation(graph, x, top), graph)
     return CriticalReport(
         x=x,
         lam=float(top.eigenvalue),
@@ -266,8 +265,11 @@ def boundary_limit(target, group, curve=None):
     Edge-interior targets are approached on the straight line from the
     barycenter; the surviving cone coefficients are detected from the
     decay of the inverse map along geometric steps.  Vertex targets are
-    curve dependent and require a curve id.
+    curve dependent and require a curve id; a curve id, where given, must
+    name a curve for every target.
     """
+    if curve is not None:
+        _check_curve(curve)
     target = np.asarray(target, dtype=float)
     if target.shape != (group.rank,) or abs(target.sum() - 1) > 1e-9 or np.any(target < 0):
         raise DomainError("target must lie on the simplex")
@@ -277,7 +279,6 @@ def boundary_limit(target, group, curve=None):
     if len(zeros) >= 2:
         if curve is None:
             raise DomainError("vertex targets are curve dependent; pass a curve id")
-        _check_curve(curve)
         vertex = int(np.argmax(target))
         if CURVE_VERTICES[curve] != vertex:
             raise DomainError(f"curve {curve} does not end at this simplex vertex")
@@ -326,12 +327,12 @@ def sweep_lambda1(group, g):
         cluster = block_cluster(group, x, vals)
         if cluster is None:
             cluster = lambda1_cluster(graph, x)
-        emb = spectral_representation(graph, x, cluster)
+        pts = spectral_representation(graph, x, cluster)
         rows.append({
             "x": x,
             "lambda1": float(cluster.eigenvalue),
             "multiplicity": int(cluster.multiplicity),
-            "class_lengths": edge_class_lengths(emb, graph),
+            "class_lengths": edge_class_lengths(pts, graph),
             "path": cluster.path,
         })
     return rows

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
 from .linalg import check_symmetric, eigh_symmetric, fix_signs
 from .randwalk import build_operator
@@ -25,7 +25,7 @@ GRAM_PAIRS = 50
 SPECTRUM_CHUNK = 64
 
 
-class InvarianceError(RuntimeError):
+class InvarianceError(CoxspecError):
     """Signals a broken eigensolver or clustering: a quantity that must
     be constant across an edge class or orbit is not."""
 
@@ -37,22 +37,6 @@ class SpectralCluster:
     basis: np.ndarray  # (n, multiplicity), orthonormal columns
     gap: float = np.inf  # distance to the neighbouring clusters' eigenvalues
     path: str = "dense"  # "fourier" (3x3 block) or "dense" (full eigensolve)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Vertex coordinates under a multiplicity-k eigenbasis (rows)."""
-
-    points: np.ndarray  # (n, k)
-    cluster: SpectralCluster
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
-    def radius(self):
-        return float(np.linalg.norm(self.points, axis=1).mean())
 
 
 def _value_clusters(vals, cluster_tol):
@@ -180,11 +164,11 @@ def lambda1_cluster(graph, x):
 
 
 def spectral_representation(graph, x, cluster):
-    """Embedding of the vertices by the rows of the cluster basis B (the
-    per-vertex eigenfunction evaluations), after checking ||P B - lambda B||
-    with P B = sum_j x_j B[successors[:, j]] (gathers along the Cayley
-    graph, no dense operator); flagged (warning) when the eigenvalue is
-    simple."""
+    """Embedding of the vertices: a copy of the cluster basis B, (n, k),
+    whose row i is the image of vertex i (the per-vertex eigenfunction
+    evaluations), after checking ||P B - lambda B|| with
+    P B = sum_j x_j B[successors[:, j]] (gathers along the Cayley graph,
+    no dense operator); flagged (warning) when the eigenvalue is simple."""
     if cluster.multiplicity == 1:
         warnings.warn("multiplicity-1 cluster: embedding into R^1")
     b = cluster.basis
@@ -193,13 +177,12 @@ def spectral_representation(graph, x, cluster):
     res = np.linalg.norm(pb - cluster.eigenvalue * b)
     if res > 1e-8 * max(1.0, abs(cluster.eigenvalue)) * np.sqrt(b.shape[0]):
         raise InvarianceError(f"cluster basis residual too large: {res:.2g}")
-    return Embedding(points=b.copy(), cluster=cluster)
+    return b.copy()
 
 
-def edge_class_lengths(emb, graph):
-    """Per-class Euclidean edge length; the within-class spread being
-    zero is checked, not assumed."""
-    pts = emb.points
+def edge_class_lengths(pts, graph):
+    """Per-class Euclidean edge length of the embedding `pts`; the
+    within-class spread being zero is checked, not assumed."""
     d = np.linalg.norm(pts[graph.successors] - pts[:, None, :], axis=-1)  # (n, classes)
     spread = d.max(axis=0) - d.min(axis=0)
     j = int(spread.argmax())
@@ -208,31 +191,23 @@ def edge_class_lengths(emb, graph):
     return d.mean(axis=0).tolist()
 
 
-def check_faithful(emb):
+def check_faithful(pts):
     """True iff all pairwise vertex images are separated by more than
-    `FAITHFUL_RTOL` times the radius."""
-    tol = FAITHFUL_RTOL * max(emb.radius, 1e-30)
-    pts = emb.points
+    `FAITHFUL_RTOL` times the mean radius."""
+    radius = float(np.linalg.norm(pts, axis=1).mean())
+    tol = FAITHFUL_RTOL * max(radius, 1e-30)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     return bool(d2.min() > tol**2)
 
 
-def gram_invariance_check(emb, group, gamma_indices=None):
-    """Max deviation of <Phi(i), Phi(j)> under the left group action.
-
-    With `gamma_indices=None` a random sample of group elements is used;
-    pass `range(group.order)` for the exhaustive check.
-    """
+def gram_invariance_check(pts, group):
+    """Max deviation of <Phi(i), Phi(j)> under the left group action:
+    every translation g, on `GRAM_PAIRS` seeded pairs (i, j), in one
+    gather over the Cayley table."""
     rng = np.random.default_rng(0)
-    if gamma_indices is None:
-        gamma_indices = rng.integers(0, group.order, size=12)
-    gram = emb.points @ emb.points.T
+    gram = pts @ pts.T
     pairs_i = rng.integers(0, group.order, size=GRAM_PAIRS)
     pairs_j = rng.integers(0, group.order, size=GRAM_PAIRS)
-    worst = 0.0
-    for g in gamma_indices:
-        perm = group.left_action_permutation(int(g))
-        dev = np.abs(gram[pairs_i, pairs_j] - gram[perm[pairs_i], perm[pairs_j]]).max()
-        worst = max(worst, float(dev))
-    return worst
+    moved = gram[group.mult[:, pairs_i], group.mult[:, pairs_j]]  # (|G|, pairs)
+    return float(np.abs(gram[pairs_i, pairs_j] - moved).max())

@@ -8,6 +8,8 @@ records, the CLI turns them into a JSON report, and the acceptance tests
 check the same records.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from .coxeter import build_group, cayley_graph
@@ -95,19 +97,10 @@ def _count_check(cid, count, expected, criterion):
     return _check(cid, count, expected, criterion, passed=count == expected)
 
 
-_GROUPS = {}
-
-
-def get_group(name):
-    if name not in _GROUPS:
-        _GROUPS[name] = build_group(name)
-    return _GROUPS[name]
-
-
 def suite_closed_forms():
     checks = []
     for name in ("A3", "B3", "H3"):
-        group = get_group(name)
+        group = build_group(name)
         x0, lam0 = PAPER_MINIMA[name]
         res = minimize_lambda1(group)
         crit = 1 if name == "H3" else 2
@@ -134,18 +127,16 @@ def suite_invariants():
     rng = np.random.default_rng(20240613)
 
     for name in ("A3", "B3", "H3"):
-        order = get_group(name).order
+        order = build_group(name).order
         checks.append(_count_check(f"group_order_{name}", order, GROUP_ORDERS[name], 8))
 
-    h3 = get_group("H3")
+    h3 = build_group("H3")
     graph = cayley_graph(h3)
     checks.append(_count_check("h3_vertices", graph.n_vertices, 120, 8))
     n_edges = len(graph.edges)
     checks.append(_count_check("h3_edges", n_edges, 180, 8))
-    census = {}
-    for f in cayley_faces(graph):
-        census[len(f)] = census.get(len(f), 0) + 1
-    faces = sum(census.values())
+    census = Counter(len(f) for f in cayley_faces(graph))
+    faces = census.total()
     checks.append(
         _check("h3_face_census", faces, 62, 8, passed=census == {4: 30, 6: 20, 10: 12})
     )
@@ -153,7 +144,7 @@ def suite_invariants():
 
     # Fourier cross-check and the H3 characteristic polynomial
     for name in ("A3", "B3", "H3"):
-        group = get_group(name)
+        group = build_group(name)
         gname = cayley_graph(group)
         dev = max(
             crosscheck_mu1(sample_interior(rng, 3), group, gname) for _ in range(50)
@@ -174,7 +165,7 @@ def suite_invariants():
     # Psi consistency: closed-form eigenvalue map vs the eigensolver,
     # and the round trip through the fundamental domain
     for name in ("A3", "B3", "H3"):
-        group = get_group(name)
+        group = build_group(name)
         gname = cayley_graph(group)
         dev_lam, dev_rt = 0.0, 0.0
         for _ in range(100):
@@ -198,8 +189,8 @@ def suite_invariants():
     dev = np.abs(phi_mat.T @ phi_mat - (h3.order / 3) * np.eye(3)).max()
     checks.append(_check("orbit_eigenfunction_norms", dev, 1e-8, 10))
     x = uniform_point(3)
-    emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
-    checks.append(_check("gram_invariance", gram_invariance_check(emb, h3), 1e-8, 10))
+    pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
+    checks.append(_check("gram_invariance", gram_invariance_check(pts, h3), 1e-8, 10))
 
     # orbit moment matrix proportional to the identity
     p = fp.point
@@ -236,7 +227,7 @@ def suite_invariants():
 
 def suite_theorem2():
     checks = []
-    h3 = get_group("H3")
+    h3 = build_group("H3")
     graph = cayley_graph(h3)
     x0 = simplex_point(PAPER_MINIMA["H3"][0])
 
@@ -263,7 +254,7 @@ def suite_theorem2():
         top = lambda1_cluster(graph, x)
         if top.gap <= GAP_GUARD:
             continue
-        emb = spectral_representation(graph, x, top)
+        pts = spectral_representation(graph, x, top)
         k, n = top.multiplicity, graph.n_vertices
         for a in range(3):
             for b in range(a + 1, 3):
@@ -271,7 +262,7 @@ def suite_theorem2():
                 xi[a], xi[b] = 1.0, -1.0
                 d = directional_derivative(f, x.weights, xi)
                 ia, jb = graph.successors[0, a], graph.successors[0, b]
-                lhs = emb.points[0] @ emb.points[ia] - emb.points[0] @ emb.points[jb]
+                lhs = pts[0] @ pts[ia] - pts[0] @ pts[jb]
                 worst = max(worst, abs(lhs - (k / n) * d))
         done += 1
     checks.append(_check("derivative_identity", worst, 1e-5, 5))
@@ -280,7 +271,7 @@ def suite_theorem2():
 
 def suite_curves():
     checks = []
-    h3 = get_group("H3")
+    h3 = build_group("H3")
     graph = cayley_graph(h3)
 
     s = curve_point("C2", 1e3, h3)

@@ -28,7 +28,7 @@ class TestDatum:
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_finite(self, name):
-        assert coxeter_datum(name).is_finite()
+        assert np.all(np.linalg.eigvalsh(coxeter_datum(name).gram()) > 0)
 
     def test_rejects_bad_orders(self):
         from coxspec.coxeter import CoxeterDatum
@@ -132,9 +132,19 @@ class TestGroup:
             rhs = h3.elements[a] @ (h3.elements[b] @ h3.elements[c])
             assert np.abs(lhs - rhs).max() <= 1e-9
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("coxspec.coxeter.MAX_ELEMENTS", 50)
         with pytest.raises(CoxeterError, match="too large"):
-            generate_group(coxeter_datum("H3"), max_elements=50)
+            generate_group(coxeter_datum("H3"))
+
+    def test_built_once_per_datum(self):
+        assert build_group("H3") is build_group("H3")
+
+    @pytest.mark.parametrize("field", ["roots", "generators", "elements", "successors"])
+    def test_arrays_read_only(self, h3, field):
+        arr = getattr(h3, field)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
 
 
 class TestCayleyGraph:
@@ -233,7 +243,7 @@ class TestCayleyTable:
             a3.mult[0, 0] = 1
 
     def test_built_lazily(self):
-        group = build_group("A3")
+        group = generate_group(coxeter_datum("A3"))
         assert "mult" not in vars(group) and "irreducible_blocks" not in vars(group)
 
     @pytest.mark.parametrize("j", [0, 1, 2])

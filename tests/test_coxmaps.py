@@ -158,11 +158,6 @@ class TestOrbitPoints:
         with pytest.raises(DomainError, match="finite coordinates"):
             orbit_points(h3, p)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
-    def test_rejects_bad_tolerance(self, h3, tol):
-        with pytest.raises(DomainError, match="dedup_tol"):
-            orbit_points(h3, [1.0, 0.0, 0.0], dedup_tol=tol)
-
 
 class TestPsiMaps:
     @pytest.mark.parametrize(
@@ -250,8 +245,8 @@ class TestEdgeLengths:
             graph = graphs[name]
             fp = fundamental_point(group, rng.random(3) + 0.1)
             x, _ = psi_maps(fp)
-            emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
-            measured = np.array(edge_class_lengths(emb, graph))
+            pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
+            measured = np.array(edge_class_lengths(pts, graph))
             expected = edge_lengths_closed_form(fp) * np.sqrt(3.0 / group.order)
             assert np.abs(measured - expected).max() <= 1e-8
 

@@ -26,8 +26,8 @@ from coxspec.spectral import lambda1_cluster, spectral_representation
 
 def h3_mesh(graphs):
     x = uniform_point(3)
-    emb = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
-    return build_cayley_mesh(emb, graphs["H3"])
+    pts = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+    return build_cayley_mesh(pts, graphs["H3"])
 
 
 class TestCayleyFaces:
@@ -259,6 +259,15 @@ class TestCli:
         assert main([*argv, "--out", str(out_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("coxspec: cannot write --out ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_invariance_failure_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # a class-length spread above the tolerance is a CoxspecError
+        monkeypatch.setattr("coxspec.spectral.EDGE_SPREAD_TOL", -1.0)
+        out_file = tmp_path / "h3.off"
+        assert main(["embed", "--group", "H3", "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: edge class ") and err.count("\n") == 1
         assert not out_file.exists()
 
     def test_failed_sweep_leaves_no_file(self, tmp_path, capsys):

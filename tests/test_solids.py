@@ -129,8 +129,8 @@ class TestDerivativeIdentity:
         e = h3.element_index(np.eye(3))
         for _ in range(5):
             x = sample_interior(rng, 3, margin=0.1)
-            emb = spectral_representation(graph, x, lambda1_cluster(graph, x))
-            gram = emb.points @ emb.points.T
+            pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
+            gram = pts @ pts.T
 
             def f(w):
                 return lambda1(build_operator(graph, simplex_point(w)))
@@ -231,6 +231,12 @@ class TestLimits:
             boundary_limit(np.array([1.0, 0.0, 0.0]), h3, curve="C9")
         with pytest.raises(DomainError, match="choose from C1, C2, C3"):
             curve_limit("C9", h3, 0)
+
+    def test_curve_checked_at_edge_targets(self, h3):
+        with pytest.raises(DomainError, match="unknown curve 'C9'; choose from C1, C2, C3"):
+            boundary_limit([0.0, 0.5, 0.5], h3, curve="C9")
+        _, n, _ = boundary_limit([0.0, 0.5, 0.5], h3, curve="C1")
+        assert n == 12
 
     def test_interior_target_rejected(self, h3):
         with pytest.raises(DomainError):

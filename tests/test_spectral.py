@@ -19,7 +19,6 @@ from coxspec.solids import (
 )
 from coxspec.spectral import (
     CLUSTER_TOL,
-    Embedding,
     InvarianceError,
     block_spectrum,
     check_faithful,
@@ -70,7 +69,7 @@ class TestClusters:
                 x = sample_interior(rng, 3)
                 cluster = lambda1_cluster(graph, x)
                 assert cluster.multiplicity == 3 and cluster.path == "fourier"
-                assert spectral_representation(graph, x, cluster).dim == 3
+                assert spectral_representation(graph, x, cluster).shape[1] == 3
 
     def test_clusters_cover_spectrum(self, graphs):
         clusters = spectrum_clusters(build_operator(graphs["H3"], uniform_point(3)))
@@ -105,23 +104,23 @@ class TestClusters:
 
 class TestEmbedding:
     def test_points_on_sphere(self, graphs):
-        emb = h3_uniform_embedding(graphs)
-        assert emb.dim == 3
-        norms = np.linalg.norm(emb.points, axis=1)
+        pts = h3_uniform_embedding(graphs)
+        assert pts.shape[1] == 3
+        norms = np.linalg.norm(pts, axis=1)
         assert norms.max() - norms.min() <= 1e-9
 
     def test_faithful_at_interior(self, graphs):
-        emb = h3_uniform_embedding(graphs)
-        assert check_faithful(emb)
+        pts = h3_uniform_embedding(graphs)
+        assert check_faithful(pts)
 
     def test_top_cluster_not_faithful(self, graphs):
         # the constant eigenfunction collapses all vertices to one point
         x = uniform_point(3)
         top = spectrum_clusters(build_operator(graphs["A3"], x))[0]
         with pytest.warns(UserWarning, match="multiplicity-1"):
-            emb = spectral_representation(graphs["A3"], x, top)
-        assert not check_faithful(emb)
-        assert np.abs(emb.points - emb.points[0]).max() <= 1e-10
+            pts = spectral_representation(graphs["A3"], x, top)
+        assert not check_faithful(pts)
+        assert np.abs(pts - pts[0]).max() <= 1e-10
 
     def test_residual_guard(self, graphs):
         x = uniform_point(3)
@@ -139,38 +138,41 @@ class TestClassLengths:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_equilateral_at_minimum(self, groups, graphs, name):
         x = minimum_point(groups[name])
-        emb = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
-        lengths = edge_class_lengths(emb, graphs[name])
+        pts = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
+        lengths = edge_class_lengths(pts, graphs[name])
         assert max(lengths) / min(lengths) == pytest.approx(1.0, abs=1e-7)
 
     def test_three_distinct_lengths_at_uniform(self, graphs):
-        emb = h3_uniform_embedding(graphs)
-        lengths = sorted(edge_class_lengths(emb, graphs["H3"]))
+        pts = h3_uniform_embedding(graphs)
+        lengths = sorted(edge_class_lengths(pts, graphs["H3"]))
         assert lengths[1] - lengths[0] > 1e-4
         assert lengths[2] - lengths[1] > 1e-4
 
     def test_tampered_embedding_detected(self, graphs):
-        emb = h3_uniform_embedding(graphs)
-        pts = emb.points.copy()
+        pts = h3_uniform_embedding(graphs)
         pts[17] *= 1.5
-        bad = Embedding(points=pts, cluster=emb.cluster)
         with pytest.raises(InvarianceError):
-            edge_class_lengths(bad, graphs["H3"])
+            edge_class_lengths(pts, graphs["H3"])
 
 
 class TestInvariance:
     def test_gram_invariance_exhaustive(self, h3, graphs):
         rng = np.random.default_rng(9)
         x = sample_interior(rng, 3)
-        emb = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
-        dev = gram_invariance_check(emb, h3, gamma_indices=range(h3.order))
+        pts = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+        dev = gram_invariance_check(pts, h3)
         assert dev <= 1e-8
 
     def test_gram_invariance_all_groups(self, groups, graphs):
         for name, group in groups.items():
             x = uniform_point(3)
-            emb = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
-            assert gram_invariance_check(emb, group) <= 1e-8
+            pts = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
+            assert gram_invariance_check(pts, group) <= 1e-8
+
+    def test_tampered_embedding_detected(self, h3, graphs):
+        pts = h3_uniform_embedding(graphs)
+        pts[17] *= 1.5
+        assert gram_invariance_check(pts, h3) > 1e-8
 
 
 BOUNDARY_EPS = 1e-6
@@ -429,7 +431,7 @@ class TestBlockGradient:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_optimized_lengths_are_measured(self, groups, graphs, name):
         opt = minimize_lambda1(groups[name]).optimized
-        emb = spectral_representation(graphs[name], opt.x, lambda1_cluster(graphs[name], opt.x))
-        measured = edge_class_lengths(emb, graphs[name])
+        pts = spectral_representation(graphs[name], opt.x, lambda1_cluster(graphs[name], opt.x))
+        measured = edge_class_lengths(pts, graphs[name])
         assert np.abs(np.subtract(opt.class_lengths, measured)).max() <= 1e-12
         assert opt.gradient_norm <= 1e-9
