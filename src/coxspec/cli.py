@@ -102,22 +102,13 @@ def cmd_embed(args):
             raise CoxspecError(f"--eigenvalue must be 'second' or a cluster index 0..{last}")
         cluster = clusters[int(args.eigenvalue)]
     pts = spectral_representation(graph, x, cluster)
-    mesh = build_cayley_mesh(
-        pts,
-        graph,
-        metadata={
-            "group": args.group,
-            "point": [float(w) for w in x.weights],
-            "eigenvalue": float(cluster.eigenvalue),
-            "class_lengths": edge_class_lengths(pts, graph),
-        },
-    )
+    lengths = edge_class_lengths(pts, graph)
     writer = export_off if args.format == "off" else export_obj
-    nbytes = writer(mesh, args.out)
+    nbytes = writer(build_cayley_mesh(pts, graph), args.out)
     print(f"wrote {nbytes} bytes to {args.out}")
     print("eigenvalue", _fmt(cluster.eigenvalue), "multiplicity", cluster.multiplicity)
     print("faithful", check_faithful(pts))
-    print("class lengths", " ".join(_fmt(v) for v in mesh.metadata["class_lengths"]))
+    print("class lengths", " ".join(_fmt(v) for v in lengths))
     return 0
 
 
@@ -226,13 +217,24 @@ def build_parser():
 
 def main(argv=None):
     """Run one verb; invalid input ends with a one-line message on stderr
-    and exit code 2."""
+    and exit code 2, and a closed standard output (a reader such as
+    `head` that stops early) with exit code 1 and no message."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that stops early is met here, not at the flush at exit
+        sys.stdout.flush()
+        return code
     except CoxspecError as exc:
         print(f"coxspec: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python docs: point stdout at devnull so
+        # that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,15 +35,10 @@ def eta_rho(datum):
 
 
 def gram_inverse(datum):
-    """Inverse Gram matrix; closed form for the rank-3 built-ins, numpy
-    inverse otherwise."""
-    gram = datum.gram()
-    if datum.rank == 3 and datum.orders[0, 1] == 2 and datum.orders[0, 2] == 3:
-        eta, rho = eta_rho(datum)
-        return (1.0 / rho) * np.array(
-            [[1 + rho, eta, 2], [eta, 3, 2 * eta], [2, 2 * eta, 4]]
-        )
-    return np.linalg.inv(gram)
+    """Inverse Gram matrix of the rank-3 built-ins, in closed form; any
+    other datum raises `DomainError` (from `eta_rho`)."""
+    eta, rho = eta_rho(datum)
+    return (1.0 / rho) * np.array([[1 + rho, eta, 2], [eta, 3, 2 * eta], [2, 2 * eta, 4]])
 
 
 def fundamental_vectors(group: ReflectionGroup):
@@ -65,6 +60,9 @@ def fundamental_point(group, alphas):
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (group.rank,) or not np.all((alphas > 0) & (alphas < np.inf)):
         raise DomainError("need finite, strictly positive coefficients, one per generator")
+    # an exact power-of-two scale into [0.5, 1): the norm of huge
+    # coefficients would overflow, and the result does not change
+    alphas = np.ldexp(alphas, -np.frexp(alphas.max())[1])
     pvecs, _ = fundamental_vectors(group)
     p = alphas @ pvecs
     scale = np.linalg.norm(p)

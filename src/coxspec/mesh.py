@@ -6,7 +6,7 @@ cycles through the quotient onto deduplicated orbit points.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class MeshError(CoxspecError):
 class MeshDocument:
     vertices: np.ndarray          # (n, 3)
     faces: list                   # lists of vertex indices (cycles)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def edges(self):
@@ -67,15 +66,11 @@ def cayley_faces(graph):
     return faces
 
 
-def build_cayley_mesh(pts, graph, metadata=None):
+def build_cayley_mesh(pts, graph):
     """Mesh of a faithful 3-dimensional Cayley embedding `pts`, (n, 3)."""
     if pts.shape[1] != 3:
         raise MeshError("mesh export needs a 3-dimensional embedding")
-    return MeshDocument(
-        vertices=pts.copy(),
-        faces=cayley_faces(graph),
-        metadata=dict(metadata or {}),
-    )
+    return MeshDocument(vertices=pts.copy(), faces=cayley_faces(graph))
 
 
 def _collapse_cycle(cycle):
@@ -89,7 +84,7 @@ def _collapse_cycle(cycle):
     return out
 
 
-def build_orbit_mesh(group, point, metadata=None):
+def build_orbit_mesh(group, point):
     """Polytope of a group orbit: Cayley faces projected through the
     orbit quotient, with degenerate cycles dropped."""
     graph = cayley_graph(group)
@@ -99,9 +94,7 @@ def build_orbit_mesh(group, point, metadata=None):
         projected = _collapse_cycle([int(index[v]) for v in cycle])
         if len(projected) >= 3 and len(set(projected)) == len(projected):
             faces.setdefault(frozenset(projected), projected)
-    return MeshDocument(
-        vertices=pts, faces=list(faces.values()), metadata=dict(metadata or {})
-    )
+    return MeshDocument(vertices=pts, faces=list(faces.values()))
 
 
 def vertex_configuration(mesh, vertex=0):

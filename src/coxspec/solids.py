@@ -208,22 +208,19 @@ class CurveSample:
     x: SimplexPoint
     lam: float
     class_lengths: np.ndarray
-    distinct_points: int
 
 
 def curve_point(curve, t, group):
     """Sample of the equal-length curve: two of the three class lengths
-    coincide for every t > 0, and the curves meet at the minimizer at t = 1."""
+    coincide for every t > 0, and the curves meet at the minimizer at t = 1.
+    Closed forms of the fundamental point only; no orbit is formed."""
     _check_curve(curve)
     if not 0 < t < np.inf:
         raise DomainError("curve parameter must be positive and finite")
     fp = fundamental_point(group, CURVE_PATTERNS[curve](float(t)))
     x, lam = psi_maps(fp)
-    lengths = edge_lengths_closed_form(fp)
-    count = len(orbit_points(group, fp.point)[0])
     return CurveSample(
-        curve=curve, t=float(t), x=x, lam=lam,
-        class_lengths=lengths, distinct_points=count,
+        curve=curve, t=float(t), x=x, lam=lam, class_lengths=edge_lengths_closed_form(fp)
     )
 
 

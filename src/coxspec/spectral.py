@@ -39,19 +39,24 @@ class SpectralCluster:
     path: str = "dense"  # "fourier" (3x3 block) or "dense" (full eigensolve)
 
 
-def _value_clusters(vals, cluster_tol):
+def _cuts(vals):
+    # starts of all clusters but the first in the descending `vals`
+    return np.flatnonzero(vals[:-1] - vals[1:] > CLUSTER_TOL) + 1
+
+
+def _value_clusters(vals):
     """Clusters of the descending eigenvalues `vals` as (eigenvalue,
     start, stop, gap) with the cluster mean as eigenvalue.
 
-    Neighbouring eigenvalues closer than `cluster_tol` chain into one
+    Neighbouring eigenvalues closer than `CLUSTER_TOL` chain into one
     cluster; a cluster whose spread exceeds half the tolerance is flagged
     with a warning.
     """
-    cuts = np.flatnonzero(vals[:-1] - vals[1:] > cluster_tol) + 1
+    cuts = _cuts(vals)
     lo = np.concatenate(([0], cuts))
     hi = np.concatenate((cuts, [len(vals)]))
     spread = vals[lo] - vals[hi - 1]
-    for c in np.flatnonzero(spread > 0.5 * cluster_tol):
+    for c in np.flatnonzero(spread > 0.5 * CLUSTER_TOL):
         warnings.warn(
             f"ambiguous eigenvalue cluster near {vals[lo[c]]:.6g} "
             f"(spread {spread[c]:.2g}); merged into one cluster of multiplicity "
@@ -81,7 +86,7 @@ def spectrum_clusters(p):
             basis=vecs[:, lo:hi],
             gap=gap,
         )
-        for mean, lo, hi, gap in _value_clusters(vals, CLUSTER_TOL)
+        for mean, lo, hi, gap in _value_clusters(vals)
     ]
 
 
@@ -134,8 +139,12 @@ def block_cluster(group, x, vals):
     f_r(g) = (g v)_r for the unit eigenvector M v = mu_1 v, scaled to
     orthonormal columns by Schur's relations:
     (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g).
+
+    Only the clusters up to the third cut are formed: the top cluster,
+    the lambda_1 cluster and its lower neighbour, which fixes the gap.
     """
-    clusters = _value_clusters(vals, CLUSTER_TOL)
+    cuts = _cuts(vals)
+    clusters = _value_clusters(vals[:cuts[2]] if len(cuts) > 2 else vals)
     # the top cluster starts at 0, so its stop is its multiplicity
     lam, lo, hi, gap = clusters[_lambda1_index(clusters[0][2])]
     if hi - lo != 3:

@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec.coxeter import CoxeterDatum
 from coxspec.coxmaps import (
     DomainError,
     FundamentalPoint,
@@ -39,6 +41,15 @@ class TestConstants:
         datum = groups[name].datum
         prod = gram_inverse(datum) @ datum.gram()
         assert np.abs(prod - np.eye(3)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "orders",
+        [[[2, 3, 2], [3, 2, 3], [2, 3, 2]], [[2, 2, 2], [2, 2, 2], [2, 2, 2]], [[2, 5], [5, 2]]],
+    )
+    def test_gram_inverse_only_for_builtins(self, orders):
+        # the closed form needs the built-in ordering (m12 = 2, m13 = 3)
+        with pytest.raises(DomainError, match="built-in rank-3 ordering"):
+            gram_inverse(CoxeterDatum("other", np.array(orders)))
 
 
 class TestFundamentalVectors:
@@ -88,6 +99,33 @@ class TestFundamentalVectors:
     def test_rejects_non_finite_alphas(self, h3, bad):
         with pytest.raises(DomainError, match="finite"):
             fundamental_point(h3, [bad, 1.0, 1.0])
+
+    @pytest.mark.parametrize("t", [1e-300, 1e160, 1e300])
+    @pytest.mark.parametrize("pattern", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    def test_extreme_coefficients_stay_finite(self, groups, pattern, t):
+        # |alpha| near 1e154 and above overflows a plain norm
+        alphas = np.where(np.array(pattern) > 0, 1.0, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for group in groups.values():
+                fp = fundamental_point(group, alphas)
+                assert np.all(np.isfinite(fp.alphas)) and np.all(np.isfinite(fp.point))
+                assert abs(np.linalg.norm(fp.point) - 1.0) <= 1e-15
+                assert np.abs(fp.alphas @ fundamental_vectors(group)[0] - fp.point).max() <= 1e-15
+                x, lam = psi_maps(fp)
+                assert np.all(np.isfinite(x.weights)) and np.isfinite(lam)
+
+    def test_power_of_two_scale_is_exact(self, h3):
+        # the same point, bit for bit, from coefficients scaled by 2^k,
+        # also past 2^512 where the squares in a plain norm overflow
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            alphas = rng.random(3) + 0.05
+            fp = fundamental_point(h3, alphas)
+            for k in (-40, 3, 600, 1000):
+                other = fundamental_point(h3, np.ldexp(alphas, k))
+                assert np.array_equal(other.point, fp.point)
+                assert np.array_equal(other.alphas, fp.alphas)
 
 
 def _greedy_orbit(group, p, dedup_tol=1e-6):

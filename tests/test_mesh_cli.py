@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from collections import Counter
 
@@ -187,6 +188,54 @@ class TestCli:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "t,x,y,z,lambda1,len1,len2,len3"
         assert len(lines) == 6
+
+    def test_curve_forms_no_orbit(self, tmp_path, monkeypatch):
+        # a curve sample is closed forms of one fundamental point
+        def no_orbit(group, p):
+            raise AssertionError("curve formed an orbit")
+
+        monkeypatch.setattr("coxspec.coxmaps.orbit_points", no_orbit)
+        monkeypatch.setattr("coxspec.solids.orbit_points", no_orbit)
+        out_file = tmp_path / "c1.csv"
+        assert main(["curve", "--group", "H3", "--curve", "C1", "--out", str(out_file)]) == 0
+        assert len(out_file.read_text().splitlines()) == 51
+
+    def test_curve_at_huge_parameter(self, tmp_path, capsys):
+        # cone coefficients of 1e160 once overflowed the norm to NaN weights
+        out_file = tmp_path / "c2.csv"
+        argv = ["curve", "--group", "H3", "--curve", "C2", "--t-max", "1e160",
+                "--out", str(out_file)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        assert len(rows) == 50
+        assert all(np.isfinite(float(v)) for row in rows for v in row)
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # a reader such as `head -1` that stops early closes the pipe
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fd
+
+        self.one_record_suite(monkeypatch, passed=True)
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        try:
+            assert main(["verify", "--suite", "closed_forms"]) == 1
+            # stdout now points at devnull, so the flush at exit cannot fail
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
 
     def test_sweep_csv(self, tmp_path):
         out_file = tmp_path / "sweep.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coxspec import solids, spectral
-from coxspec.coxmaps import DomainError
+from coxspec.coxmaps import DomainError, fundamental_point, orbit_points
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
     CURVE_VERTICES,
@@ -180,7 +180,8 @@ class TestCurves:
 
     def test_interior_samples_are_full_orbits(self, h3):
         for curve in ("C1", "C2", "C3"):
-            assert curve_point(curve, 2.0, h3).distinct_points == 120
+            fp = fundamental_point(h3, solids.CURVE_PATTERNS[curve](2.0))
+            assert len(orbit_points(h3, fp.point)[0]) == 120
 
     def test_rejects_bad_parameters(self, h3):
         with pytest.raises(DomainError):

@@ -97,7 +97,7 @@ class TestClusters:
         step = 0.6 * CLUSTER_TOL
         vals = np.array([1.0, 0.5, 0.5 - step, 0.5 - 2 * step, 0.0])
         with pytest.warns(UserWarning, match="ambiguous eigenvalue cluster.*multiplicity 3"):
-            clusters = _value_clusters(vals, CLUSTER_TOL)
+            clusters = _value_clusters(vals)
         assert [(lo, hi) for _, lo, hi, _ in clusters] == [(0, 1), (1, 4), (4, 5)]
         assert clusters[1][0] == pytest.approx(0.5 - step, abs=1e-15)
 
@@ -277,7 +277,7 @@ def dense_value_cluster(graph, x):
     """(eigenvalue, multiplicity, gap, path) of the lambda_1 cluster from a
     dense `eigvalsh`, by the rule `lambda1_cluster` follows."""
     vals = np.linalg.eigvalsh(build_operator(graph, x))[::-1]
-    clusters = _value_clusters(vals, CLUSTER_TOL)
+    clusters = _value_clusters(vals)
     lam, lo, hi, gap = clusters[1 if clusters[0][2] == 1 else 0]
     mu1 = rep_fourier(x, graph.group).roots[0]
     path = "fourier" if hi - lo == 3 and abs(mu1 - lam) <= CLUSTER_TOL else "dense"
