@@ -36,6 +36,7 @@ from .randwalk import (
 from .solids import (
     CriticalReport,
     CurveSample,
+    Sweep,
     boundary_limit,
     closed_form_minimum,
     critical_certificate,

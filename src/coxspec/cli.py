@@ -145,19 +145,15 @@ def cmd_curve(args):
 
 def cmd_sweep(args):
     with _open_out(args.out) as fh:
-        rows = sweep_lambda1(build_group(args.group), args.grid)
+        sweep = sweep_lambda1(build_group(args.group), args.grid)
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "lambda1", "mult", "len1", "len2", "len3"])
-        for row in rows:
+        columns = (sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths)
+        for weights, lam, multiplicity, lengths in zip(*(c.tolist() for c in columns)):
             writer.writerow(
-                [
-                    *(_fmt(w) for w in row["x"].weights),
-                    _fmt(row["lambda1"]),
-                    row["multiplicity"],
-                    *(_fmt(v) for v in row["class_lengths"]),
-                ]
+                [*(_fmt(w) for w in weights), _fmt(lam), multiplicity, *(_fmt(v) for v in lengths)]
             )
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(sweep)} rows to {args.out}")
     return 0
 
 

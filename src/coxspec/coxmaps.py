@@ -20,6 +20,10 @@ from .randwalk import SimplexPoint, simplex_point
 
 # orbit_points: images closer than this in every coordinate are one point
 ORBIT_DEDUP_TOL = 1e-6
+# psi_maps: smallest ratio of two cone coefficients.  On the built-ins
+# V |M^-1 alpha|_j <= 7.5 max(alpha), so each x'_j stays below 2^1021 and
+# their sum below the largest float
+PSI_ALPHA_RATIO = 2.0**-1018
 
 
 def eta_rho(datum):
@@ -79,6 +83,8 @@ def psi_maps(fp: FundamentalPoint):
     _, v = fundamental_vectors(group)
     minv = gram_inverse(group.datum)
     alphas = fp.alphas
+    if not alphas.min() >= PSI_ALPHA_RATIO * alphas.max():
+        raise DomainError(f"cone coefficients {alphas} differ by more than a factor 2^1018")
     xprime = v * (minv @ alphas) / alphas
     total = xprime.sum()
     lam = (total - 2.0 * v) / total

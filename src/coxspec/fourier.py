@@ -21,15 +21,18 @@ class RepSpectrum:
     vectors: np.ndarray  # unit eigenvectors, column r belongs to roots[r]
 
 
-def rep_fourier(x: SimplexPoint, group):
+def rep_fourier(x, group):
     """Fourier transform of the walk at the geometric representation: the
-    one place that forms M = sum_j x_j sigma_j and diagonalises it."""
+    one place that forms M = sum_j x_j sigma_j and diagonalises it.  `x` is
+    a `SimplexPoint` or checked weights (m, 3), whose fields stack."""
     if group.rank != 3:
         raise DomainError(f"geometric Fourier transform needs rank 3, got rank {group.rank}")
+    w = x.weights if isinstance(x, SimplexPoint) else x
     gens = group.generators
-    mat = (x.weights @ gens.reshape(len(gens), -1)).reshape(gens.shape[1:])
+    # one gemv per point, bit for bit the M of the point alone
+    mat = (w[..., None, :] @ gens.reshape(len(gens), -1)).reshape(w.shape[:-1] + gens.shape[1:])
     vals, vecs = np.linalg.eigh(mat)
-    return RepSpectrum(matrix=mat, roots=vals[::-1], vectors=vecs[:, ::-1])
+    return RepSpectrum(matrix=mat, roots=vals[..., ::-1], vectors=vecs[..., ::-1])
 
 
 def char_poly_coeffs(mat):

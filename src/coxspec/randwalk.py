@@ -19,6 +19,32 @@ class SimplexError(CoxspecError):
     pass
 
 
+# in this order: a point that is not finite fails before its sum is taken
+_WEIGHT_RULES = (
+    ("must be finite", lambda w: ~np.isfinite(w).all(axis=-1)),
+    ("outside [0, 1]", lambda w: ((w < -SIMPLEX_TOL) | (w > 1 + SIMPLEX_TOL)).any(axis=-1)),
+    ("do not sum to 1", lambda w: np.abs(w.sum(axis=-1) - 1.0) > SIMPLEX_TOL),
+)
+
+
+def check_weights(weights):
+    """The weights of one point (k,) or a stack (m, k) as a float array,
+    checked by `_WEIGHT_RULES`; a `SimplexError` names the first rule and
+    row that fail."""
+    w = np.asarray(weights, dtype=float)
+    # accepted in one pass: NaN and inf fail the range test, so the sum of
+    # a row with both infinities is not taken
+    inside = ((w >= -SIMPLEX_TOL) & (w <= 1 + SIMPLEX_TOL)).all()
+    if inside and (np.abs(w.sum(axis=-1) - 1.0) <= SIMPLEX_TOL).all():
+        return w
+    for rule, broken in _WEIGHT_RULES:
+        bad = broken(w)
+        if bad.any():
+            i = np.argmax(bad)
+            where = f" at row {i}: {w[i]}" if w.ndim > 1 else f": {w}"
+            raise SimplexError(f"weights {rule}{where}")
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """Invariant transition probabilities, one weight per edge class."""
@@ -29,13 +55,7 @@ class SimplexPoint:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise SimplexError("weights must be a 1-d array")
-        if not np.all(np.isfinite(w)):
-            raise SimplexError(f"weights must be finite: {w}")
-        if np.any(w < -SIMPLEX_TOL) or np.any(w > 1 + SIMPLEX_TOL):
-            raise SimplexError(f"weights outside [0, 1]: {w}")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-            raise SimplexError(f"weights do not sum to 1: {w}")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", check_weights(w))
 
     @property
     def interior(self):

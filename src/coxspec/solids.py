@@ -19,10 +19,18 @@ from .coxmaps import (
 )
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
-from .randwalk import SimplexPoint, build_operator, project_to_simplex, simplex_point, uniform_point
+from .randwalk import (
+    SimplexPoint,
+    build_operator,
+    check_weights,
+    project_to_simplex,
+    simplex_point,
+    uniform_point,
+)
 from .spectral import (
     CLUSTER_TOL,
-    block_cluster,
+    block_class_lengths,
+    block_clusters,
     block_spectrum,
     edge_class_lengths,
     lambda1,
@@ -297,39 +305,47 @@ def boundary_limit(target, group, curve=None):
     return p, len(pts), pattern
 
 
-def sweep_lambda1(group, g):
-    """Deterministic barycentric sweep of the open simplex.
+@dataclass(frozen=True, eq=False)  # == of arrays has no truth value
+class Sweep:
+    """The rows of `sweep_lambda1` as read-only columns."""
 
-    Lattice points (i, j, k) / (g + 1) with positive integer parts; each
-    row carries the second eigenvalue, its multiplicity, the measured
-    class lengths of its embedding and the path its cluster took
-    ("fourier" or "dense", see `lambda1_cluster`).  The spectra of all
-    points come from one batch of block eigensolves; a dense operator is
-    built (by `lambda1_cluster`) only for a point whose cluster the 3x3
-    block does not give.
+    weights: np.ndarray        # (m, 3) lattice points
+    lambda1: np.ndarray        # (m,) second eigenvalue
+    multiplicity: np.ndarray   # (m,) its multiplicity
+    class_lengths: np.ndarray  # (m, 3) measured edge lengths of its embedding
+    path: np.ndarray           # (m,) "fourier" or "dense", see `lambda1_cluster`
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.weights)
+
+
+def sweep_lambda1(group, g):
+    """Deterministic barycentric sweep of the open simplex at the lattice
+    points (i, j, k) / (g + 1) with positive integer parts, as a `Sweep`.
+
+    The points are checked once; their spectra come from one batch of
+    block eigensolves, their clusters from one `block_clusters`, and the
+    rows the 3x3 block gives are measured by `block_class_lengths`.  Any
+    other row takes `lambda1_cluster`, which builds a dense operator.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
     graph = cayley_graph(group)
     denom = g + 1
-    points = [
-        simplex_point(np.array([i, j, denom - i - j]) / denom)
-        for i in range(1, denom - 1)
-        for j in range(1, denom - i)
-        if denom - i - j >= 1
-    ]
-    spectra = block_spectrum(group, np.array([x.weights for x in points]))
-    rows = []
-    for x, vals in zip(points, spectra):
-        cluster = block_cluster(group, x, vals)
-        if cluster is None:
-            cluster = lambda1_cluster(graph, x)
-        pts = spectral_representation(graph, x, cluster)
-        rows.append({
-            "x": x,
-            "lambda1": float(cluster.eigenvalue),
-            "multiplicity": int(cluster.multiplicity),
-            "class_lengths": edge_class_lengths(pts, graph),
-            "path": cluster.path,
-        })
-    return rows
+    ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
+    weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
+    lam, multiplicity, _, vectors, given = block_clusters(
+        group, weights, block_spectrum(group, weights)
+    )
+    lengths = np.empty_like(weights)
+    lengths[given] = block_class_lengths(graph, weights, lam, vectors, np.flatnonzero(given))
+    for r in np.flatnonzero(~given):
+        x = simplex_point(weights[r])
+        cluster = lambda1_cluster(graph, x)
+        lam[r], multiplicity[r] = cluster.eigenvalue, cluster.multiplicity
+        lengths[r] = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
+    return Sweep(weights, lam, multiplicity, lengths, np.where(given, "fourier", "dense"))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec.cli import main
 from coxspec.coxeter import CoxeterDatum
 from coxspec.coxmaps import (
     DomainError,
@@ -22,6 +23,7 @@ from coxspec.coxmaps import (
     psi_maps,
 )
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
+from coxspec.solids import CURVE_PATTERNS
 from coxspec.spectral import edge_class_lengths, lambda1_cluster, spectral_representation
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -114,6 +116,33 @@ class TestFundamentalVectors:
                 assert np.abs(fp.alphas @ fundamental_vectors(group)[0] - fp.point).max() <= 1e-15
                 x, lam = psi_maps(fp)
                 assert np.all(np.isfinite(x.weights)) and np.isfinite(lam)
+
+    @pytest.mark.parametrize("curve", ["C1", "C2", "C3"])
+    def test_coefficient_ratio_limit(self, groups, curve):
+        # just inside the limit the weights are finite; past it (down to
+        # coefficients that round to 0) a one-line DomainError names it,
+        # and no numpy warning is raised on either side
+        pattern = CURVE_PATTERNS[curve]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for group in groups.values():
+                for t in (2.0**-1017, 2.0**1017):
+                    x, lam = psi_maps(fundamental_point(group, pattern(t)))
+                    assert np.all(np.isfinite(x.weights)) and np.isfinite(lam)
+                for t in (2.0**-1019, 1e-308, 5e-324, 2.0**1019, 1e308):
+                    with pytest.raises(DomainError, match="factor 2\\^1018"):
+                        psi_maps(fundamental_point(group, pattern(t)))
+
+    def test_curve_past_the_limit_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["curve", "--group", "H3", "--curve", "C2", "--t-min", "1e-308",
+                "--t-max", "1e-308", "--samples", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: cone coefficients") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_power_of_two_scale_is_exact(self, h3):
         # the same point, bit for bit, from coefficients scaled by 2^k,

@@ -22,6 +22,19 @@ class TestRepFourier:
         rep = rep_fourier(simplex_point([1.0, 0.0, 0.0]), h3)
         assert np.abs(rep.roots - np.array([1.0, 1.0, -1.0])).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_stack_matches_single_points(self, groups, name):
+        # bit for bit: M, its roots and its vectors of a point alone are
+        # those of its row in a stack
+        rng = np.random.default_rng(11)
+        points = [sample_interior(rng, 3) for _ in range(40)] + [simplex_point([1.0, 0.0, 0.0])]
+        stacked = rep_fourier(np.array([x.weights for x in points]), groups[name])
+        assert stacked.matrix.shape == (41, 3, 3) and stacked.roots.shape == (41, 3)
+        for r, x in enumerate(points):
+            one = rep_fourier(x, groups[name])
+            for field in ("matrix", "roots", "vectors"):
+                assert np.array_equal(getattr(stacked, field)[r], getattr(one, field))
+
     def test_rejects_rank_two(self):
         dihedral = generate_group(CoxeterDatum("I2(5)", np.array([[2, 5], [5, 2]])))
         with pytest.raises(DomainError, match="rank 3"):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coxspec.linalg import eigh_symmetric
 from coxspec.randwalk import (
     SimplexError,
     build_operator,
+    check_weights,
     project_to_simplex,
     sample_interior,
     simplex_point,
@@ -26,6 +28,20 @@ class TestSimplexPoint:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(SimplexError, match="finite"):
             simplex_point([bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "row,rule", [([np.inf, -np.inf, 1.0], "must be finite"), ([1.2, -0.2, 0.0], "outside"),
+                     ([0.5, 0.5, 0.5], "do not sum to 1")],
+    )
+    def test_stack_names_the_first_bad_row(self, row, rule):
+        stack = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], row, row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimplexError, match=f"{rule}.* at row 2"):
+                check_weights(stack)
+            with pytest.raises(SimplexError, match=rule):
+                simplex_point(row)
+        assert check_weights(stack[:2]).shape == (2, 3)
 
     def test_boundary_not_interior(self):
         assert not simplex_point([0.0, 0.4, 0.6]).interior

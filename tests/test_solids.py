@@ -1,7 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import coxspec
 from coxspec import solids, spectral
+from coxspec.cli import main
 from coxspec.coxmaps import DomainError, fundamental_point, orbit_points
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
@@ -18,6 +25,13 @@ from coxspec.solids import (
     sweep_lambda1,
 )
 from coxspec.spectral import (
+    InvarianceError,
+    _check_residuals,
+    _class_lengths,
+    block_bases,
+    block_class_lengths,
+    block_cluster,
+    block_clusters,
     block_spectrum,
     edge_class_lengths,
     lambda1,
@@ -246,45 +260,180 @@ class TestLimits:
 
 class TestSweep:
     def test_grid_two_is_the_uniform_point(self, a3):
-        rows = sweep_lambda1(a3, 2)
-        assert len(rows) == 1
-        assert np.abs(rows[0]["x"].weights - 1 / 3).max() <= 1e-12
-        assert rows[0]["multiplicity"] == 3
+        sweep = sweep_lambda1(a3, 2)
+        assert len(sweep) == 1
+        assert np.abs(sweep.weights[0] - 1 / 3).max() <= 1e-12
+        assert sweep.multiplicity[0] == 3
 
     def test_rows_and_multiplicity(self, b3):
         g = 6
-        rows = sweep_lambda1(b3, g)
-        assert len(rows) == (g - 1) * g // 2
-        for row in rows:
-            assert row["multiplicity"] == 3
-            assert len(row["class_lengths"]) == 3
+        sweep = sweep_lambda1(b3, g)
+        assert len(sweep) == (g - 1) * g // 2
+        assert np.all(sweep.multiplicity == 3)
+        assert sweep.class_lengths.shape == (len(sweep), 3)
 
     def test_minimum_row_near_closed_form(self, a3):
         g = 40
-        rows = sweep_lambda1(a3, g)
-        best = min(rows, key=lambda r: r["lambda1"])
+        sweep = sweep_lambda1(a3, g)
+        best = int(np.argmin(sweep.lambda1))
         x0, lam0 = closed_form_minimum(a3.datum)
-        assert np.abs(best["x"].weights - x0.weights).max() <= 2.0 / g
-        assert best["lambda1"] >= lam0 - 1e-12
+        assert np.abs(sweep.weights[best] - x0.weights).max() <= 2.0 / g
+        assert sweep.lambda1[best] >= lam0 - 1e-12
 
     def test_builds_no_operator(self, a3, h3, no_operator):
         for group in (a3, h3):
-            rows = sweep_lambda1(group, 6)
-            assert len(rows) == 15
-            assert {row["path"] for row in rows} == {"fourier"}
+            sweep = sweep_lambda1(group, 6)
+            assert len(sweep) == 15
+            assert set(sweep.path) == {"fourier"}
 
     def test_rows_match_dense_clusters(self, b3, graphs):
         # the dense eigensolve as oracle: lambda_1 is the top cluster
         # after the simple eigenvalue 1
         graph = graphs["B3"]
-        for row in sweep_lambda1(b3, 7):
-            p = build_operator(graph, row["x"])
+        sweep = sweep_lambda1(b3, 7)
+        for w, lam, multiplicity, measured in zip(
+            sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths
+        ):
+            x = simplex_point(w)
+            p = build_operator(graph, x)
             dense = spectrum_clusters(p)[1]
-            assert abs(row["lambda1"] - lambda1(p)) <= 1e-12
-            assert row["multiplicity"] == dense.multiplicity
-            lengths = edge_class_lengths(spectral_representation(graph, row["x"], dense), graph)
-            assert np.abs(np.subtract(row["class_lengths"], lengths)).max() <= 1e-12
+            assert abs(lam - lambda1(p)) <= 1e-12
+            assert multiplicity == dense.multiplicity
+            lengths = edge_class_lengths(spectral_representation(graph, x, dense), graph)
+            assert np.abs(measured - lengths).max() <= 1e-12
+
+    def test_columns_are_read_only(self, a3):
+        sweep = sweep_lambda1(a3, 4)
+        for column in (sweep.weights, sweep.lambda1, sweep.multiplicity,
+                       sweep.class_lengths, sweep.path):
+            assert len(column) == len(sweep) == 6
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_stack_matches_points_bit_for_bit(self, groups, graphs, name, tmp_path):
+        # the oracle: one point at a time, each from its row of the stacked
+        # spectra, through block_cluster, spectral_representation and
+        # edge_class_lengths, and the CSV line formed from its fields
+        group, graph, g = groups[name], graphs[name], 24
+        sweep = sweep_lambda1(group, g)
+        spectra = block_spectrum(group, np.asarray(sweep.weights))
+        points = [
+            simplex_point(np.array([i, j, g + 1 - i - j]) / (g + 1))
+            for i in range(1, g) for j in range(1, g + 1 - i)
+        ]
+        assert len(sweep) == len(points) == 276
+        lines = ["x,y,z,lambda1,mult,len1,len2,len3"]
+        for r, x in enumerate(points):
+            cluster = block_cluster(group, x, spectra[r])
+            lengths = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
+            assert np.array_equal(sweep.weights[r], x.weights)
+            assert sweep.lambda1[r] == cluster.eigenvalue
+            assert sweep.multiplicity[r] == cluster.multiplicity
+            assert sweep.class_lengths[r].tolist() == lengths
+            assert sweep.path[r] == cluster.path
+            lines.append(",".join([
+                *(f"{w:.15g}" for w in x.weights), f"{cluster.eigenvalue:.15g}",
+                str(cluster.multiplicity), *(f"{v:.15g}" for v in lengths),
+            ]))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--group", name, "--grid", str(g), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == lines
+
+    def test_row_off_the_block_takes_lambda1_cluster(self, a3, graphs, monkeypatch):
+        # a mu_1 that misses lambda_1 in the first row of every stack: sweep
+        # row 0 must leave the block path and come back through
+        # lambda1_cluster, which takes the dense cluster
+        true_rep, true_cluster = spectral.rep_fourier, solids.lambda1_cluster
+
+        def shifted(weights, group):
+            rep = true_rep(weights, group)
+            roots = rep.roots.copy()
+            roots[0, 0] += 1.0
+            return dataclasses.replace(rep, roots=roots)
+
+        seen = []
+
+        def spy(graph, x):
+            cluster = true_cluster(graph, x)
+            seen.append((x.weights, cluster.path))
+            return cluster
+
+        expected = sweep_lambda1(a3, 6)
+        monkeypatch.setattr(spectral, "rep_fourier", shifted)
+        monkeypatch.setattr(solids, "lambda1_cluster", spy)
+        sweep = sweep_lambda1(a3, 6)
+        assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
+        assert seen[0][1] == "dense"
+        assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
+        p = build_operator(graphs["A3"], simplex_point(sweep.weights[0]))
+        assert abs(sweep.lambda1[0] - lambda1(p)) <= 1e-12
+        assert sweep.multiplicity[0] == 3
+        assert np.abs(sweep.class_lengths[0] - expected.class_lengths[0]).max() <= 1e-9
+        for column in ("lambda1", "multiplicity", "class_lengths"):
+            assert np.array_equal(getattr(sweep, column)[1:], getattr(expected, column)[1:])
 
     def test_rejects_small_grid(self, a3):
         with pytest.raises(DomainError):
             sweep_lambda1(a3, 1)
+
+
+def corrupted_stack(group, graph):
+    """Rows 10-13 of a stack with their block bases and lambda_1, the
+    basis of row 12 with one vertex moved."""
+    weights = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3], [0.5, 0.25, 0.25]])
+    lam, _, _, vectors, given = block_clusters(group, weights, block_spectrum(group, weights))
+    assert given.all()
+    bases = block_bases(group, vectors)
+    bases[2, 17] *= 1.5
+    return weights, bases, lam, np.arange(10, 14)
+
+
+class TestStackedChecks:
+    """The residual and class-length checks of a stack are typed errors
+    that name the worst row, with and without asserts."""
+
+    def test_corrupted_basis_fails_the_residual(self, h3, graphs):
+        weights, bases, lam, rows = corrupted_stack(h3, graphs["H3"])
+        with pytest.raises(InvarianceError, match="residual too large at row 12"):
+            _check_residuals(graphs["H3"], weights, bases, lam, rows)
+        _check_residuals(graphs["H3"], weights[:2], bases[:2], lam[:2], rows[:2])
+
+    def test_perturbed_length_fails_the_spread(self, h3, graphs):
+        _, bases, _, rows = corrupted_stack(h3, graphs["H3"])
+        with pytest.raises(InvarianceError, match="non-constant length at row 12"):
+            _class_lengths(bases, graphs["H3"], rows)
+        assert _class_lengths(bases[:2], graphs["H3"], rows[:2]).shape == (2, 3)
+
+    def test_wrong_eigenvector_fails_in_its_chunk(self, b3, graphs, monkeypatch):
+        # a row whose vector is not the mu_1 eigenvector, in the second chunk
+        monkeypatch.setattr(spectral, "BASIS_CHUNK", 2)
+        weights = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]])
+        lam, _, _, vectors, _ = block_clusters(b3, weights, block_spectrum(b3, weights))
+        good = block_class_lengths(graphs["B3"], weights, lam, vectors, np.arange(3))
+        assert good.shape == (3, 3)
+        vectors[2] = spectral.rep_fourier(simplex_point(weights[2]), b3).vectors[:, 1]
+        with pytest.raises(InvarianceError, match="residual too large at row 2"):
+            block_class_lengths(graphs["B3"], weights, lam, vectors, np.arange(3))
+
+    def test_checks_raise_without_asserts(self):
+        script = (
+            "import sys; sys.path.insert(0, 'tests'); "
+            "from coxspec import build_group, cayley_graph; "
+            "from coxspec.spectral import InvarianceError, _check_residuals, _class_lengths; "
+            "from test_solids import corrupted_stack\n"
+            "group = build_group('H3'); graph = cayley_graph(group)\n"
+            "weights, bases, lam, rows = corrupted_stack(group, graph)\n"
+            "for check in (lambda: _check_residuals(graph, weights, bases, lam, rows),\n"
+            "              lambda: _class_lengths(bases, graph, rows)):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except InvarianceError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(coxspec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=root,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.count("at row 12") == 2

@@ -28,6 +28,7 @@ from coxspec.spectral import (
     lambda1_cluster,
     spectral_representation,
     _value_clusters,
+    lambda1_clusters,
     spectrum_clusters,
 )
 
@@ -100,6 +101,48 @@ class TestClusters:
             clusters = _value_clusters(vals)
         assert [(lo, hi) for _, lo, hi, _ in clusters] == [(0, 1), (1, 4), (4, 5)]
         assert clusters[1][0] == pytest.approx(0.5 - step, abs=1e-15)
+
+
+STEP = 0.6 * CLUSTER_TOL
+SYNTHETIC_SPECTRA = {
+    "simple top": [1.0, 0.5, 0.5, 0.5, 0.2, 0.2, 0.0, -0.3, -0.3, -0.3, -0.8, -1.0],
+    "lambda1 of multiplicity 2": [1.0, 0.6, 0.6, 0.3, 0.3, 0.3, 0.1, 0.0, -0.2, -0.4, -0.9, -1.0],
+    "top of multiplicity 4": [0.9, 0.9, 0.9, 0.9, 0.4, 0.1, 0.1, 0.0, -0.5, -0.5, -0.7, -1.0],
+    "two cuts": [1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "one cut": [1.0] + [-1 / 11] * 11,
+    "no cut": [0.25] * 12,
+    "chained lambda1": [1.0, 0.5, 0.5 - STEP, 0.5 - 2 * STEP, 0.1, 0.0, -0.2, -0.2, -0.5, -0.6,
+                        -0.8, -1.0],
+}
+
+
+class TestLambda1Clusters:
+    """The stacked cut rule against `_value_clusters`, one row at a time."""
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    def test_matches_value_clusters_row_by_row(self):
+        vals = np.array(list(SYNTHETIC_SPECTRA.values()))
+        with pytest.warns(UserWarning) as stacked:
+            lam, multiplicity, gap = lambda1_clusters(vals)
+        for r, row in enumerate(vals):
+            clusters = _value_clusters(row)
+            mean, lo, hi, want_gap = clusters[1 if clusters[0][2] == 1 else 0]
+            assert (lam[r], multiplicity[r], gap[r]) == (mean, hi - lo, want_gap)
+        assert multiplicity.tolist() == [3, 2, 4, 3, 11, 12, 3]
+        # only a spectrum of one cluster has no neighbour to fix the gap
+        assert gap[5] == np.inf and np.all(np.isfinite(np.delete(gap, 5)))
+        # the one ambiguous cluster warns once, as `_value_clusters` does
+        with pytest.warns(UserWarning) as single:
+            _value_clusters(vals[-1])
+        assert [str(w.message) for w in stacked] == [str(w.message) for w in single]
+        assert "multiplicity 3" in str(single[0].message)
+
+    def test_one_row_is_the_stack_row(self):
+        vals = np.array(list(SYNTHETIC_SPECTRA.values())[:6])
+        stacked = lambda1_clusters(vals)
+        for r in range(len(vals)):
+            one = lambda1_clusters(vals[r:r + 1])
+            assert [a[0] for a in one] == [a[r] for a in stacked]
 
 
 class TestEmbedding:
@@ -240,9 +283,9 @@ class TestFourierCluster:
 
     def test_fourier_path_on_sweep_grid(self, groups):
         for group in groups.values():
-            rows = sweep_lambda1(group, 24)
-            assert len(rows) == 276
-            assert {row["path"] for row in rows} == {"fourier"}
+            sweep = sweep_lambda1(group, 24)
+            assert len(sweep) == 276
+            assert set(sweep.path) == {"fourier"}
 
     @pytest.mark.parametrize(
         "weights,components",
