@@ -41,7 +41,6 @@ from .solids import (
     closed_form_minimum,
     critical_certificate,
     curve_point,
-    h3_curve_c2,
     minimize_lambda1,
     sweep_lambda1,
 )

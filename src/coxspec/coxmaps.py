@@ -161,8 +161,3 @@ def orbit_points(group, p):
             reps.append(i)
     return images[reps], index
 
-
-def orbit_eigenfunctions(group, fp: FundamentalPoint):
-    """Columns r are gamma -> <gamma p, e_r>: pairwise orthogonal
-    eigenfunctions of the realized operator with squared norm |G| / k."""
-    return group.elements @ fp.point

@@ -4,6 +4,7 @@ equal-length curves and the boundary degenerations.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .randwalk import (
 )
 from .spectral import (
     CLUSTER_TOL,
+    SPECTRUM_CHUNK,
     block_class_lengths,
     block_clusters,
     block_spectrum,
@@ -76,17 +78,32 @@ def closed_form_minimum(datum):
 
 
 def _lambda1_fn(graph):
-    """lambda_1 as a function of the weights, read from the irreducible
-    blocks: the function the finite differences and convexity probes
-    evaluate."""
+    """lambda_1 as a function of a stack of weights (m, 3), as (m,): the
+    function the finite differences and convexity probes evaluate.  The
+    stack is checked once and read from the irreducible blocks
+    `SPECTRUM_CHUNK` rows at a time, keeping entry 1 of each spectrum, so
+    no (m, |G|) array is held.  Each value is bit for bit that of its
+    point alone."""
     def f(weights):
-        return float(block_spectrum(graph.group, simplex_point(weights).weights)[1])
+        w = check_weights(weights)
+        vals = np.empty(len(w))
+        for s in range(0, len(w), SPECTRUM_CHUNK):
+            vals[s:s + SPECTRUM_CHUNK] = block_spectrum(graph.group, w[s:s + SPECTRUM_CHUNK])[:, 1]
+        return vals
 
     return f
 
 
-def directional_derivative(f, weights, xi, h=FD_STEP):
-    return (f(weights + h * xi) - f(weights - h * xi)) / (2 * h)
+def pair_derivatives(f, weights, h=FD_STEP):
+    """Central differences (f(w + h xi) - f(w - h xi)) / 2h along
+    xi = e_a - e_b, a < b, at each row w of `weights` (m, n), as (m, pairs):
+    one call of the stacked `f` on the whole stencil."""
+    m, n = weights.shape
+    a, b = np.array(list(combinations(range(n), 2))).T
+    step = h * (np.eye(n)[a] - np.eye(n)[b])
+    stencil = np.concatenate((weights[:, None] + step, weights[:, None] - step))
+    plus, minus = f(stencil.reshape(-1, n)).reshape(2, m, -1)
+    return (plus - minus) / (2 * h)
 
 
 class MinimizationError(CoxspecError):
@@ -116,20 +133,17 @@ def _is_equilateral(lengths):
 def critical_certificate(x, group, graph):
     """Finite-difference criticality check paired with the equilateral
     measurement of the second-eigenvalue embedding."""
+    if x.weights.min() < FD_STEP:
+        raise DomainError(
+            f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
+            f"got {x.weights}"
+        )
     top = lambda1_cluster(graph, x)
     if top.gap <= GAP_GUARD:
         raise DomainError(
             f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
         )
-
-    f = _lambda1_fn(graph)
-    n = graph.n_classes
-    derivs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            xi = np.zeros(n)
-            xi[a], xi[b] = 1.0, -1.0
-            derivs.append(directional_derivative(f, x.weights, xi))
+    derivs = pair_derivatives(_lambda1_fn(graph), x.weights[None])[0]
     grad_norm = float(np.linalg.norm(derivs))
 
     lengths = edge_class_lengths(spectral_representation(graph, x, top), graph)
@@ -229,16 +243,6 @@ def curve_point(curve, t, group):
     x, lam = psi_maps(fp)
     return CurveSample(
         curve=curve, t=float(t), x=x, lam=lam, class_lengths=edge_lengths_closed_form(fp)
-    )
-
-
-def h3_curve_c2(t):
-    """Closed-form weights along the alpha = gamma curve of the (4,6,10)
-    group, parametrized by the coefficient ratio t."""
-    phi = (1 + np.sqrt(5)) / 2
-    denom = 3 * phi * t**2 + (14 - phi) * t + 3 * phi
-    return simplex_point(
-        np.array([(5 - phi) * t + phi, 3 * phi * t**2 + 3 * t, 6 * t + 2 * phi]) / denom
     )
 
 

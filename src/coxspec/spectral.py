@@ -129,8 +129,10 @@ def block_spectrum(group, weights):
 
     `weights` is one weight vector (k,) or a stack of them (m, k); the
     result is (|G|,) or (m, |G|).  One stacked `eigvalsh` per block
-    dimension above 1 and chunk of `SPECTRUM_CHUNK` points.  Weights of another
-    shape, or not finite, raise `DomainError`.
+    dimension above 1 and chunk of `SPECTRUM_CHUNK` points; the block
+    matrices are one gemv per point, so each row of a stack is bit for bit
+    the spectrum of its point alone.  Weights of another shape, or not
+    finite, raise `DomainError`.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim not in (1, 2) or w.shape[-1] != group.rank or not np.all(np.isfinite(w)):
@@ -145,7 +147,7 @@ def block_spectrum(group, weights):
         col = 0
         for blocks in group.irreducible_blocks:
             k, copies, d, _ = blocks.shape
-            mats = (chunk @ blocks.reshape(k, -1)).reshape(-1, copies, d, d)
+            mats = (chunk[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, copies, d, d)
             # a 1x1 block is its own eigenvalue, bit for bit what eigvalsh returns
             eig = mats[..., 0] if d == 1 else np.linalg.eigvalsh(mats)
             vals[start:start + len(chunk), col:col + copies * d] = eig.reshape(len(chunk), -1)

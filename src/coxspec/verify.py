@@ -9,13 +9,13 @@ check the same records.
 """
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 
 from .coxeter import build_group, cayley_graph
 from .coxmaps import (
     gram_inverse,
-    orbit_eigenfunctions,
     psi_delta_inverse,
     psi_lambda_of,
     psi_maps,
@@ -32,8 +32,8 @@ from .solids import (
     critical_certificate,
     curve_limit,
     curve_point,
-    directional_derivative,
     minimize_lambda1,
+    pair_derivatives,
 )
 from .spectral import (
     gram_invariance_check,
@@ -185,7 +185,7 @@ def suite_invariants():
 
     # orbit eigenfunction norms and Gram invariance at the uniform point
     fp = psi_delta_inverse(h3, uniform_point(3))
-    phi_mat = orbit_eigenfunctions(h3, fp)
+    phi_mat = h3.elements @ fp.point  # columns r: gamma -> <gamma p, e_r>
     dev = np.abs(phi_mat.T @ phi_mat - (h3.order / 3) * np.eye(3)).max()
     checks.append(_check("orbit_eigenfunction_norms", dev, 1e-8, 10))
     x = uniform_point(3)
@@ -198,27 +198,27 @@ def suite_invariants():
     dev = np.abs(moment - (h3.order / 3) * np.eye(3)).max()
     checks.append(_check("moment_matrix_identity", dev, 1e-8, 10))
 
-    # convexity of lambda_1 on the simplex
+    # convexity of lambda_1 on the simplex: each probe draws all its
+    # points, then evaluates them as one stack
     f = _lambda1_fn(graph)
-    worst_mid = -np.inf
-    for _ in range(200):
-        a, b = sample_interior(rng, 3), sample_interior(rng, 3)
-        mid = f((a.weights + b.weights) / 2)
-        worst_mid = max(worst_mid, mid - (f(a.weights) + f(b.weights)) / 2)
+    ab = np.array([[sample_interior(rng, 3).weights for _ in range(2)] for _ in range(200)])
+    a, b = ab[:, 0], ab[:, 1]
+    fa, fb, mid = f(np.concatenate((a, b, (a + b) / 2))).reshape(3, -1)
+    worst_mid = (mid - (fa + fb) / 2).max()
     checks.append(_check("midpoint_convexity", max(worst_mid, 0.0), 1e-9, 10))
 
-    worst_margin = np.inf
-    count = 0
-    while count < 200:
+    centers, steps = [], []
+    while len(centers) < 200:
         x = sample_interior(rng, 3, margin=0.15)
         d = rng.normal(size=3)
         d -= d.mean()
         d *= 0.05 / np.abs(d).max()
-        if np.any(x.weights + d <= 0) or np.any(x.weights - d <= 0):
-            continue
-        margin = (f(x.weights + d) + f(x.weights - d)) / 2 - f(x.weights)
-        worst_margin = min(worst_margin, margin)
-        count += 1
+        if np.all(x.weights + d > 0) and np.all(x.weights - d > 0):
+            centers.append(x.weights)
+            steps.append(d)
+    x, d = np.array(centers), np.array(steps)
+    plus, minus, mid = f(np.concatenate((x + d, x - d, x))).reshape(3, -1)
+    worst_margin = ((plus + minus) / 2 - mid).min()
     checks.append(
         _check("strict_convexity_margin", worst_margin, 1e-10, 10, passed=worst_margin > 1e-10)
     )
@@ -244,27 +244,22 @@ def suite_theorem2():
         _check("xhat_not_equilateral", spread, 1e-7, 4, passed=not cert_hat.equilateral)
     )
 
-    # derivative identity from the equilateral correspondence
+    # derivative identity from the equilateral correspondence: the points
+    # whose cluster gap passes the guard, then their stencils in one stack
     rng = np.random.default_rng(42)
-    f = _lambda1_fn(graph)
-    worst = 0.0
-    done = 0
-    while done < 20:
+    kept, lhs, scale = [], [], []
+    s = graph.successors[0]
+    while len(kept) < 20:
         x = sample_interior(rng, 3)
         top = lambda1_cluster(graph, x)
         if top.gap <= GAP_GUARD:
             continue
         pts = spectral_representation(graph, x, top)
-        k, n = top.multiplicity, graph.n_vertices
-        for a in range(3):
-            for b in range(a + 1, 3):
-                xi = np.zeros(3)
-                xi[a], xi[b] = 1.0, -1.0
-                d = directional_derivative(f, x.weights, xi)
-                ia, jb = graph.successors[0, a], graph.successors[0, b]
-                lhs = pts[0] @ pts[ia] - pts[0] @ pts[jb]
-                worst = max(worst, abs(lhs - (k / n) * d))
-        done += 1
+        kept.append(x.weights)
+        lhs.append([pts[0] @ pts[s[a]] - pts[0] @ pts[s[b]] for a, b in combinations(range(3), 2)])
+        scale.append(top.multiplicity / graph.n_vertices)
+    d = pair_derivatives(_lambda1_fn(graph), np.array(kept))
+    worst = np.abs(np.array(lhs) - np.array(scale)[:, None] * d).max()
     checks.append(_check("derivative_identity", worst, 1e-5, 5))
     return checks
 

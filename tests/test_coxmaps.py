@@ -16,7 +16,6 @@ from coxspec.coxmaps import (
     fundamental_point,
     fundamental_vectors,
     gram_inverse,
-    orbit_eigenfunctions,
     orbit_points,
     psi_delta_inverse,
     psi_lambda_of,
@@ -319,11 +318,13 @@ class TestEdgeLengths:
 
 
 class TestOrbitEigenfunctions:
+    """Columns r of `group.elements @ p` are gamma -> <gamma p, e_r>."""
+
     def test_norms_and_orthogonality(self, groups):
         rng = np.random.default_rng(17)
         for group in groups.values():
             fp = fundamental_point(group, rng.random(3) + 0.1)
-            funcs = orbit_eigenfunctions(group, fp)
+            funcs = group.elements @ fp.point
             gram = funcs.T @ funcs
             expected = (group.order / 3.0) * np.eye(3)
             assert np.abs(gram - expected).max() <= 1e-9
@@ -332,5 +333,5 @@ class TestOrbitEigenfunctions:
         fp = fundamental_point(h3, [0.4, 0.8, 1.3])
         x, lam = psi_maps(fp)
         p = build_operator(graphs["H3"], x)
-        funcs = orbit_eigenfunctions(h3, fp)
+        funcs = h3.elements @ fp.point
         assert np.abs(p @ funcs - lam * funcs).max() <= 1e-10

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import coxspec
-from coxspec import solids, spectral
+from coxspec import solids, spectral, verify
 from coxspec.cli import main
 from coxspec.coxmaps import DomainError, fundamental_point, orbit_points
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
@@ -19,8 +19,6 @@ from coxspec.solids import (
     critical_certificate,
     curve_limit,
     curve_point,
-    directional_derivative,
-    h3_curve_c2,
     minimize_lambda1,
     sweep_lambda1,
 )
@@ -41,6 +39,33 @@ from coxspec.spectral import (
 )
 
 PHI = (1 + np.sqrt(5)) / 2
+
+
+def directional_derivative(f, weights, xi, h=solids.FD_STEP):
+    return (f(weights + h * xi) - f(weights - h * xi)) / (2 * h)
+
+
+def pointwise_lambda1(graph):
+    """lambda_1 of one point, one `block_spectrum` call each: the oracle for
+    the stacked `_lambda1_fn` of the certificates and the gate's probes."""
+    return lambda w: float(block_spectrum(graph.group, simplex_point(w).weights)[1])
+
+
+def pointwise_gradient_norm(graph, weights):
+    f, derivs = pointwise_lambda1(graph), []
+    for a in range(3):
+        for b in range(a + 1, 3):
+            xi = np.zeros(3)
+            xi[a], xi[b] = 1.0, -1.0
+            derivs.append(directional_derivative(f, weights, xi))
+    return float(np.linalg.norm(derivs))
+
+
+def h3_curve_c2(t):
+    """Closed-form weights along the alpha = gamma curve of the (4,6,10)
+    group, parametrized by the coefficient ratio t."""
+    denom = 3 * PHI * t**2 + (14 - PHI) * t + 3 * PHI
+    return np.array([(5 - PHI) * t + PHI, 3 * PHI * t**2 + 3 * t, 6 * t + 2 * PHI]) / denom
 
 
 class TestClosedFormMinimum:
@@ -115,6 +140,33 @@ class TestMinimize:
         assert report.gradient_norm > 1e-3 and not report.equilateral
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_stacked_stencil_matches_points(self, groups, graphs, name):
+        # the six stencil points in one stack give the gradient norm of six
+        # single-point evaluations, bit for bit
+        group, graph = groups[name], graphs[name]
+        rng = np.random.default_rng(37)
+        points = [closed_form_minimum(group.datum)[0], uniform_point(3)]
+        points += [sample_interior(rng, 3, margin=0.1) for _ in range(4)]
+        for x in points:
+            report = critical_certificate(x, group, graph)
+            assert report.gradient_norm == pointwise_gradient_norm(graph, x.weights)
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5, 0.0], [1 - 1.5e-6, 1e-6, 0.5e-6], [0.3, 0.7 - 9e-7, 9e-7]]
+    )
+    def test_certificate_near_boundary_is_refused(self, h3, graphs, weights, monkeypatch):
+        # a stencil point would leave the simplex: one-line DomainError
+        # before any evaluation
+        def refuse(*args):
+            raise AssertionError("lambda_1 evaluated")
+
+        monkeypatch.setattr(solids, "lambda1_cluster", refuse)
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        with pytest.raises(DomainError, match="every weight to be at least FD_STEP") as err:
+            critical_certificate(simplex_point(weights), h3, graphs["H3"])
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_uniform_point_is_not_critical(self, groups, graphs, name):
         report = critical_certificate(uniform_point(3), groups[name], graphs[name])
         assert report.gradient_norm > 1e-3
@@ -170,6 +222,95 @@ class TestDerivativeIdentity:
         assert abs(d4 - d5) <= 1e-3 * max(abs(d4), 1e-6)
 
 
+def gate_value(report, cid):
+    return next(c["value"] for c in report["checks"] if c["id"] == cid)
+
+
+class TestStackedProbes:
+    """The gate's stacked probes against the loops of one point at a time
+    that they replaced, on the same rng streams: the values are equal."""
+
+    def test_convexity_probes(self, graphs, verify_report, monkeypatch):
+        # the stacks the suite evaluates, recorded
+        stacks, stacked = [], solids._lambda1_fn
+
+        def recording(graph):
+            f = stacked(graph)
+
+            def record(weights):
+                stacks.append((weights, f(weights)))
+                return stacks[-1][1]
+
+            return record
+
+        monkeypatch.setattr(verify, "_lambda1_fn", recording)
+        verify.suite_invariants()
+        (mid_points, mid_values), (margin_points, margin_values) = stacks
+
+        f = pointwise_lambda1(graphs["H3"])
+        rng = np.random.default_rng(20240613)
+        # the draws of suite_invariants before its convexity probes: the
+        # Fourier cross-checks (3 x 50), the psi checks (3 x 100) and the
+        # spectrum symmetry point
+        for _ in range(3 * 50 + 3 * 100 + 1):
+            sample_interior(rng, 3)
+        points, values = [], []  # per draw: a, b and their midpoint
+        worst_mid = -np.inf
+        for _ in range(200):
+            a, b = sample_interior(rng, 3), sample_interior(rng, 3)
+            mid = f((a.weights + b.weights) / 2)
+            worst_mid = max(worst_mid, mid - (f(a.weights) + f(b.weights)) / 2)
+            points.append([a.weights, b.weights, (a.weights + b.weights) / 2])
+            values.append([f(a.weights), f(b.weights), mid])
+        # the stack holds all a, then all b, then all midpoints
+        assert np.array_equal(mid_points, np.concatenate(np.swapaxes(points, 0, 1)))
+        assert np.array_equal(mid_values, np.ravel(values, order="F"))
+        assert max(worst_mid, 0.0) == gate_value(verify_report, "midpoint_convexity")
+
+        points, values = [], []  # per accepted draw: x + d, x - d and x
+        worst_margin = np.inf
+        count = 0
+        while count < 200:
+            x = sample_interior(rng, 3, margin=0.15)
+            d = rng.normal(size=3)
+            d -= d.mean()
+            d *= 0.05 / np.abs(d).max()
+            if np.any(x.weights + d <= 0) or np.any(x.weights - d <= 0):
+                continue
+            margin = (f(x.weights + d) + f(x.weights - d)) / 2 - f(x.weights)
+            worst_margin = min(worst_margin, margin)
+            count += 1
+            points.append([x.weights + d, x.weights - d, x.weights])
+            values.append([f(w) for w in points[-1]])
+        assert np.array_equal(margin_points, np.concatenate(np.swapaxes(points, 0, 1)))
+        assert np.array_equal(margin_values, np.ravel(values, order="F"))
+        assert worst_margin == gate_value(verify_report, "strict_convexity_margin")
+
+    def test_derivative_identity(self, graphs, verify_report):
+        graph = graphs["H3"]
+        f = pointwise_lambda1(graph)
+        rng = np.random.default_rng(42)
+        worst = 0.0
+        done = 0
+        while done < 20:
+            x = sample_interior(rng, 3)
+            top = lambda1_cluster(graph, x)
+            if top.gap <= solids.GAP_GUARD:
+                continue
+            pts = spectral_representation(graph, x, top)
+            k, n = top.multiplicity, graph.n_vertices
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    xi = np.zeros(3)
+                    xi[a], xi[b] = 1.0, -1.0
+                    d = directional_derivative(f, x.weights, xi)
+                    ia, jb = graph.successors[0, a], graph.successors[0, b]
+                    lhs = pts[0] @ pts[ia] - pts[0] @ pts[jb]
+                    worst = max(worst, abs(lhs - (k / n) * d))
+            done += 1
+        assert worst == gate_value(verify_report, "derivative_identity")
+
+
 class TestCurves:
     def test_two_lengths_coincide(self, h3):
         fixed = {"C1": 0, "C2": 1, "C3": 2}
@@ -190,7 +331,7 @@ class TestCurves:
     def test_h3_c2_closed_form(self, h3):
         for t in np.geomspace(0.05, 20.0, 25):
             s = curve_point("C2", float(t), h3)
-            assert np.abs(s.x.weights - h3_curve_c2(float(t)).weights).max() <= 1e-10
+            assert np.abs(s.x.weights - h3_curve_c2(float(t))).max() <= 1e-10
 
     def test_interior_samples_are_full_orbits(self, h3):
         for curve in ("C1", "C2", "C3"):

@@ -13,12 +13,12 @@ from coxspec.randwalk import build_operator, sample_interior, simplex_point, uni
 from coxspec.solids import (
     _lambda1_fn,
     block_state,
-    directional_derivative,
     minimize_lambda1,
     sweep_lambda1,
 )
 from coxspec.spectral import (
     CLUSTER_TOL,
+    SPECTRUM_CHUNK,
     InvarianceError,
     block_spectrum,
     check_faithful,
@@ -341,7 +341,7 @@ class TestBlockSpectrum:
         assert vals.shape == dense.shape
         assert np.abs(vals - dense).max() <= 1e-12
         # the lambda_1 of the certificates and convexity probes
-        assert abs(_lambda1_fn(graphs[name])(x.weights) - lambda1(p)) <= 1e-12
+        assert abs(_lambda1_fn(graphs[name])(x.weights[None])[0] - lambda1(p)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @settings(max_examples=80, deadline=None)
@@ -367,13 +367,37 @@ class TestBlockSpectrum:
             assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
             assert abs(cluster.eigenvalue - lam) <= 1e-12
 
-    def test_stack_matches_single_points(self, h3):
+    def test_stack_matches_single_points(self, groups):
         rng = np.random.default_rng(12)
         stack = np.array([sample_interior(rng, 3).weights for _ in range(7)])
-        vals = block_spectrum(h3, stack)
-        assert vals.shape == (7, h3.order)
-        for w, row in zip(stack, vals):
-            assert np.abs(block_spectrum(h3, w) - row).max() <= 1e-14
+        for group in groups.values():
+            vals = block_spectrum(group, stack)
+            assert vals.shape == (7, group.order)
+            for w, row in zip(stack, vals):
+                assert np.array_equal(block_spectrum(group, w), row)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["A3", "B3", "H3"]),
+        points=st.lists(
+            st.tuples(
+                st.sampled_from(["interior", "side", "vertex", "x0"]),
+                st.tuples(*[st.floats(0.05, 1.0)] * 3),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_stacked_lambda1_matches_single_points(self, groups, graphs, name, points):
+        # the points repeated to span two chunks of SPECTRUM_CHUNK rows
+        group, f = groups[name], _lambda1_fn(graphs[name])
+        stack = np.array([region_point(group, *point).weights for point in points])
+        stack = np.resize(stack, (SPECTRUM_CHUNK + len(points), 3))
+        vals = f(stack)
+        assert vals.shape == (len(stack),)
+        for w, val in zip(stack, vals):
+            assert val == f(w[None])[0] == block_spectrum(group, w)[1]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_dimensions_cover_the_group(self, groups, name):
@@ -435,6 +459,10 @@ class TestBlockSpectrum:
         broken = dataclasses.replace(b3, successors=succ)
         with pytest.raises(CoxeterError):
             block_spectrum(broken, uniform_point(3).weights)
+
+
+def directional_derivative(f, weights, xi, h):
+    return (f(weights + h * xi) - f(weights - h * xi)) / (2 * h)
 
 
 class TestBlockGradient:
