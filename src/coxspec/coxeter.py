@@ -17,11 +17,15 @@ DEDUP_TOL = 1e-6
 # generate_group: closure size at which a datum counts as not finite
 MAX_ELEMENTS = 100_000
 # irreducible_blocks: seed of the generic left operator, the relative
-# eigenvalue distance that separates its eigenspaces, and the largest
-# allowed deviation from invariance (observed: 2e-14 on H3)
+# eigenvalue distance that separates its eigenspaces, the largest allowed
+# deviation from invariance (observed: 2e-14 on H3), and the largest
+# character difference of two copies of one representation (observed:
+# 1.2e-14 on H3; distinct characters differ by at least sqrt(2) somewhere,
+# since sum_g (chi_a - chi_b)(g)^2 = 2|G|, and by 2 on A3, B3 and H3)
 BLOCK_SEED = 0
 BLOCK_SPLIT_RTOL = 1e-8
 BLOCK_INVARIANCE_TOL = 1e-10
+BLOCK_CHARACTER_TOL = 1e-8
 
 
 class CoxeterError(CoxspecError):
@@ -185,17 +189,21 @@ class ReflectionGroup:
 
     @cached_property
     def irreducible_blocks(self):
-        """Matrices rho(s_j) = U' R_j U of the right action on every
-        eigenspace U of one generic symmetric left operator.
+        """Matrices rho(s_j) = U' R_j U of the right action on one
+        eigenspace U per irreducible representation, found among the
+        eigenspaces of one generic symmetric left operator.
 
         A = sum_h c_h (L_h + L_h') with fixed random c commutes with every
         right multiplication R_j, (R_j f)(g) = f(g s_j), so each of its
         eigenspaces is right-invariant; for generic c each one is an
         irreducible representation, and a d-dimensional one occurs in d
-        eigenspaces.  All copies are kept, so the spectrum of
-        P_X = sum_j x_j R_j is the union of the spectra of the blocks
-        sum_j x_j rho(s_j), each eigenvalue with its multiplicity.
-        Returns one read-only array (k, copies, d, d) per dimension d,
+        eigenspaces.  The copies carry one block up to a change of basis,
+        so one is kept per character chi(g) = sum_h (U U')[h, h g]: the
+        eigenspaces of one dimension are grouped by character within
+        `BLOCK_CHARACTER_TOL`, and each group must have d members.  The
+        spectrum of P_X = sum_j x_j R_j is then the union of the spectra
+        of the blocks sum_j x_j rho(s_j), each eigenvalue repeated d times.
+        Returns one read-only array (k, irreps, d, d) per dimension d,
         ascending in d, with [j, c] = rho_c(s_j).  The invariance
         R_j U = U rho(s_j) is checked for every eigenspace.
         """
@@ -207,7 +215,7 @@ class ReflectionGroup:
         vals, vecs = np.linalg.eigh(left)
         del left
         cuts = np.flatnonzero(np.diff(vals) > BLOCK_SPLIT_RTOL * np.abs(vals).max()) + 1
-        by_dim = {}
+        by_dim = {}  # d -> [character, block, copies] per irreducible representation
         for u in np.split(vecs, cuts, axis=1):
             shifted = u[self.successors.T]  # (k, n, d): rows of R_j U
             rho = np.einsum("na,jnb->jab", u, shifted)
@@ -217,11 +225,24 @@ class ReflectionGroup:
                     f"eigenspace of dimension {u.shape[1]} is not invariant under the "
                     f"generators (deviation {dev:.2g})"
                 )
-            # R_j is a symmetric involution, so rho(s_j) is symmetric up to rounding
-            by_dim.setdefault(u.shape[1], []).append((rho + rho.transpose(0, 2, 1)) / 2)
+            chi = (u @ u.T)[np.arange(n)[:, None], self.mult].sum(axis=0)
+            irreps = by_dim.setdefault(u.shape[1], [])
+            for irrep in irreps:
+                if np.abs(irrep[0] - chi).max() <= BLOCK_CHARACTER_TOL:
+                    irrep[2] += 1
+                    break
+            else:
+                # R_j is a symmetric involution, so rho(s_j) is symmetric up to rounding
+                irreps.append([chi, (rho + rho.transpose(0, 2, 1)) / 2, 1])
         blocks = []
         for d in sorted(by_dim):
-            stack = np.stack(by_dim[d], axis=1)
+            copies = [irrep[2] for irrep in by_dim[d]]
+            if any(c != d for c in copies):
+                raise CoxeterError(
+                    f"characters of dimension {d} occur in {copies} eigenspaces; "
+                    f"expected {d} each"
+                )
+            stack = np.stack([irrep[1] for irrep in by_dim[d]], axis=1)
             stack.flags.writeable = False
             blocks.append(stack)
         return tuple(blocks)

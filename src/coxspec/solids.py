@@ -32,6 +32,7 @@ from .spectral import (
     CLUSTER_TOL,
     SPECTRUM_CHUNK,
     block_class_lengths,
+    block_cluster,
     block_clusters,
     block_spectrum,
     edge_class_lengths,
@@ -94,15 +95,20 @@ def _lambda1_fn(graph):
     return f
 
 
+def _pair_stencil(weights, h):
+    # the points w + h xi, then w - h xi, for xi = e_a - e_b, a < b, and
+    # each row w of `weights` (m, n), as (2 m pairs, n)
+    m, n = weights.shape
+    a, b = np.array(list(combinations(range(n), 2))).T
+    step = h * (np.eye(n)[a] - np.eye(n)[b])
+    return np.concatenate((weights[:, None] + step, weights[:, None] - step)).reshape(-1, n)
+
+
 def pair_derivatives(f, weights, h=FD_STEP):
     """Central differences (f(w + h xi) - f(w - h xi)) / 2h along
     xi = e_a - e_b, a < b, at each row w of `weights` (m, n), as (m, pairs):
     one call of the stacked `f` on the whole stencil."""
-    m, n = weights.shape
-    a, b = np.array(list(combinations(range(n), 2))).T
-    step = h * (np.eye(n)[a] - np.eye(n)[b])
-    stencil = np.concatenate((weights[:, None] + step, weights[:, None] - step))
-    plus, minus = f(stencil.reshape(-1, n)).reshape(2, m, -1)
+    plus, minus = f(_pair_stencil(weights, h)).reshape(2, len(weights), -1)
     return (plus - minus) / (2 * h)
 
 
@@ -132,19 +138,26 @@ def _is_equilateral(lengths):
 
 def critical_certificate(x, group, graph):
     """Finite-difference criticality check paired with the equilateral
-    measurement of the second-eigenvalue embedding."""
+    measurement of the second-eigenvalue embedding.
+
+    x and its six stencil points are one `block_spectrum` stack: row 0
+    gives the cluster (`block_cluster`, or `lambda1_cluster` where the 3x3
+    block does not give it), the other rows the finite differences."""
     if x.weights.min() < FD_STEP:
         raise DomainError(
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
             f"got {x.weights}"
         )
-    top = lambda1_cluster(graph, x)
+    vals = block_spectrum(group, np.vstack((x.weights, _pair_stencil(x.weights[None], FD_STEP))))
+    top = block_cluster(group, x, vals[0])
+    if top is None:
+        top = lambda1_cluster(graph, x)
     if top.gap <= GAP_GUARD:
         raise DomainError(
             f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
         )
-    derivs = pair_derivatives(_lambda1_fn(graph), x.weights[None])[0]
-    grad_norm = float(np.linalg.norm(derivs))
+    plus, minus = vals[1:, 1].reshape(2, -1)
+    grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
 
     lengths = edge_class_lengths(spectral_representation(graph, x, top), graph)
     return CriticalReport(

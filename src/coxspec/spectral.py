@@ -125,7 +125,9 @@ def spectrum_clusters(p):
 
 def block_spectrum(group, weights):
     """Descending eigenvalues of P_X, counted with multiplicity, from the
-    irreducible blocks sum_j x_j rho(s_j) of `group.irreducible_blocks`.
+    irreducible blocks sum_j x_j rho(s_j) of `group.irreducible_blocks`:
+    each eigenvalue of a d-dimensional block is repeated d times, once per
+    copy of its representation in the regular representation.
 
     `weights` is one weight vector (k,) or a stack of them (m, k); the
     result is (|G|,) or (m, |G|).  One stacked `eigvalsh` per block
@@ -146,12 +148,15 @@ def block_spectrum(group, weights):
         chunk = rows[start:start + SPECTRUM_CHUNK]
         col = 0
         for blocks in group.irreducible_blocks:
-            k, copies, d, _ = blocks.shape
-            mats = (chunk[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, copies, d, d)
+            k, irreps, d, _ = blocks.shape
+            mats = (chunk[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, irreps, d, d)
             # a 1x1 block is its own eigenvalue, bit for bit what eigvalsh returns
             eig = mats[..., 0] if d == 1 else np.linalg.eigvalsh(mats)
-            vals[start:start + len(chunk), col:col + copies * d] = eig.reshape(len(chunk), -1)
-            col += copies * d
+            width = irreps * d * d
+            vals[start:start + len(chunk), col:col + width] = np.repeat(
+                eig.reshape(len(chunk), -1), d, axis=1
+            )
+            col += width
     vals.sort(axis=1)
     vals = vals[:, ::-1]
     return vals[0] if w.ndim == 1 else vals
@@ -170,14 +175,16 @@ def block_clusters(group, weights, vals):
     vectors, given).  Row r is given by the 3x3 block where its cluster has
     multiplicity 3 and eigenvalue mu_1, M v = mu_1 v for the unit
     `vectors[r]` and M = sum_j x_j sigma_j (`fourier.rep_fourier`, not
-    formed where no row has multiplicity 3; `vectors` is then None)."""
+    formed where no row has multiplicity 3; `vectors` is then None); such
+    a row reports mu_1 as its eigenvalue, the other rows the cluster mean."""
     lam, multiplicity, gap = lambda1_clusters(vals)
     given = multiplicity == 3
     if not given.any():
         return lam, multiplicity, gap, None, given
     rep = rep_fourier(weights, group)
-    given &= np.abs(rep.roots[:, 0] - lam) <= CLUSTER_TOL
-    return lam, multiplicity, gap, rep.vectors[:, :, 0], given
+    mu1 = rep.roots[:, 0]
+    given &= np.abs(mu1 - lam) <= CLUSTER_TOL
+    return np.where(given, mu1, lam), multiplicity, gap, rep.vectors[:, :, 0], given
 
 
 def block_bases(group, vectors):

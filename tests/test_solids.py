@@ -151,6 +151,51 @@ class TestMinimize:
             report = critical_certificate(x, group, graph)
             assert report.gradient_norm == pointwise_gradient_norm(graph, x.weights)
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_one_spectrum_per_certificate(self, groups, graphs, name, monkeypatch):
+        # x is row 0 of the stencil stack: one `block_spectrum` call, and
+        # no `lambda1_cluster` where the 3x3 block gives the cluster
+        def refuse(*args):
+            raise AssertionError("lambda1_cluster called")
+
+        stacks = []
+
+        def spectrum(group, weights):
+            stacks.append(len(weights))
+            return block_spectrum(group, weights)
+
+        monkeypatch.setattr(solids, "lambda1_cluster", refuse)
+        monkeypatch.setattr(solids, "block_spectrum", spectrum)
+        x = closed_form_minimum(groups[name].datum)[0]
+        report = critical_certificate(x, groups[name], graphs[name])
+        assert stacks == [7]
+        assert report.lam == spectral.rep_fourier(x, groups[name]).roots[0]
+
+    def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, graphs, monkeypatch):
+        # a mu_1 that misses lambda_1: the cluster of x comes from
+        # lambda1_cluster, the finite differences still from the stack
+        true_rep, true_cluster = spectral.rep_fourier, solids.lambda1_cluster
+        expected = critical_certificate(uniform_point(3), a3, graphs["A3"])
+
+        def shifted(weights, group):
+            rep = true_rep(weights, group)
+            return dataclasses.replace(rep, roots=rep.roots + 1.0)
+
+        paths = []
+
+        def spy(graph, x):
+            cluster = true_cluster(graph, x)
+            paths.append(cluster.path)
+            return cluster
+
+        monkeypatch.setattr(spectral, "rep_fourier", shifted)
+        monkeypatch.setattr(solids, "lambda1_cluster", spy)
+        report = critical_certificate(uniform_point(3), a3, graphs["A3"])
+        assert paths == ["dense"]
+        assert report.gradient_norm == expected.gradient_norm
+        assert abs(report.lam - expected.lam) <= 1e-12
+        assert np.abs(np.subtract(report.class_lengths, expected.class_lengths)).max() <= 1e-9
+
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5, 0.0], [1 - 1.5e-6, 1e-6, 0.5e-6], [0.3, 0.7 - 9e-7, 9e-7]]
     )

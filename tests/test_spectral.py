@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec import coxeter
 from coxspec.coxeter import CoxeterError
 from coxspec.coxmaps import eta_rho
 from coxspec.errors import DomainError
@@ -401,20 +402,62 @@ class TestBlockSpectrum:
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_dimensions_cover_the_group(self, groups, name):
+        # one block per irreducible representation: sum irreps d^2 = |G|,
+        # and there are as many representations as conjugacy classes
         group = groups[name]
         blocks = group.irreducible_blocks
         dims = [b.shape[2] for b in blocks]
-        copies = [b.shape[1] for b in blocks]
+        irreps = [b.shape[1] for b in blocks]
         assert dims == sorted(set(dims))
-        assert all(b.shape == (3, c, d, d) for b, c, d in zip(blocks, copies, dims))
-        assert sum(c * d for c, d in zip(copies, dims)) == group.order
-        # a d-dimensional irreducible representation occurs in d copies
-        assert all(c % d == 0 for c, d in zip(copies, dims))
+        assert all(b.shape == (3, r, d, d) for b, r, d in zip(blocks, irreps, dims))
+        assert sum(r * d * d for r, d in zip(irreps, dims)) == group.order
         mult = group.mult
         inverse = np.argmin(mult, axis=1)
         conj = mult[mult, inverse[:, None]]  # conj[h, a] = h a h^-1
         classes = {frozenset(conj[:, a].tolist()) for a in range(group.order)}
-        assert sum(c // d for c, d in zip(copies, dims)) == len(classes) == CLASS_COUNTS[name]
+        assert sum(irreps) == len(classes) == CLASS_COUNTS[name]
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_character_orthogonality(self, groups, name):
+        # rho(g) for every g by breadth-first products along `successors`,
+        # then sum_g chi_a(g) chi_b(g) = |G| delta_ab over all blocks
+        group = groups[name]
+        chars = []
+        for b in group.irreducible_blocks:
+            for c in range(b.shape[1]):
+                rho = np.full((group.order, b.shape[2], b.shape[2]), np.nan)
+                rho[0] = np.eye(b.shape[2])
+                order = [0]
+                for prev in order:
+                    for j, nxt in enumerate(group.successors[prev]):
+                        if np.isnan(rho[nxt, 0, 0]):
+                            rho[nxt] = rho[prev] @ b[j, c]
+                            order.append(nxt)
+                assert len(order) == group.order
+                chars.append(np.trace(rho, axis1=1, axis2=2))
+        chars = np.array(chars)
+        gram = chars @ chars.T
+        assert np.abs(gram - group.order * np.eye(len(chars))).max() <= 1e-10
+
+    def test_spectrum_repeats_each_block_value(self, h3):
+        # at generic points each eigenvalue of a d-dimensional block occurs
+        # exactly d times, bit for bit: d values of each of the block's
+        # irreducible representations are repeated d times
+        want = {b.shape[2]: b.shape[1] * b.shape[2] for b in h3.irreducible_blocks}
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            _, repeats = np.unique(block_spectrum(h3, sample_interior(rng, 3).weights),
+                                   return_counts=True)
+            assert dict(zip(*np.unique(repeats, return_counts=True))) == want
+
+    def test_character_tolerance_zero_raises(self, h3, monkeypatch):
+        # no two copies of a representation have bit-equal characters, so a
+        # zero tolerance leaves every copy in a class of its own
+        monkeypatch.setattr(coxeter, "BLOCK_CHARACTER_TOL", 0.0)
+        fresh = dataclasses.replace(h3)
+        vars(fresh)["mult"] = h3.mult
+        with pytest.raises(CoxeterError, match=r"dimension 3 occur in \[1, 1, 1, 1"):
+            fresh.irreducible_blocks
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_blocks_represent_the_generators(self, groups, name):
