@@ -31,9 +31,9 @@ from .randwalk import (
 from .spectral import (
     CLUSTER_TOL,
     SPECTRUM_CHUNK,
-    block_class_lengths,
     block_cluster,
     block_clusters,
+    block_lengths,
     block_spectrum,
     edge_class_lengths,
     lambda1,
@@ -175,14 +175,12 @@ def block_state(x, group):
 
     For M v = mu_1 v with |v| = 1, d mu_1 / d x_j = v' sigma_j v
     = 1 - 2 <n_j, v>^2 (Hellmann-Feynman); the gradient along the simplex
-    is that minus its mean.  The class-j edges of the embedding
-    sqrt(3/|G|) g v have length sqrt(3/|G|) 2 |<n_j, v>|.
+    is that minus its mean.  The lengths are those of `block_lengths`.
     """
     rep = rep_fourier(x, group)
-    c = group.roots @ rep.vectors[:, 0]
-    g = 1.0 - 2.0 * c**2
-    lengths = np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
-    return float(rep.roots[0]), g - g.mean(), lengths
+    c, lengths = block_lengths(group, x.weights[None], rep.roots[:1], rep.vectors[None, :, 0])
+    g = 1.0 - 2.0 * c[0]**2
+    return float(rep.roots[0]), g - g.mean(), lengths[0]
 
 
 def minimize_lambda1(group):
@@ -293,7 +291,8 @@ def boundary_limit(target, group, curve=None):
     if curve is not None:
         _check_curve(curve)
     target = np.asarray(target, dtype=float)
-    if target.shape != (group.rank,) or abs(target.sum() - 1) > 1e-9 or np.any(target < 0):
+    if (target.shape != (group.rank,) or not np.isfinite(target).all()
+            or abs(target.sum() - 1) > 1e-9 or np.any(target < 0)):
         raise DomainError("target must lie on the simplex")
     zeros = np.flatnonzero(target <= 1e-12)
     if len(zeros) == 0:
@@ -329,7 +328,7 @@ class Sweep:
     weights: np.ndarray        # (m, 3) lattice points
     lambda1: np.ndarray        # (m,) second eigenvalue
     multiplicity: np.ndarray   # (m,) its multiplicity
-    class_lengths: np.ndarray  # (m, 3) measured edge lengths of its embedding
+    class_lengths: np.ndarray  # (m, 3) from `block_lengths`, measured on "dense" rows
     path: np.ndarray           # (m,) "fourier" or "dense", see `lambda1_cluster`
 
     def __post_init__(self):
@@ -346,8 +345,9 @@ def sweep_lambda1(group, g):
 
     The points are checked once; their spectra come from one batch of
     block eigensolves, their clusters from one `block_clusters`, and the
-    rows the 3x3 block gives are measured by `block_class_lengths`.  Any
-    other row takes `lambda1_cluster`, which builds a dense operator.
+    class lengths of the rows the 3x3 block gives from `block_lengths` of
+    their eigenvectors.  Any other row takes `lambda1_cluster`, which
+    builds a dense operator, and is measured.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
@@ -359,7 +359,8 @@ def sweep_lambda1(group, g):
         group, weights, block_spectrum(group, weights)
     )
     lengths = np.empty_like(weights)
-    lengths[given] = block_class_lengths(graph, weights, lam, vectors, np.flatnonzero(given))
+    if given.any():
+        lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given])[1]
     for r in np.flatnonzero(~given):
         x = simplex_point(weights[r])
         cluster = lambda1_cluster(graph, x)

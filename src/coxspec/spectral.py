@@ -18,14 +18,13 @@ from .randwalk import build_operator
 
 CLUSTER_TOL = 1e-7
 EDGE_SPREAD_TOL = 1e-8
+# ||P B - lambda B|| allowed per unit of max(1, |lambda|) sqrt(|G|)
+RESIDUAL_TOL = 1e-8
 FAITHFUL_RTOL = 1e-6
 GRAM_PAIRS = 50
 # block_spectrum: points per stacked eigensolve, which bounds the
 # temporary block matrices to about 0.1 MiB on H3
 SPECTRUM_CHUNK = 64
-# block_class_lengths: points per stacked basis, residual and length
-# pass, which bounds its temporaries to about 0.7 MiB on H3
-BASIS_CHUNK = 32
 
 
 class InvarianceError(CoxspecError):
@@ -187,35 +186,43 @@ def block_clusters(group, weights, vals):
     return np.where(given, mu1, lam), multiplicity, gap, rep.vectors[:, :, 0], given
 
 
-def block_bases(group, vectors):
-    """Orthonormal bases (m, |G|, 3) of the clusters `block_clusters`
-    gives: for M v = mu_1 v, f_r(g) = (g v)_r has
-    (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
-    relations give the scale sqrt(3/|G|)."""
-    return np.sqrt(3.0 / group.order) * (group.elements @ vectors[:, None, :, None])[..., 0]
-
-
 def block_cluster(group, x, vals):
-    """The one-point case of `block_clusters` with its sign-fixed basis,
-    or None where the 3x3 block does not give the cluster."""
+    """The one-point case of `block_clusters` with its sign-fixed basis
+    sqrt(3/|G|) (g v), or None where the 3x3 block does not give the
+    cluster: for M v = mu_1 v, f_r(g) = (g v)_r has
+    (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
+    relations give the scale."""
     lam, _, gap, vectors, given = block_clusters(group, x.weights[None], vals[None])
     if not given[0]:
         return None
-    basis = fix_signs(block_bases(group, vectors)[0])
-    return SpectralCluster(float(lam[0]), 3, basis, float(gap[0]), "fourier")
+    basis = np.sqrt(3.0 / group.order) * (group.elements @ vectors[0, :, None])[..., 0]
+    return SpectralCluster(float(lam[0]), 3, fix_signs(basis), float(gap[0]), "fourier")
 
 
-def block_class_lengths(graph, weights, lam, vectors, rows):
-    """`_class_lengths` of the `block_bases` of the given `rows` of a
-    stack, `BASIS_CHUNK` rows at a time, each basis checked by
-    `_check_residuals`."""
-    lengths = np.empty((len(rows), graph.n_classes))
-    for start in range(0, len(rows), BASIS_CHUNK):
-        chunk = rows[start:start + BASIS_CHUNK]
-        bases = block_bases(graph.group, vectors[chunk])
-        _check_residuals(graph, weights[chunk], bases, lam[chunk], chunk)
-        lengths[start:start + len(chunk)] = _class_lengths(bases, graph, chunk)
-    return lengths
+def _residual_excess(res, lam, n):
+    # ||P B - lambda B|| over its tolerance, NaN for a NaN residual
+    return res / (RESIDUAL_TOL * np.sqrt(n) * np.maximum(1.0, np.abs(lam)))
+
+
+def block_lengths(group, weights, lam, vectors):
+    """The projections c_j = <n_j, v> (m, 3) of the unit eigenvectors
+    `vectors` (m, 3), M v = lam v, on the simple roots, and the class
+    lengths (m, 3) of their embeddings sqrt(3/|G|) (g v).
+
+    g is orthogonal, so a class-j edge has length
+    sqrt(3/|G|) |g sigma_j v - g v| = sqrt(3/|G|) 2 |c_j| at every vertex.
+    The residual of the embedding B is checked in 3x3 form:
+    M v = v - 2 sum_j x_j c_j n_j and ||P B - lambda B|| = sqrt(3) ||M v - lambda v||;
+    a large one is an `InvarianceError` that names the worst row.
+    """
+    c = (group.roots @ vectors[..., None])[..., 0]
+    r = (1.0 - lam)[:, None] * vectors - 2.0 * (weights * c) @ group.roots
+    res = np.sqrt(3.0 * (r * r).sum(axis=1))
+    excess = _residual_excess(res, lam, group.order)
+    if not excess.max() <= 1.0:  # NaN fails too
+        i = excess.argmax()
+        raise InvarianceError(f"cluster basis residual too large at row {i}: {res[i]:.2g}")
+    return c, np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
 
 
 def lambda1_cluster(graph, x):
@@ -234,50 +241,34 @@ def lambda1_cluster(graph, x):
     return cluster
 
 
-def _check_residuals(graph, weights, bases, lam, rows):
-    """Raise `InvarianceError`, naming the worst of `rows`, unless each
-    basis B of the stack (m, n, k) has a small ||P B - lambda B|| for its
-    weights and eigenvalue; P B = sum_j x_j B[successors[:, j]] by gathers
-    along the Cayley graph, no dense operator."""
-    m, n, _ = bases.shape
-    gathered = np.take(bases, graph.successors.T, axis=1).reshape(m, graph.n_classes, -1)
-    r = (weights[:, None, :] @ gathered).reshape(bases.shape) - lam[:, None, None] * bases
-    res = np.sqrt((r * r).sum(axis=(1, 2)))
-    excess = res / (1e-8 * np.maximum(1.0, np.abs(lam)) * np.sqrt(n))
-    if not excess.max() <= 1.0:  # NaN fails too
-        i = excess.argmax()
-        raise InvarianceError(f"cluster basis residual too large at row {rows[i]}: {res[i]:.2g}")
-
-
-def _class_lengths(pts, graph, rows):
-    """Per-class edge lengths (m, classes) of the stack of embeddings
-    (m, n, k), means over the vertices; a nonzero spread within a class
-    is an `InvarianceError` naming the worst of `rows`."""
-    diff = np.take(pts, graph.successors, axis=1) - pts[:, :, None, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))  # the sums of np.linalg.norm
-    spread = d.max(axis=1) - d.min(axis=1)
-    if not spread.max() <= EDGE_SPREAD_TOL:
-        i, j = np.unravel_index(spread.argmax(), spread.shape)
-        raise InvarianceError(
-            f"edge class {j} has non-constant length at row {rows[i]} (spread {spread[i, j]:.2g})"
-        )
-    return d.mean(axis=1)
-
-
 def spectral_representation(graph, x, cluster):
     """Embedding of the vertices: a copy of the cluster basis B, (n, k),
-    whose row i is the image of vertex i, after `_check_residuals`;
-    flagged (warning) when the eigenvalue is simple."""
+    whose row i is the image of vertex i; flagged (warning) when the
+    eigenvalue is simple.  ||P B - lambda B||, with
+    P B = sum_j x_j B[successors[:, j]] by gathers along the Cayley graph
+    and no dense operator, must be small, else `InvarianceError`."""
     if cluster.multiplicity == 1:
         warnings.warn("multiplicity-1 cluster: embedding into R^1")
-    b = cluster.basis
-    _check_residuals(graph, x.weights[None], b[None], np.array([cluster.eigenvalue]), [0])
+    b, lam = cluster.basis, cluster.eigenvalue
+    gathered = np.take(b, graph.successors.T, axis=0).reshape(graph.n_classes, -1)
+    r = (x.weights @ gathered).reshape(b.shape) - lam * b
+    res = np.sqrt((r * r).sum())
+    if not _residual_excess(res, lam, len(b)) <= 1.0:  # NaN fails too
+        raise InvarianceError(f"cluster basis residual too large: {res:.2g}")
     return b.copy()
 
 
 def edge_class_lengths(pts, graph):
-    """Per-class Euclidean edge length of the embedding `pts`, (n, k)."""
-    return _class_lengths(pts[None], graph, [0])[0].tolist()
+    """Per-class Euclidean edge length of the embedding `pts`, (n, k),
+    the mean over the vertices; a nonzero spread within a class is an
+    `InvarianceError`."""
+    diff = np.take(pts, graph.successors, axis=0) - pts[:, None, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))  # the sums of np.linalg.norm
+    spread = d.max(axis=0) - d.min(axis=0)
+    if not spread.max() <= EDGE_SPREAD_TOL:
+        j = spread.argmax()
+        raise InvarianceError(f"edge class {j} has non-constant length (spread {spread[j]:.2g})")
+    return d.mean(axis=0).tolist()
 
 
 def check_faithful(pts):

@@ -14,6 +14,7 @@ from coxspec.randwalk import build_operator, sample_interior, simplex_point, uni
 from coxspec.solids import (
     CURVE_VERTICES,
     MinimizationError,
+    block_state,
     boundary_limit,
     closed_form_minimum,
     critical_certificate,
@@ -24,12 +25,9 @@ from coxspec.solids import (
 )
 from coxspec.spectral import (
     InvarianceError,
-    _check_residuals,
-    _class_lengths,
-    block_bases,
-    block_class_lengths,
     block_cluster,
     block_clusters,
+    block_lengths,
     block_spectrum,
     edge_class_lengths,
     lambda1,
@@ -443,6 +441,12 @@ class TestLimits:
         with pytest.raises(DomainError):
             boundary_limit([0.3, 0.3, 0.4], h3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("target", [[np.nan, 0.0, 1.0], [np.inf, 0.0, -np.inf]])
+    def test_non_finite_target_rejected(self, h3, target):
+        with pytest.raises(DomainError, match="target must lie on the simplex$"):
+            boundary_limit(target, h3)
+
 
 class TestSweep:
     def test_grid_two_is_the_uniform_point(self, a3):
@@ -499,8 +503,9 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_stack_matches_points_bit_for_bit(self, groups, graphs, name, tmp_path):
         # the oracle: one point at a time, each from its row of the stacked
-        # spectra, through block_cluster, spectral_representation and
-        # edge_class_lengths, and the CSV line formed from its fields
+        # spectra through block_cluster, with the class lengths of
+        # block_state, and the CSV line formed from its fields; the
+        # measured lengths of the embedding agree to rounding
         group, graph, g = groups[name], graphs[name], 24
         sweep = sweep_lambda1(group, g)
         spectra = block_spectrum(group, np.asarray(sweep.weights))
@@ -512,11 +517,13 @@ class TestSweep:
         lines = ["x,y,z,lambda1,mult,len1,len2,len3"]
         for r, x in enumerate(points):
             cluster = block_cluster(group, x, spectra[r])
-            lengths = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
+            lengths = block_state(x, group)[2].tolist()
+            measured = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
             assert np.array_equal(sweep.weights[r], x.weights)
             assert sweep.lambda1[r] == cluster.eigenvalue
             assert sweep.multiplicity[r] == cluster.multiplicity
             assert sweep.class_lengths[r].tolist() == lengths
+            assert np.abs(sweep.class_lengths[r] - measured).max() <= 1e-15
             assert sweep.path[r] == cluster.path
             lines.append(",".join([
                 *(f"{w:.15g}" for w in x.weights), f"{cluster.eigenvalue:.15g}",
@@ -564,54 +571,63 @@ class TestSweep:
             sweep_lambda1(a3, 1)
 
 
-def corrupted_stack(group, graph):
-    """Rows 10-13 of a stack with their block bases and lambda_1, the
-    basis of row 12 with one vertex moved."""
-    weights = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3], [0.5, 0.25, 0.25]])
-    lam, _, _, vectors, given = block_clusters(group, weights, block_spectrum(group, weights))
+STACK = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]])
+
+
+def wrong_eigenvector_stack(group):
+    """Three points with their mu_1 and top block eigenvectors, the vector
+    of row 2 replaced by the eigenvector of mu_2."""
+    lam, _, _, vectors, given = block_clusters(group, STACK, block_spectrum(group, STACK))
     assert given.all()
-    bases = block_bases(group, vectors)
-    bases[2, 17] *= 1.5
-    return weights, bases, lam, np.arange(10, 14)
+    vectors = vectors.copy()
+    vectors[2] = spectral.rep_fourier(simplex_point(STACK[2]), group).vectors[:, 1]
+    return STACK, lam, vectors
+
+
+def moved_vertex_embedding(group):
+    """The block embedding of the point STACK[0], with vertex 17 moved."""
+    x = simplex_point(STACK[0])
+    cluster = block_cluster(group, x, block_spectrum(group, x.weights))
+    basis = cluster.basis.copy()
+    basis[17] *= 1.5
+    return x, dataclasses.replace(cluster, basis=basis)
 
 
 class TestStackedChecks:
-    """The residual and class-length checks of a stack are typed errors
-    that name the worst row, with and without asserts."""
+    """The residual check of a stack of block eigenvectors and the checks
+    of one embedding are typed errors, with and without asserts."""
 
     def test_corrupted_basis_fails_the_residual(self, h3, graphs):
-        weights, bases, lam, rows = corrupted_stack(h3, graphs["H3"])
-        with pytest.raises(InvarianceError, match="residual too large at row 12"):
-            _check_residuals(graphs["H3"], weights, bases, lam, rows)
-        _check_residuals(graphs["H3"], weights[:2], bases[:2], lam[:2], rows[:2])
+        x, cluster = moved_vertex_embedding(h3)
+        with pytest.raises(InvarianceError, match="residual too large"):
+            spectral_representation(graphs["H3"], x, cluster)
+        spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
 
     def test_perturbed_length_fails_the_spread(self, h3, graphs):
-        _, bases, _, rows = corrupted_stack(h3, graphs["H3"])
-        with pytest.raises(InvarianceError, match="non-constant length at row 12"):
-            _class_lengths(bases, graphs["H3"], rows)
-        assert _class_lengths(bases[:2], graphs["H3"], rows[:2]).shape == (2, 3)
+        x, cluster = moved_vertex_embedding(h3)
+        with pytest.raises(InvarianceError, match="non-constant length"):
+            edge_class_lengths(cluster.basis, graphs["H3"])
+        assert len(edge_class_lengths(lambda1_cluster(graphs["H3"], x).basis, graphs["H3"])) == 3
 
-    def test_wrong_eigenvector_fails_in_its_chunk(self, b3, graphs, monkeypatch):
-        # a row whose vector is not the mu_1 eigenvector, in the second chunk
-        monkeypatch.setattr(spectral, "BASIS_CHUNK", 2)
-        weights = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]])
-        lam, _, _, vectors, _ = block_clusters(b3, weights, block_spectrum(b3, weights))
-        good = block_class_lengths(graphs["B3"], weights, lam, vectors, np.arange(3))
-        assert good.shape == (3, 3)
-        vectors[2] = spectral.rep_fourier(simplex_point(weights[2]), b3).vectors[:, 1]
+    def test_wrong_eigenvector_fails_its_row(self, b3):
+        weights, lam, vectors = wrong_eigenvector_stack(b3)
+        _, good = block_lengths(b3, weights[:2], lam[:2], vectors[:2])
+        for w, lengths in zip(weights[:2], good):
+            assert np.array_equal(lengths, block_state(simplex_point(w), b3)[2])
         with pytest.raises(InvarianceError, match="residual too large at row 2"):
-            block_class_lengths(graphs["B3"], weights, lam, vectors, np.arange(3))
+            block_lengths(b3, weights, lam, vectors)
 
     def test_checks_raise_without_asserts(self):
         script = (
             "import sys; sys.path.insert(0, 'tests'); "
             "from coxspec import build_group, cayley_graph; "
-            "from coxspec.spectral import InvarianceError, _check_residuals, _class_lengths; "
-            "from test_solids import corrupted_stack\n"
+            "from coxspec.spectral import InvarianceError, block_lengths, edge_class_lengths; "
+            "from test_solids import moved_vertex_embedding, wrong_eigenvector_stack\n"
             "group = build_group('H3'); graph = cayley_graph(group)\n"
-            "weights, bases, lam, rows = corrupted_stack(group, graph)\n"
-            "for check in (lambda: _check_residuals(graph, weights, bases, lam, rows),\n"
-            "              lambda: _class_lengths(bases, graph, rows)):\n"
+            "weights, lam, vectors = wrong_eigenvector_stack(group)\n"
+            "_, cluster = moved_vertex_embedding(group)\n"
+            "for check in (lambda: block_lengths(group, weights, lam, vectors),\n"
+            "              lambda: edge_class_lengths(cluster.basis, graph)):\n"
             "    try:\n"
             "        check()\n"
             "    except InvarianceError as exc:\n"
@@ -622,4 +638,5 @@ class TestStackedChecks:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=root,
                              capture_output=True, text=True, check=True).stdout
-        assert out.count("at row 12") == 2
+        assert "residual too large at row 2" in out
+        assert "non-constant length" in out
