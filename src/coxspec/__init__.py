@@ -26,7 +26,6 @@ from .errors import CoxspecError
 from .fourier import RepSpectrum, crosscheck_mu1, rep_fourier
 from .mesh import MeshDocument, build_cayley_mesh, build_orbit_mesh, export_obj, export_off
 from .randwalk import (
-    SimplexPoint,
     build_operator,
     project_to_simplex,
     sample_interior,

@@ -36,12 +36,15 @@ def _fmt(x):
 
 
 def _parse_point(args):
+    # every built-in has 3 edge classes
     if args.point is None:
-        return None
+        return uniform_point(3)
     try:
-        weights = np.array([float(t) for t in args.point.split(",")])
+        weights = [float(t) for t in args.point.split(",")]
     except ValueError:
         raise CoxspecError(f"--point must be numbers x,y,z, got {args.point!r}") from None
+    if len(weights) != 3:
+        raise CoxspecError(f"--point must be three numbers x,y,z, got {args.point!r}")
     return simplex_point(weights)
 
 
@@ -80,19 +83,19 @@ def cmd_group(args):
 
 
 def cmd_spectrum(args):
+    x = _parse_point(args)
     group = build_group(args.group)
     graph = cayley_graph(group)
-    x = _parse_point(args) or uniform_point(graph.n_classes)
-    print("point", " ".join(_fmt(w) for w in x.weights))
+    print("point", " ".join(_fmt(w) for w in x))
     for c in spectrum_clusters(build_operator(graph, x)):
         print(f"{_fmt(c.eigenvalue)} multiplicity {c.multiplicity}")
     return 0
 
 
 def cmd_embed(args):
+    x = _parse_point(args)
     group = build_group(args.group)
     graph = cayley_graph(group)
-    x = _parse_point(args) or uniform_point(graph.n_classes)
     if args.eigenvalue == "second":
         cluster = lambda1_cluster(graph, x)
     else:
@@ -115,9 +118,9 @@ def cmd_embed(args):
 def cmd_minimize(args):
     group = build_group(args.group)
     res = minimize_lambda1(group)
-    print("closed form X0", " ".join(_fmt(w) for w in res.closed_form.x.weights))
+    print("closed form X0", " ".join(_fmt(w) for w in res.closed_form.x))
     print("closed form lambda1", _fmt(res.closed_form.lam))
-    print("optimized X", " ".join(_fmt(w) for w in res.optimized.x.weights))
+    print("optimized X", " ".join(_fmt(w) for w in res.optimized.x))
     print("optimized lambda1", _fmt(res.optimized.lam))
     print("gradient norm", _fmt(res.closed_form.gradient_norm))
     print("equilateral", res.closed_form.equilateral)
@@ -136,7 +139,7 @@ def cmd_curve(args):
         for t in ts:
             s = curve_point(args.curve, float(t), group)
             writer.writerow(
-                [_fmt(t), *(_fmt(w) for w in s.x.weights), _fmt(s.lam),
+                [_fmt(t), *(_fmt(w) for w in s.x), _fmt(s.lam),
                  *(_fmt(v) for v in s.class_lengths)]
             )
     print(f"wrote {args.samples} samples to {args.out}")

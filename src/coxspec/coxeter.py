@@ -19,9 +19,10 @@ MAX_ELEMENTS = 100_000
 # irreducible_blocks: seed of the generic left operator, the relative
 # eigenvalue distance that separates its eigenspaces, the largest allowed
 # deviation from invariance (observed: 2e-14 on H3), and the largest
-# character difference of two copies of one representation (observed:
-# 1.2e-14 on H3; distinct characters differ by at least sqrt(2) somewhere,
-# since sum_g (chi_a - chi_b)(g)^2 = 2|G|, and by 2 on A3, B3 and H3)
+# character difference of two copies of one representation, read on one
+# element per conjugacy class (observed: 1.2e-14 on H3; distinct
+# characters differ by at least sqrt(2) on some class, since
+# sum_g (chi_a - chi_b)(g)^2 = 2|G|, and by 2 on A3, B3 and H3)
 BLOCK_SEED = 0
 BLOCK_SPLIT_RTOL = 1e-8
 BLOCK_INVARIANCE_TOL = 1e-10
@@ -198,7 +199,8 @@ class ReflectionGroup:
         eigenspaces is right-invariant; for generic c each one is an
         irreducible representation, and a d-dimensional one occurs in d
         eigenspaces.  The copies carry one block up to a change of basis,
-        so one is kept per character chi(g) = sum_h (U U')[h, h g]: the
+        so one is kept per character chi(g) = sum_h (U U')[h, h g], a class
+        function read on the least element g of each conjugacy class: the
         eigenspaces of one dimension are grouped by character within
         `BLOCK_CHARACTER_TOL`, and each group must have d members.  The
         spectrum of P_X = sum_j x_j R_j is then the union of the spectra
@@ -208,8 +210,12 @@ class ReflectionGroup:
         R_j U = U rho(s_j) is checked for every eigenspace.
         """
         n, k = self.successors.shape
+        inverse = np.argmin(self.mult, axis=1)
         coeffs = np.random.default_rng(BLOCK_SEED).standard_normal(n)
-        coeffs += coeffs[np.argmin(self.mult, axis=1)]  # c_h + c_{h^-1}: A is symmetric
+        coeffs += coeffs[inverse]  # c_h + c_{h^-1}: A is symmetric
+        # the least element of each conjugacy class {h g h^-1}
+        least = self.mult[self.mult, inverse[:, None]].min(axis=0)
+        reps = np.flatnonzero(least == np.arange(n))
         left = np.zeros((n, n))
         left[np.arange(n)[None, :], self.mult] = coeffs[:, None]  # A[g, h g]
         vals, vecs = np.linalg.eigh(left)
@@ -225,7 +231,7 @@ class ReflectionGroup:
                     f"eigenspace of dimension {u.shape[1]} is not invariant under the "
                     f"generators (deviation {dev:.2g})"
                 )
-            chi = (u @ u.T)[np.arange(n)[:, None], self.mult].sum(axis=0)
+            chi = np.einsum("ha,hra->r", u, u[self.mult[:, reps]])
             irreps = by_dim.setdefault(u.shape[1], [])
             for irrep in irreps:
                 if np.abs(irrep[0] - chi).max() <= BLOCK_CHARACTER_TOL:

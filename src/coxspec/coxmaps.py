@@ -16,7 +16,7 @@ import numpy as np
 from .coxeter import ReflectionGroup
 from .errors import DomainError
 from .linalg import perron_frobenius
-from .randwalk import SimplexPoint, simplex_point
+from .randwalk import simplex_point
 
 # orbit_points: images closer than this in every coordinate are one point
 ORBIT_DEDUP_TOL = 1e-6
@@ -92,29 +92,27 @@ def psi_maps(fp: FundamentalPoint):
 
     # defining relation, checked rather than assumed
     lhs = lam * fp.point
-    rhs = sum(
-        x.weights[j] * (group.generators[j] @ fp.point) for j in range(group.rank)
-    )
+    rhs = sum(x[j] * (group.generators[j] @ fp.point) for j in range(group.rank))
     dev = np.abs(lhs - rhs).max()
     if dev > 1e-10:
         raise DomainError(f"lam p = sum_j x_j sigma_j(p) fails (deviation {dev:.2g})")
     return x, float(lam)
 
 
-def _pf_pair(group, x: SimplexPoint):
+def _pf_pair(group, x):
     """Perron-Frobenius eigenvalue and positive eigenvector of
     A = V D^{-1} M^{-1}, D = diag(x), with the volume V: A is similar to
     the symmetric S = V D^{-1/2} M^{-1} D^{-1/2}, and S u = lam u gives
     A alpha = lam alpha for alpha = D^{-1/2} u."""
-    if not x.interior:
+    if not np.all(x > 0):
         raise DomainError("requires an interior simplex point")
     _, v = fundamental_vectors(group)
-    d = 1.0 / np.sqrt(x.weights)
+    d = 1.0 / np.sqrt(x)
     lam_pf, u = perron_frobenius(v * gram_inverse(group.datum) * np.outer(d, d))
     return lam_pf, d * u, v
 
 
-def psi_delta_inverse(group, x: SimplexPoint):
+def psi_delta_inverse(group, x):
     """Fundamental point mapping to the given interior simplex point:
     alpha is the Perron-Frobenius eigenvector of A, scaled onto the unit
     sphere."""
@@ -122,7 +120,7 @@ def psi_delta_inverse(group, x: SimplexPoint):
     return fundamental_point(group, alpha)
 
 
-def psi_lambda_of(group, x: SimplexPoint):
+def psi_lambda_of(group, x):
     """lam = 1 - 2 V mu with mu the reciprocal Perron-Frobenius
     eigenvalue of A; equals psi_maps of the inverse."""
     lam_pf, _, v = _pf_pair(group, x)

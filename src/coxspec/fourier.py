@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .randwalk import SimplexPoint, build_operator
+from .randwalk import build_operator
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,12 @@ class RepSpectrum:
 def rep_fourier(x, group):
     """Fourier transform of the walk at the geometric representation: the
     one place that forms M = sum_j x_j sigma_j and diagonalises it.  `x` is
-    a `SimplexPoint` or checked weights (m, 3), whose fields stack."""
+    one point's checked weights (3,) or a stack (m, 3), whose fields stack."""
     if group.rank != 3:
         raise DomainError(f"geometric Fourier transform needs rank 3, got rank {group.rank}")
-    w = x.weights if isinstance(x, SimplexPoint) else x
     gens = group.generators
     # one gemv per point, bit for bit the M of the point alone
-    mat = (w[..., None, :] @ gens.reshape(len(gens), -1)).reshape(w.shape[:-1] + gens.shape[1:])
+    mat = (x[..., None, :] @ gens.reshape(len(gens), -1)).reshape(x.shape[:-1] + gens.shape[1:])
     vals, vecs = np.linalg.eigh(mat)
     return RepSpectrum(matrix=mat, roots=vals[..., ::-1], vectors=vecs[..., ::-1])
 
@@ -42,7 +41,7 @@ def char_poly_coeffs(mat):
     return -float(tr), float(minors), -float(np.linalg.det(mat))
 
 
-def crosscheck_mu1(x: SimplexPoint, group, graph):
+def crosscheck_mu1(x, group, graph):
     """|mu_1(X) - lambda_1(P_X)|: the top eigenvalue of the 3x3 block
     against the full eigensolver."""
     from .spectral import lambda1  # spectral imports this module

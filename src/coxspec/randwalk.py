@@ -6,8 +6,6 @@ diagonal on the graph.  Every class has multiplicity 1 because the
 generators are involutions.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoxspecError
@@ -45,39 +43,26 @@ def check_weights(weights):
             raise SimplexError(f"weights {rule}{where}")
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Invariant transition probabilities, one weight per edge class."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise SimplexError("weights must be a 1-d array")
-        object.__setattr__(self, "weights", check_weights(w))
-
-    @property
-    def interior(self):
-        return bool(np.all(self.weights > 0))
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def simplex_point(weights):
-    return SimplexPoint(weights)
+    """Invariant transition probabilities, one weight per edge class, as a
+    read-only float copy (k,) checked by `check_weights`."""
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1:
+        raise SimplexError("weights must be a 1-d array")
+    check_weights(w)
+    w.flags.writeable = False
+    return w
 
 
 def uniform_point(n_classes):
     """The canonical-Laplacian point: all classes carry equal weight."""
-    return SimplexPoint(np.full(n_classes, 1.0 / n_classes))
+    return simplex_point(np.full(n_classes, 1.0 / n_classes))
 
 
 def sample_interior(rng, n_classes, margin=0.02):
     """Random interior simplex point, bounded away from the boundary."""
     w = margin + rng.random(n_classes)
-    return SimplexPoint(w / w.sum())
+    return simplex_point(w / w.sum())
 
 
 def build_operator(graph, x):
@@ -91,7 +76,7 @@ def build_operator(graph, x):
     p = np.zeros((n, n))
     for j in range(graph.n_classes):
         nb = graph.successors[:, j]
-        p[np.arange(n), nb] += x.weights[j]
+        p[np.arange(n), nb] += x[j]
     return p
 
 
@@ -113,5 +98,5 @@ def project_to_simplex(raw):
             total = x.sum()
             if abs(total - 1.0) > 1e-9:
                 raise SimplexError(f"projection violates the constraint: sum {total!r}")
-            return SimplexPoint(np.clip(x / total, 0.0, 1.0))
+            return simplex_point(np.clip(x / total, 0.0, 1.0))
     raise SimplexError("projection failed (empty support)")

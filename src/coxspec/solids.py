@@ -21,7 +21,6 @@ from .coxmaps import (
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
 from .randwalk import (
-    SimplexPoint,
     build_operator,
     check_weights,
     project_to_simplex,
@@ -118,7 +117,7 @@ class MinimizationError(CoxspecError):
 
 @dataclass(frozen=True)
 class CriticalReport:
-    x: SimplexPoint
+    x: np.ndarray  # (3,) read-only, from `simplex_point`
     lam: float
     gradient_norm: float
     class_lengths: list
@@ -143,12 +142,12 @@ def critical_certificate(x, group, graph):
     x and its six stencil points are one `block_spectrum` stack: row 0
     gives the cluster (`block_cluster`, or `lambda1_cluster` where the 3x3
     block does not give it), the other rows the finite differences."""
-    if x.weights.min() < FD_STEP:
+    if x.min() < FD_STEP:
         raise DomainError(
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
-            f"got {x.weights}"
+            f"got {x}"
         )
-    vals = block_spectrum(group, np.vstack((x.weights, _pair_stencil(x.weights[None], FD_STEP))))
+    vals = block_spectrum(group, np.vstack((x, _pair_stencil(x[None], FD_STEP))))
     top = block_cluster(group, x, vals[0])
     if top is None:
         top = lambda1_cluster(graph, x)
@@ -178,7 +177,7 @@ def block_state(x, group):
     is that minus its mean.  The lengths are those of `block_lengths`.
     """
     rep = rep_fourier(x, group)
-    c, lengths = block_lengths(group, x.weights[None], rep.roots[:1], rep.vectors[None, :, 0])
+    c, lengths = block_lengths(group, x[None], rep.roots[:1], rep.vectors[None, :, 0])
     g = 1.0 - 2.0 * c[0]**2
     return float(rep.roots[0]), g - g.mean(), lengths[0]
 
@@ -201,12 +200,12 @@ def minimize_lambda1(group):
         # Armijo backtracking from the BB-seeded step
         s = step
         for _ in range(60):
-            x_new = project_to_simplex(x.weights - s * g)
+            x_new = project_to_simplex(x - s * g)
             f_new, g_new, lengths_new = block_state(x_new, group)
-            if f_new <= fx - 1e-4 * float(g @ (x.weights - x_new.weights)):
+            if f_new <= fx - 1e-4 * float(g @ (x - x_new)):
                 break
             s *= 0.5
-        dw, dg = x_new.weights - x.weights, g_new - g
+        dw, dg = x_new - x, g_new - g
         denom = float(dg @ dg)
         step = float(dw @ dg) / denom if denom > 0 else 1.0
         step = min(max(abs(step), 1e-6), 1e3)
@@ -214,13 +213,11 @@ def minimize_lambda1(group):
         if np.abs(dw).max() < 1e-13:
             break
     else:
-        raise MinimizationError(f"lambda_1 minimization did not converge; best {x.weights}")
+        raise MinimizationError(f"lambda_1 minimization did not converge; best {x}")
 
     lam_dense = lambda1(build_operator(graph, x))
     if abs(lam_dense - fx) > CLUSTER_TOL:
-        raise MinimizationError(
-            f"mu_1 = {fx!r} is not lambda_1 = {lam_dense!r} at {x.weights}"
-        )
+        raise MinimizationError(f"mu_1 = {fx!r} is not lambda_1 = {lam_dense!r} at {x}")
     report_opt = CriticalReport(
         x=x,
         lam=fx,
@@ -238,7 +235,7 @@ def minimize_lambda1(group):
 class CurveSample:
     curve: str
     t: float
-    x: SimplexPoint
+    x: np.ndarray  # (3,) read-only, from `simplex_point`
     lam: float
     class_lengths: np.ndarray
 

@@ -192,7 +192,7 @@ def block_cluster(group, x, vals):
     cluster: for M v = mu_1 v, f_r(g) = (g v)_r has
     (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
     relations give the scale."""
-    lam, _, gap, vectors, given = block_clusters(group, x.weights[None], vals[None])
+    lam, _, gap, vectors, given = block_clusters(group, x[None], vals[None])
     if not given[0]:
         return None
     basis = np.sqrt(3.0 / group.order) * (group.elements @ vectors[0, :, None])[..., 0]
@@ -234,7 +234,7 @@ def lambda1_cluster(graph, x):
     block) the cluster comes from the dense eigensolve.
     """
     group = graph.group
-    cluster = block_cluster(group, x, block_spectrum(group, x.weights))
+    cluster = block_cluster(group, x, block_spectrum(group, x))
     if cluster is None:
         dense = spectrum_clusters(build_operator(graph, x))
         cluster = dense[_lambda1_index(dense[0].multiplicity)]
@@ -251,7 +251,7 @@ def spectral_representation(graph, x, cluster):
         warnings.warn("multiplicity-1 cluster: embedding into R^1")
     b, lam = cluster.basis, cluster.eigenvalue
     gathered = np.take(b, graph.successors.T, axis=0).reshape(graph.n_classes, -1)
-    r = (x.weights @ gathered).reshape(b.shape) - lam * b
+    r = (x @ gathered).reshape(b.shape) - lam * b
     res = np.sqrt((r * r).sum())
     if not _residual_excess(res, lam, len(b)) <= 1.0:  # NaN fails too
         raise InvarianceError(f"cluster basis residual too large: {res:.2g}")

@@ -105,9 +105,7 @@ def suite_closed_forms():
         res = minimize_lambda1(group)
         crit = 1 if name == "H3" else 2
         checks.append(_check(f"min_lambda_{name}", abs(res.optimized.lam - lam0), 1e-9, crit))
-        checks.append(
-            _check(f"min_point_{name}", np.abs(res.optimized.x.weights - x0).max(), 1e-6, crit)
-        )
+        checks.append(_check(f"min_point_{name}", np.abs(res.optimized.x - x0).max(), 1e-6, crit))
 
         graph = cayley_graph(group)
         cluster = lambda1_cluster(graph, uniform_point(3))
@@ -155,7 +153,7 @@ def suite_invariants():
         for j in range(1, 10 - i):
             x = simplex_point(np.array([i, j, 10 - i - j]) / 10)
             c2, c1, c0 = char_poly_coeffs(rep_fourier(x, h3).matrix)
-            xx, yy, zz = x.weights
+            xx, yy, zz = x
             q = 1 - 4 * xx * yy - 3 * xx * zz - (3 - PHI) * yy * zz
             dev = max(
                 dev, abs(c2 + 1), abs(c1 + q), abs(c0 - (q + 2 * (2 - PHI) * xx * yy * zz))
@@ -175,7 +173,7 @@ def suite_invariants():
                 abs(psi_lambda_of(group, x) - lambda1(build_operator(gname, x))),
             )
             x_back, _ = psi_maps(psi_delta_inverse(group, x))
-            dev_rt = max(dev_rt, np.abs(x_back.weights - x.weights).max())
+            dev_rt = max(dev_rt, np.abs(x_back - x).max())
         checks.append(_check(f"psi_vs_eigensolver_{name}", dev_lam, 1e-9, 7))
         checks.append(_check(f"psi_round_trip_{name}", dev_rt, 1e-9, 7))
 
@@ -201,7 +199,7 @@ def suite_invariants():
     # convexity of lambda_1 on the simplex: each probe draws all its
     # points, then evaluates them as one stack
     f = _lambda1_fn(graph)
-    ab = np.array([[sample_interior(rng, 3).weights for _ in range(2)] for _ in range(200)])
+    ab = np.array([[sample_interior(rng, 3) for _ in range(2)] for _ in range(200)])
     a, b = ab[:, 0], ab[:, 1]
     fa, fb, mid = f(np.concatenate((a, b, (a + b) / 2))).reshape(3, -1)
     worst_mid = (mid - (fa + fb) / 2).max()
@@ -213,8 +211,8 @@ def suite_invariants():
         d = rng.normal(size=3)
         d -= d.mean()
         d *= 0.05 / np.abs(d).max()
-        if np.all(x.weights + d > 0) and np.all(x.weights - d > 0):
-            centers.append(x.weights)
+        if np.all(x + d > 0) and np.all(x - d > 0):
+            centers.append(x)
             steps.append(d)
     x, d = np.array(centers), np.array(steps)
     plus, minus, mid = f(np.concatenate((x + d, x - d, x))).reshape(3, -1)
@@ -255,7 +253,7 @@ def suite_theorem2():
         if top.gap <= GAP_GUARD:
             continue
         pts = spectral_representation(graph, x, top)
-        kept.append(x.weights)
+        kept.append(x)
         lhs.append([pts[0] @ pts[s[a]] - pts[0] @ pts[s[b]] for a, b in combinations(range(3), 2)])
         scale.append(top.multiplicity / graph.n_vertices)
     d = pair_derivatives(_lambda1_fn(graph), np.array(kept))

@@ -114,7 +114,7 @@ class TestFundamentalVectors:
                 assert abs(np.linalg.norm(fp.point) - 1.0) <= 1e-15
                 assert np.abs(fp.alphas @ fundamental_vectors(group)[0] - fp.point).max() <= 1e-15
                 x, lam = psi_maps(fp)
-                assert np.all(np.isfinite(x.weights)) and np.isfinite(lam)
+                assert np.all(np.isfinite(x)) and np.isfinite(lam)
 
     @pytest.mark.parametrize("curve", ["C1", "C2", "C3"])
     def test_coefficient_ratio_limit(self, groups, curve):
@@ -127,7 +127,7 @@ class TestFundamentalVectors:
             for group in groups.values():
                 for t in (2.0**-1017, 2.0**1017):
                     x, lam = psi_maps(fundamental_point(group, pattern(t)))
-                    assert np.all(np.isfinite(x.weights)) and np.isfinite(lam)
+                    assert np.all(np.isfinite(x)) and np.isfinite(lam)
                 for t in (2.0**-1019, 1e-308, 5e-324, 2.0**1019, 1e308):
                     with pytest.raises(DomainError, match="factor 2\\^1018"):
                         psi_maps(fundamental_point(group, pattern(t)))
@@ -234,7 +234,7 @@ class TestPsiMaps:
         denom = 12 + rho + 6 * eta
         x, lam = psi_maps(fundamental_point(groups[name], [1.0, 1.0, 1.0]))
         expected = np.array([3 + rho + eta, 3 + 3 * eta, 6 + 2 * eta]) / denom
-        assert np.abs(x.weights - expected).max() <= 1e-12
+        assert np.abs(x - expected).max() <= 1e-12
         assert lam == pytest.approx((12 + 6 * eta - rho) / denom, abs=1e-12)
 
     def test_defining_relation(self, h3):
@@ -243,7 +243,7 @@ class TestPsiMaps:
             fp = fundamental_point(h3, rng.random(3) + 0.05)
             x, lam = psi_maps(fp)
             rhs = sum(
-                x.weights[j] * (h3.generators[j] @ fp.point) for j in range(3)
+                x[j] * (h3.generators[j] @ fp.point) for j in range(3)
             )
             assert np.abs(lam * fp.point - rhs).max() <= 1e-12
 
@@ -271,7 +271,7 @@ class TestPsiMaps:
                 x = sample_interior(rng, 3)
                 fp = psi_delta_inverse(group, x)
                 x_back, lam = psi_maps(fp)
-                assert np.abs(x_back.weights - x.weights).max() <= 1e-9
+                assert np.abs(x_back - x).max() <= 1e-9
                 assert lam == pytest.approx(psi_lambda_of(group, x), abs=1e-10)
 
     @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ class TestRepFourier:
     def test_matrix_is_weighted_generator_sum(self, h3):
         x = simplex_point([0.2, 0.3, 0.5])
         rep = rep_fourier(x, h3)
-        expected = sum(x.weights[j] * h3.generators[j] for j in range(3))
+        expected = sum(x[j] * h3.generators[j] for j in range(3))
         assert np.abs(rep.matrix - expected).max() <= 1e-15
 
     def test_single_class_roots(self, h3):
@@ -28,7 +28,7 @@ class TestRepFourier:
         # those of its row in a stack
         rng = np.random.default_rng(11)
         points = [sample_interior(rng, 3) for _ in range(40)] + [simplex_point([1.0, 0.0, 0.0])]
-        stacked = rep_fourier(np.array([x.weights for x in points]), groups[name])
+        stacked = rep_fourier(np.array(points), groups[name])
         assert stacked.matrix.shape == (41, 3, 3) and stacked.roots.shape == (41, 3)
         for r, x in enumerate(points):
             one = rep_fourier(x, groups[name])

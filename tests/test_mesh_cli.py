@@ -273,6 +273,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("coxspec: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["spectrum", "embed"])
+    @pytest.mark.parametrize("point", ["0.5,0.5", "0.2,0.3,0.5,0"])
+    def test_point_needs_three_numbers(self, tmp_path, capsys, verb, point):
+        out_file = tmp_path / "out.off"
+        argv = [verb, "--group", "H3", "--point", point]
+        if verb == "embed":
+            argv += ["--out", str(out_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"coxspec: --point must be three numbers x,y,z, got {point!r}\n"
+        assert not out_file.exists()
+
     def test_bad_eigenvalue_names_range(self, tmp_path, capsys):
         out_file = tmp_path / "a3.off"
         assert main(["embed", "--group", "A3", "--eigenvalue", "99", "--out", str(out_file)]) == 2

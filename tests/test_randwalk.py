@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec.coxmaps import fundamental_point, psi_maps
 from coxspec.linalg import eigh_symmetric
 from coxspec.randwalk import (
     SimplexError,
@@ -16,6 +17,7 @@ from coxspec.randwalk import (
     simplex_point,
     uniform_point,
 )
+from coxspec.solids import closed_form_minimum, curve_point, minimize_lambda1
 from coxspec.spectral import lambda1
 
 
@@ -43,8 +45,16 @@ class TestSimplexPoint:
                 simplex_point(row)
         assert check_weights(stack[:2]).shape == (2, 3)
 
-    def test_boundary_not_interior(self):
-        assert not simplex_point([0.0, 0.4, 0.6]).interior
+    def test_copy_of_the_input(self):
+        w = np.array([0.2, 0.3, 0.5])
+        x = simplex_point(w)
+        w[:] = 5.0
+        assert x.tolist() == [0.2, 0.3, 0.5]
+
+    @pytest.mark.parametrize("shape", [(), (1, 3), (2, 3)])
+    def test_one_dimensional(self, shape):
+        with pytest.raises(SimplexError, match="weights must be a 1-d array"):
+            simplex_point(np.full(shape, 1.0 / 3))
 
     def test_negative_rejected(self):
         with pytest.raises(SimplexError):
@@ -108,18 +118,18 @@ def brute_force_projection(raw):
 class TestProjection:
     def test_idempotent(self):
         x = simplex_point([0.2, 0.3, 0.5])
-        y = project_to_simplex(x.weights)
-        assert np.abs(y.weights - x.weights).max() <= 1e-12
+        y = project_to_simplex(x)
+        assert np.abs(y - x).max() <= 1e-12
 
     def test_symmetric(self):
         y = project_to_simplex(np.ones(3))
-        assert np.abs(y.weights - 1 / 3).max() <= 1e-12
+        assert np.abs(y - 1 / 3).max() <= 1e-12
 
     def test_example_against_brute_force(self):
         raw = np.array([0.9, 0.2, -0.1])
         y = project_to_simplex(raw)
         expected = brute_force_projection(raw)
-        assert np.abs(y.weights - expected).max() <= 1e-10
+        assert np.abs(y - expected).max() <= 1e-10
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -129,7 +139,7 @@ class TestProjection:
         raw = rng.normal(size=n)
         y = project_to_simplex(raw)
         expected = brute_force_projection(raw)
-        assert np.abs(y.weights - expected).max() <= 1e-9
+        assert np.abs(y - expected).max() <= 1e-9
 
 
 class TestSpectralStructure:
@@ -162,9 +172,29 @@ class TestSpectralStructure:
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
-            mid = simplex_point((a.weights + b.weights) / 2)
+            mid = simplex_point((a + b) / 2)
             lam_mid = lambda1(build_operator(graph, mid))
             lam_avg = (
                 lambda1(build_operator(graph, a)) + lambda1(build_operator(graph, b))
             ) / 2
             assert lam_mid <= lam_avg + 1e-9
+
+
+POINT_SOURCES = {
+    "simplex_point": lambda g: simplex_point([0.2, 0.3, 0.5]),
+    "uniform_point": lambda g: uniform_point(3),
+    "sample_interior": lambda g: sample_interior(np.random.default_rng(0), 3),
+    "project_to_simplex": lambda g: project_to_simplex([0.9, 0.4, -0.2]),
+    "closed_form_minimum": lambda g: closed_form_minimum(g.datum)[0],
+    "psi_maps": lambda g: psi_maps(fundamental_point(g, [1.0, 2.0, 3.0]))[0],
+    "CriticalReport.x": lambda g: minimize_lambda1(g).optimized.x,
+    "CurveSample.x": lambda g: curve_point("C2", 2.0, g).x,
+}
+
+
+@pytest.mark.parametrize("source", POINT_SOURCES)
+def test_points_are_read_only_arrays(a3, source):
+    x = POINT_SOURCES[source](a3)
+    assert isinstance(x, np.ndarray) and x.shape == (3,) and x.dtype == float
+    with pytest.raises(ValueError):
+        x[0] = 0.5

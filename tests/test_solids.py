@@ -46,7 +46,7 @@ def directional_derivative(f, weights, xi, h=solids.FD_STEP):
 def pointwise_lambda1(graph):
     """lambda_1 of one point, one `block_spectrum` call each: the oracle for
     the stacked `_lambda1_fn` of the certificates and the gate's probes."""
-    return lambda w: float(block_spectrum(graph.group, simplex_point(w).weights)[1])
+    return lambda w: float(block_spectrum(graph.group, simplex_point(w))[1])
 
 
 def pointwise_gradient_norm(graph, weights):
@@ -69,20 +69,20 @@ def h3_curve_c2(t):
 class TestClosedFormMinimum:
     def test_a3_values(self, a3):
         x, lam = closed_form_minimum(a3.datum)
-        assert np.abs(x.weights - np.array([0.3, 0.3, 0.4])).max() <= 1e-12
+        assert np.abs(x - np.array([0.3, 0.3, 0.4])).max() <= 1e-12
         assert lam == pytest.approx(0.8, abs=1e-12)
 
     def test_b3_values(self, b3):
         r2 = np.sqrt(2)
         x, lam = closed_form_minimum(b3.datum)
         expected = np.array([4 + r2, 3 + 3 * r2, 6 + 2 * r2]) / (13 + 6 * r2)
-        assert np.abs(x.weights - expected).max() <= 1e-12
+        assert np.abs(x - expected).max() <= 1e-12
         assert lam == pytest.approx((11 + 6 * r2) / (13 + 6 * r2), abs=1e-12)
 
     def test_h3_values(self, h3):
         x, lam = closed_form_minimum(h3.datum)
         expected = np.array([5, 3 + 3 * PHI, 6 + 2 * PHI]) / (14 + 5 * PHI)
-        assert np.abs(x.weights - expected).max() <= 1e-12
+        assert np.abs(x - expected).max() <= 1e-12
         assert lam == pytest.approx((10 + 7 * PHI) / (14 + 5 * PHI), abs=1e-12)
 
 
@@ -98,7 +98,7 @@ class TestMinimize:
         res = minimize_lambda1(groups[name])
         closed, opt = res.closed_form, res.optimized
         x0, lam0 = closed_form_minimum(groups[name].datum)
-        assert np.array_equal(closed.x.weights, x0.weights)
+        assert np.array_equal(closed.x, x0)
         assert abs(closed.lam - lam0) <= 1e-12 and abs(opt.lam - closed.lam) <= 1e-12
         assert closed.equilateral and closed.gradient_norm <= 1e-6
         assert opt.equilateral
@@ -134,7 +134,7 @@ class TestMinimize:
         assert abs(report.lam - lam) <= 1e-12
         x = sample_interior(np.random.default_rng(36), 3, margin=0.1)
         report = critical_certificate(x, group, graph)
-        assert abs(report.lam - block_spectrum(group, x.weights)[1]) <= 1e-12
+        assert abs(report.lam - block_spectrum(group, x)[1]) <= 1e-12
         assert report.gradient_norm > 1e-3 and not report.equilateral
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
@@ -147,7 +147,7 @@ class TestMinimize:
         points += [sample_interior(rng, 3, margin=0.1) for _ in range(4)]
         for x in points:
             report = critical_certificate(x, group, graph)
-            assert report.gradient_norm == pointwise_gradient_norm(graph, x.weights)
+            assert report.gradient_norm == pointwise_gradient_norm(graph, x)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, graphs, name, monkeypatch):
@@ -220,9 +220,9 @@ class TestMinimize:
         rng = np.random.default_rng(30)
         for _ in range(30):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
-            if np.abs(a.weights - b.weights).max() < 1e-3:
+            if np.abs(a - b).max() < 1e-3:
                 continue
-            mid = simplex_point((a.weights + b.weights) / 2)
+            mid = simplex_point((a + b) / 2)
             gap = (
                 lambda1(build_operator(graph, a)) + lambda1(build_operator(graph, b))
             ) / 2 - lambda1(build_operator(graph, mid))
@@ -249,7 +249,7 @@ class TestDerivativeIdentity:
                     xi = np.zeros(3)
                     xi[a], xi[b] = 1.0, -1.0
                     lhs = gram[e, graph.successors[e, a]] - gram[e, graph.successors[e, b]]
-                    rhs = (3.0 / h3.order) * directional_derivative(f, x.weights, xi)
+                    rhs = (3.0 / h3.order) * directional_derivative(f, x, xi)
                     assert abs(lhs - rhs) <= 1e-5
 
     def test_derivative_stable_under_step_refinement(self, h3, graphs):
@@ -260,8 +260,8 @@ class TestDerivativeIdentity:
 
         x = simplex_point([0.25, 0.35, 0.4])
         xi = np.array([1.0, -1.0, 0.0])
-        d4 = directional_derivative(f, x.weights, xi, h=1e-4)
-        d5 = directional_derivative(f, x.weights, xi, h=1e-5)
+        d4 = directional_derivative(f, x, xi, h=1e-4)
+        d5 = directional_derivative(f, x, xi, h=1e-5)
         assert abs(d4 - d5) <= 1e-3 * max(abs(d4), 1e-6)
 
 
@@ -301,10 +301,10 @@ class TestStackedProbes:
         worst_mid = -np.inf
         for _ in range(200):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
-            mid = f((a.weights + b.weights) / 2)
-            worst_mid = max(worst_mid, mid - (f(a.weights) + f(b.weights)) / 2)
-            points.append([a.weights, b.weights, (a.weights + b.weights) / 2])
-            values.append([f(a.weights), f(b.weights), mid])
+            mid = f((a + b) / 2)
+            worst_mid = max(worst_mid, mid - (f(a) + f(b)) / 2)
+            points.append([a, b, (a + b) / 2])
+            values.append([f(a), f(b), mid])
         # the stack holds all a, then all b, then all midpoints
         assert np.array_equal(mid_points, np.concatenate(np.swapaxes(points, 0, 1)))
         assert np.array_equal(mid_values, np.ravel(values, order="F"))
@@ -318,12 +318,12 @@ class TestStackedProbes:
             d = rng.normal(size=3)
             d -= d.mean()
             d *= 0.05 / np.abs(d).max()
-            if np.any(x.weights + d <= 0) or np.any(x.weights - d <= 0):
+            if np.any(x + d <= 0) or np.any(x - d <= 0):
                 continue
-            margin = (f(x.weights + d) + f(x.weights - d)) / 2 - f(x.weights)
+            margin = (f(x + d) + f(x - d)) / 2 - f(x)
             worst_margin = min(worst_margin, margin)
             count += 1
-            points.append([x.weights + d, x.weights - d, x.weights])
+            points.append([x + d, x - d, x])
             values.append([f(w) for w in points[-1]])
         assert np.array_equal(margin_points, np.concatenate(np.swapaxes(points, 0, 1)))
         assert np.array_equal(margin_values, np.ravel(values, order="F"))
@@ -346,7 +346,7 @@ class TestStackedProbes:
                 for b in range(a + 1, 3):
                     xi = np.zeros(3)
                     xi[a], xi[b] = 1.0, -1.0
-                    d = directional_derivative(f, x.weights, xi)
+                    d = directional_derivative(f, x, xi)
                     ia, jb = graph.successors[0, a], graph.successors[0, b]
                     lhs = pts[0] @ pts[ia] - pts[0] @ pts[jb]
                     worst = max(worst, abs(lhs - (k / n) * d))
@@ -368,13 +368,13 @@ class TestCurves:
             x0, lam0 = closed_form_minimum(group.datum)
             for curve in ("C1", "C2", "C3"):
                 s = curve_point(curve, 1.0, group)
-                assert np.abs(s.x.weights - x0.weights).max() <= 1e-12
+                assert np.abs(s.x - x0).max() <= 1e-12
                 assert s.lam == pytest.approx(lam0, abs=1e-12)
 
     def test_h3_c2_closed_form(self, h3):
         for t in np.geomspace(0.05, 20.0, 25):
             s = curve_point("C2", float(t), h3)
-            assert np.abs(s.x.weights - h3_curve_c2(float(t))).max() <= 1e-10
+            assert np.abs(s.x - h3_curve_c2(float(t))).max() <= 1e-10
 
     def test_interior_samples_are_full_orbits(self, h3):
         for curve in ("C1", "C2", "C3"):
@@ -467,7 +467,7 @@ class TestSweep:
         sweep = sweep_lambda1(a3, g)
         best = int(np.argmin(sweep.lambda1))
         x0, lam0 = closed_form_minimum(a3.datum)
-        assert np.abs(sweep.weights[best] - x0.weights).max() <= 2.0 / g
+        assert np.abs(sweep.weights[best] - x0).max() <= 2.0 / g
         assert sweep.lambda1[best] >= lam0 - 1e-12
 
     def test_builds_no_operator(self, a3, h3, no_operator):
@@ -519,14 +519,14 @@ class TestSweep:
             cluster = block_cluster(group, x, spectra[r])
             lengths = block_state(x, group)[2].tolist()
             measured = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
-            assert np.array_equal(sweep.weights[r], x.weights)
+            assert np.array_equal(sweep.weights[r], x)
             assert sweep.lambda1[r] == cluster.eigenvalue
             assert sweep.multiplicity[r] == cluster.multiplicity
             assert sweep.class_lengths[r].tolist() == lengths
             assert np.abs(sweep.class_lengths[r] - measured).max() <= 1e-15
             assert sweep.path[r] == cluster.path
             lines.append(",".join([
-                *(f"{w:.15g}" for w in x.weights), f"{cluster.eigenvalue:.15g}",
+                *(f"{w:.15g}" for w in x), f"{cluster.eigenvalue:.15g}",
                 str(cluster.multiplicity), *(f"{v:.15g}" for v in lengths),
             ]))
         out = tmp_path / "sweep.csv"
@@ -549,7 +549,7 @@ class TestSweep:
 
         def spy(graph, x):
             cluster = true_cluster(graph, x)
-            seen.append((x.weights, cluster.path))
+            seen.append((x, cluster.path))
             return cluster
 
         expected = sweep_lambda1(a3, 6)
@@ -587,7 +587,7 @@ def wrong_eigenvector_stack(group):
 def moved_vertex_embedding(group):
     """The block embedding of the point STACK[0], with vertex 17 moved."""
     x = simplex_point(STACK[0])
-    cluster = block_cluster(group, x, block_spectrum(group, x.weights))
+    cluster = block_cluster(group, x, block_spectrum(group, x))
     basis = cluster.basis.copy()
     basis[17] *= 1.5
     return x, dataclasses.replace(cluster, basis=basis)

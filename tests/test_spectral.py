@@ -236,7 +236,7 @@ def region_point(group, region, raw, k):
         w[k] = 1 - 2 * BOUNDARY_EPS
     elif region == "x0":
         d = raw - raw.mean()
-        w = minimum_point(group).weights + 1e-3 * d / max(np.abs(d).max(), 1e-9)
+        w = minimum_point(group) + 1e-3 * d / max(np.abs(d).max(), 1e-9)
         w /= w.sum()
     else:
         w = raw / raw.sum()
@@ -338,11 +338,11 @@ class TestBlockSpectrum:
         x = region_point(groups[name], region, raw, k)
         p = build_operator(graphs[name], x)
         dense = np.linalg.eigvalsh(p)[::-1]
-        vals = block_spectrum(groups[name], x.weights)
+        vals = block_spectrum(groups[name], x)
         assert vals.shape == dense.shape
         assert np.abs(vals - dense).max() <= 1e-12
         # the lambda_1 of the certificates and convexity probes
-        assert abs(_lambda1_fn(graphs[name])(x.weights[None])[0] - lambda1(p)) <= 1e-12
+        assert abs(_lambda1_fn(graphs[name])(x[None])[0] - lambda1(p)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @settings(max_examples=80, deadline=None)
@@ -362,7 +362,7 @@ class TestBlockSpectrum:
         x = simplex_point(weights)
         for name, group in groups.items():
             dense = np.linalg.eigvalsh(build_operator(graphs[name], x))[::-1]
-            assert np.abs(block_spectrum(group, x.weights) - dense).max() <= 1e-12
+            assert np.abs(block_spectrum(group, x) - dense).max() <= 1e-12
             cluster = lambda1_cluster(graphs[name], x)
             lam, multiplicity, gap, path = dense_value_cluster(graphs[name], x)
             assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
@@ -370,7 +370,7 @@ class TestBlockSpectrum:
 
     def test_stack_matches_single_points(self, groups):
         rng = np.random.default_rng(12)
-        stack = np.array([sample_interior(rng, 3).weights for _ in range(7)])
+        stack = np.array([sample_interior(rng, 3) for _ in range(7)])
         for group in groups.values():
             vals = block_spectrum(group, stack)
             assert vals.shape == (7, group.order)
@@ -393,7 +393,7 @@ class TestBlockSpectrum:
     def test_stacked_lambda1_matches_single_points(self, groups, graphs, name, points):
         # the points repeated to span two chunks of SPECTRUM_CHUNK rows
         group, f = groups[name], _lambda1_fn(graphs[name])
-        stack = np.array([region_point(group, *point).weights for point in points])
+        stack = np.array([region_point(group, *point) for point in points])
         stack = np.resize(stack, (SPECTRUM_CHUNK + len(points), 3))
         vals = f(stack)
         assert vals.shape == (len(stack),)
@@ -446,7 +446,7 @@ class TestBlockSpectrum:
         want = {b.shape[2]: b.shape[1] * b.shape[2] for b in h3.irreducible_blocks}
         rng = np.random.default_rng(23)
         for _ in range(5):
-            _, repeats = np.unique(block_spectrum(h3, sample_interior(rng, 3).weights),
+            _, repeats = np.unique(block_spectrum(h3, sample_interior(rng, 3)),
                                    return_counts=True)
             assert dict(zip(*np.unique(repeats, return_counts=True))) == want
 
@@ -501,7 +501,7 @@ class TestBlockSpectrum:
         succ[:, 1] = succ[np.random.default_rng(4).permutation(b3.order), 1]
         broken = dataclasses.replace(b3, successors=succ)
         with pytest.raises(CoxeterError):
-            block_spectrum(broken, uniform_point(3).weights)
+            block_spectrum(broken, uniform_point(3))
 
 
 def directional_derivative(f, weights, xi, h):
@@ -529,7 +529,7 @@ class TestBlockGradient:
         # lambda_1 branch (near the boundary the gap is ~1e-7); the dense
         # eigenvalues carry a rounding error of about n eps, which the
         # difference quotient divides by h
-        h = min(1e-6, gap / 1000, x.weights.min() / 2)
+        h = min(1e-6, gap / 1000, x.min() / 2)
         tol = 1e-6 + graph.n_vertices * np.finfo(float).eps / h
 
         def f(w):
@@ -539,7 +539,7 @@ class TestBlockGradient:
             for b in range(a + 1, 3):
                 xi = np.zeros(3)
                 xi[a], xi[b] = 1.0, -1.0
-                d = directional_derivative(f, x.weights, xi, h=h)
+                d = directional_derivative(f, x, xi, h=h)
                 assert abs(d - (grad[a] - grad[b])) <= tol
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
