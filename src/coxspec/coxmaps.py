@@ -16,7 +16,7 @@ import numpy as np
 from .coxeter import ReflectionGroup
 from .errors import DomainError
 from .linalg import perron_frobenius
-from .randwalk import simplex_point
+from .randwalk import check_weights
 
 # orbit_points: images closer than this in every coordinate are one point
 ORBIT_DEDUP_TOL = 1e-6
@@ -52,77 +52,106 @@ def fundamental_vectors(group: ReflectionGroup):
 
 @dataclass(frozen=True)
 class FundamentalPoint:
-    """Point of the spherical fundamental domain with its cone coordinates."""
+    """Point of the spherical fundamental domain with its cone coordinates,
+    or a stack of them: both fields are (3,) or (m, 3)."""
 
     group: ReflectionGroup
     alphas: np.ndarray  # positive coefficients over the p_j
     point: np.ndarray   # sum_j alpha_j p_j, unit norm
 
 
+def _worst(values):
+    # the index of the largest of a stack's `values` (NaN first; True for
+    # flags) and the words " at row i"; (..., "") for one point's value
+    if np.ndim(values):
+        i = int(np.argmax(values))
+        return i, f" at row {i}"
+    return ..., ""
+
+
 def fundamental_point(group, alphas):
-    """Normalize finite positive cone coefficients onto the unit sphere."""
+    """Normalize finite positive cone coefficients, one point (3,) or a
+    stack (m, 3), onto the unit sphere.  The products are one gemv per
+    point, so each row of a stack is bit for bit its point alone."""
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (group.rank,) or not np.all((alphas > 0) & (alphas < np.inf)):
+    if (alphas.ndim not in (1, 2) or alphas.shape[-1] != group.rank
+            or not np.all((alphas > 0) & (alphas < np.inf))):
         raise DomainError("need finite, strictly positive coefficients, one per generator")
     # an exact power-of-two scale into [0.5, 1): the norm of huge
     # coefficients would overflow, and the result does not change
-    alphas = np.ldexp(alphas, -np.frexp(alphas.max())[1])
+    alphas = np.ldexp(alphas, -np.frexp(alphas.max(axis=-1, keepdims=True))[1])
     pvecs, _ = fundamental_vectors(group)
-    p = alphas @ pvecs
-    scale = np.linalg.norm(p)
+    p = (alphas[..., None, :] @ pvecs)[..., 0, :]
+    # |p| from the dot product <p, p>, as np.linalg.norm takes it for one vector
+    scale = np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0]
     return FundamentalPoint(group=group, alphas=alphas / scale, point=p / scale)
 
 
 def psi_maps(fp: FundamentalPoint):
-    """Simplex point and eigenvalue realizing lam p = sum_j x_j sigma_j(p).
+    """Simplex point and eigenvalue realizing lam p = sum_j x_j sigma_j(p),
+    for one fundamental point or for each row of a stack: (x (3,), lam) or
+    (x (m, 3), lam (m,)), x read-only.
 
     The unnormalized weights are x' = V diag(alpha)^{-1} M^{-1} alpha and
     lam' = sum_j x'_j - 2V; rescaling by sum_j x'_j lands on the simplex.
+    M^{-1} alpha is one gemv per point, so each row of a stack is bit for
+    bit its point alone.  The defining relation is checked on every row; a
+    `DomainError` names the worst one (a NaN deviation fails).
     """
     group = fp.group
     _, v = fundamental_vectors(group)
     minv = gram_inverse(group.datum)
     alphas = fp.alphas
-    if not alphas.min() >= PSI_ALPHA_RATIO * alphas.max():
-        raise DomainError(f"cone coefficients {alphas} differ by more than a factor 2^1018")
-    xprime = v * (minv @ alphas) / alphas
-    total = xprime.sum()
+    balanced = alphas.min(axis=-1) >= PSI_ALPHA_RATIO * alphas.max(axis=-1)
+    if not balanced.all():
+        i, where = _worst(~balanced)
+        raise DomainError(
+            f"cone coefficients {alphas[i]} differ by more than a factor 2^1018{where}"
+        )
+    xprime = v * (minv @ alphas[..., None])[..., 0] / alphas
+    total = xprime.sum(axis=-1)
     lam = (total - 2.0 * v) / total
-    x = simplex_point(xprime / total)
+    x = check_weights(xprime / total[..., None])
+    x.flags.writeable = False
 
     # defining relation, checked rather than assumed
-    lhs = lam * fp.point
-    rhs = sum(x[j] * (group.generators[j] @ fp.point) for j in range(group.rank))
-    dev = np.abs(lhs - rhs).max()
-    if dev > 1e-10:
-        raise DomainError(f"lam p = sum_j x_j sigma_j(p) fails (deviation {dev:.2g})")
-    return x, float(lam)
+    lhs = lam[..., None] * fp.point
+    rhs = np.einsum("...j,jab,...b->...a", x, group.generators, fp.point)
+    dev = np.abs(lhs - rhs).max(axis=-1)
+    if not dev.max() <= 1e-10:  # NaN fails too
+        i, where = _worst(dev)
+        raise DomainError(f"lam p = sum_j x_j sigma_j(p) fails{where} (deviation {dev[i]:.2g})")
+    return x, (lam if lam.ndim else float(lam))
 
 
 def _pf_pair(group, x):
     """Perron-Frobenius eigenvalue and positive eigenvector of
-    A = V D^{-1} M^{-1}, D = diag(x), with the volume V: A is similar to
-    the symmetric S = V D^{-1/2} M^{-1} D^{-1/2}, and S u = lam u gives
-    A alpha = lam alpha for alpha = D^{-1/2} u."""
-    if not np.all(x > 0):
-        raise DomainError("requires an interior simplex point")
+    A = V D^{-1} M^{-1}, D = diag(x), with the volume V, for one interior
+    point (3,) or a stack (m, 3): A is similar to the symmetric
+    S = V D^{-1/2} M^{-1} D^{-1/2}, and S u = lam u gives A alpha = lam alpha
+    for alpha = D^{-1/2} u."""
+    interior = (x > 0).all(axis=-1)
+    if not interior.all():
+        raise DomainError(f"requires an interior simplex point{_worst(~interior)[1]}")
     _, v = fundamental_vectors(group)
     d = 1.0 / np.sqrt(x)
-    lam_pf, u = perron_frobenius(v * gram_inverse(group.datum) * np.outer(d, d))
+    outer = d[..., :, None] * d[..., None, :]  # the products of np.outer(d, d)
+    lam_pf, u = perron_frobenius(v * gram_inverse(group.datum) * outer)
     return lam_pf, d * u, v
 
 
 def psi_delta_inverse(group, x):
-    """Fundamental point mapping to the given interior simplex point:
-    alpha is the Perron-Frobenius eigenvector of A, scaled onto the unit
-    sphere."""
+    """Fundamental point mapping to the given interior simplex point, or a
+    stack of them for a stack (m, 3): alpha is the Perron-Frobenius
+    eigenvector of A, scaled onto the unit sphere."""
     _, alpha, _ = _pf_pair(group, x)
     return fundamental_point(group, alpha)
 
 
 def psi_lambda_of(group, x):
     """lam = 1 - 2 V mu with mu the reciprocal Perron-Frobenius
-    eigenvalue of A; equals psi_maps of the inverse."""
+    eigenvalue of A, for one interior point or each row of a stack (m, 3);
+    equals psi_maps of the inverse."""
     lam_pf, _, v = _pf_pair(group, x)
     return 1.0 - 2.0 * v / lam_pf
 

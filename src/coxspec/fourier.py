@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .randwalk import build_operator
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,9 @@ def char_poly_coeffs(mat):
 
 
 def crosscheck_mu1(x, group, graph):
-    """|mu_1(X) - lambda_1(P_X)|: the top eigenvalue of the 3x3 block
-    against the full eigensolver."""
+    """|mu_1(X) - lambda_1(P_X)| of one point (3,) or each row of a stack
+    (m, 3), as a float or (m,): the top eigenvalue of the 3x3 block against
+    the dense eigensolve of the whole graph (`spectral.lambda1`)."""
     from .spectral import lambda1  # spectral imports this module
 
-    return abs(float(rep_fourier(x, group).roots[0]) - lambda1(build_operator(graph, x)))
+    return np.abs(rep_fourier(x, group).roots[..., 0] - lambda1(graph, x))

@@ -17,17 +17,27 @@ class LinalgError(CoxspecError):
     """Raised on dimension / symmetry / domain violations."""
 
 
+def _which(bad):
+    # " (matrix i of the stack)" for the first True of a stack's flags, ""
+    # for the one flag of a single matrix
+    return f" (matrix {int(np.argmax(bad))} of the stack)" if np.ndim(bad) else ""
+
+
 def check_symmetric(a):
-    """Return `a` as a float array, raising if it is not a finite
-    symmetric matrix."""
+    """Return `a` as a float array, raising if it is not a finite symmetric
+    matrix, or a stack (m, n, n) of them; the error names the first matrix
+    of a stack that fails."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise LinalgError("matrix has non-finite entries")
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
-        raise LinalgError("matrix is not symmetric within tolerance")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise LinalgError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    axes = (-2, -1)
+    finite = np.isfinite(a).all(axis=axes)
+    if not finite.all():
+        raise LinalgError(f"matrix has non-finite entries{_which(~finite)}")
+    scale = np.maximum(1.0, np.abs(a).max(axis=axes))
+    symmetric = np.abs(a - a.swapaxes(-1, -2)).max(axis=axes) <= SYMMETRY_RTOL * scale
+    if not symmetric.all():
+        raise LinalgError(f"matrix is not symmetric within tolerance{_which(~symmetric)}")
     return a
 
 
@@ -47,6 +57,8 @@ def eigh_symmetric(a):
     to vals[r]; eigenvector signs are fixed by the
     largest-magnitude-entry-positive rule so repeated runs agree.
     """
+    if np.ndim(a) != 2:
+        raise LinalgError(f"expected a square matrix, got shape {np.shape(a)}")
     a = check_symmetric(a)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
@@ -55,10 +67,14 @@ def eigh_symmetric(a):
 
 def perron_frobenius(a):
     """Spectral radius and positive unit eigenvector of a symmetric matrix
-    with strictly positive entries: the top pair of one `eigh`, with the
-    vector's sign made positive."""
+    with strictly positive entries, or of each matrix of a stack (m, n, n):
+    the top pair of one `eigh`, with the vector's sign made positive.  The
+    checks apply to every matrix, and a `LinalgError` names the first one
+    of a stack that fails.  `eigh` solves a stack one matrix at a time, so
+    each row of a stack's result is bit for bit that of its matrix alone."""
     a = check_symmetric(a)
-    if np.any(a <= 0):
-        raise LinalgError("Perron-Frobenius requires strictly positive entries")
+    positive = (a > 0).all(axis=(-2, -1))
+    if not positive.all():
+        raise LinalgError(f"Perron-Frobenius requires strictly positive entries{_which(~positive)}")
     vals, vecs = np.linalg.eigh(a)
-    return vals[-1], np.abs(vecs[:, -1])
+    return vals[..., -1], np.abs(vecs[..., -1])

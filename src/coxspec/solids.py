@@ -21,7 +21,6 @@ from .coxmaps import (
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
 from .randwalk import (
-    build_operator,
     check_weights,
     project_to_simplex,
     simplex_point,
@@ -47,8 +46,9 @@ EQUILATERAL_TOL = 1e-7
 GAP_GUARD = 1e-4
 MIN_GRAD_TOL = 1e-9
 MAX_ITER = 10_000
-# boundary_limit: geometric steps towards the target, and the decay over
-# the last step below which a cone coefficient counts as vanishing
+# boundary_limit: the geometric step 2^-LIMIT_STEPS towards the target at
+# which the cone coefficients are read, and their decay over the last
+# halving below which a coefficient counts as vanishing
 LIMIT_STEPS = 8
 VANISH_RATIO = 0.1
 
@@ -215,7 +215,7 @@ def minimize_lambda1(group):
     else:
         raise MinimizationError(f"lambda_1 minimization did not converge; best {x}")
 
-    lam_dense = lambda1(build_operator(graph, x))
+    lam_dense = lambda1(graph, x)
     if abs(lam_dense - fx) > CLUSTER_TOL:
         raise MinimizationError(f"mu_1 = {fx!r} is not lambda_1 = {lam_dense!r} at {x}")
     report_opt = CriticalReport(
@@ -235,7 +235,7 @@ def minimize_lambda1(group):
 class CurveSample:
     curve: str
     t: float
-    x: np.ndarray  # (3,) read-only, from `simplex_point`
+    x: np.ndarray  # (3,) read-only, from `psi_maps`
     lam: float
     class_lengths: np.ndarray
 
@@ -281,7 +281,8 @@ def boundary_limit(target, group, curve=None):
 
     Edge-interior targets are approached on the straight line from the
     barycenter; the surviving cone coefficients are detected from the
-    decay of the inverse map along geometric steps.  Vertex targets are
+    decay of the inverse map over the last halving of the distance, at
+    the steps 2^-(LIMIT_STEPS - 1) and 2^-LIMIT_STEPS.  Vertex targets are
     curve dependent and require a curve id; a curve id, where given, must
     name a curve for every target.
     """
@@ -304,12 +305,12 @@ def boundary_limit(target, group, curve=None):
         return p, len(pts), pattern
 
     center = np.full(group.rank, 1.0 / group.rank)
-    alphas = []
-    for n in range(1, LIMIT_STEPS + 1):
-        eps = 2.0**-n
-        xn = simplex_point((1 - eps) * target + eps * center)
-        a = psi_delta_inverse(group, xn).alphas
-        alphas.append(a / a.max())
+    # the last two steps, whose decay decides; one stack, each row bit for
+    # bit its point alone
+    eps = 2.0 ** -np.arange(LIMIT_STEPS - 1, LIMIT_STEPS + 1.0)
+    xs = check_weights((1 - eps)[:, None] * target + eps[:, None] * center)
+    a = psi_delta_inverse(group, xs).alphas
+    alphas = a / a.max(axis=1, keepdims=True)
     surviving = alphas[-1] / alphas[-2] > 1.0 - VANISH_RATIO
     surviving &= alphas[-1] > 1e-4
     # linear extrapolation in eps of the surviving coefficients

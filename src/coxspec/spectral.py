@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
-from .linalg import check_symmetric, eigh_symmetric, fix_signs
+from .linalg import eigh_symmetric, fix_signs
 from .randwalk import build_operator
 
 CLUSTER_TOL = 1e-7
@@ -25,6 +25,13 @@ GRAM_PAIRS = 50
 # block_spectrum: points per stacked eigensolve, which bounds the
 # temporary block matrices to about 0.1 MiB on H3
 SPECTRUM_CHUNK = 64
+# lambda1: points per stacked eigensolve of the bipartite half.  An H3
+# point holds C and C C^T, two 60x60 arrays of 28 KiB (a stack of 100
+# full 120x120 operators alone would be 11 MiB).  On the verify workload
+# (2 cores, one OpenBLAS thread) 1, 4 and 16 points per chunk took the
+# same time; peak RSS rose over the full single solves by 0.1-0.3 MiB at
+# 4 points and by 0.5-0.6 MiB at 16
+ORACLE_CHUNK = 4
 
 
 class InvarianceError(CoxspecError):
@@ -122,6 +129,17 @@ def spectrum_clusters(p):
     ]
 
 
+def _check_stack(group, weights):
+    # one weight vector (k,) or a stack (m, k) of finite weights, as floats
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != group.rank or not np.all(np.isfinite(w)):
+        raise DomainError(
+            f"weights must be finite, of shape ({group.rank},) or (m, {group.rank}); "
+            f"got shape {w.shape}"
+        )
+    return w
+
+
 def block_spectrum(group, weights):
     """Descending eigenvalues of P_X, counted with multiplicity, from the
     irreducible blocks sum_j x_j rho(s_j) of `group.irreducible_blocks`:
@@ -135,12 +153,7 @@ def block_spectrum(group, weights):
     the spectrum of its point alone.  Weights of another shape, or not
     finite, raise `DomainError`.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != group.rank or not np.all(np.isfinite(w)):
-        raise DomainError(
-            f"weights must be finite, of shape ({group.rank},) or (m, {group.rank}); "
-            f"got shape {w.shape}"
-        )
+    w = _check_stack(group, weights)
     rows = np.atleast_2d(w)
     vals = np.empty((len(rows), group.order))
     for start in range(0, len(rows), SPECTRUM_CHUNK):
@@ -161,11 +174,52 @@ def block_spectrum(group, weights):
     return vals[0] if w.ndim == 1 else vals
 
 
-def lambda1(p):
-    """Second-highest eigenvalue of the dense operator `p`, counted with
-    multiplicity, from one values-only eigensolve: the oracle the block
-    spectrum is checked against."""
-    return float(np.linalg.eigvalsh(check_symmetric(p))[-2])
+def _bipartite_half(graph):
+    """Row and columns of the edges of the even-to-odd block C of P_X: the
+    row (|G|/2,) of each even element (det g = +1) and the columns
+    (|G|/2, k) of its neighbours along each class.  Every generator
+    reflects, so an edge joins elements of opposite det sign; one that
+    does not is an `InvarianceError`."""
+    even = np.linalg.det(graph.group.elements) > 0
+    succ = graph.successors
+    same = even[succ] == even[:, None]
+    if same.any():
+        i, j = np.argwhere(same)[0]
+        raise InvarianceError(
+            f"edge {i}-{succ[i, j]} of class {j} joins two elements of equal det sign"
+        )
+    half = np.empty(len(even), dtype=np.intp)  # position of each element in its half
+    half[even] = np.arange(even.sum())
+    half[~even] = np.arange((~even).sum())
+    return half[even], half[succ[even]]
+
+
+def lambda1(graph, weights):
+    """Second-highest eigenvalue of P_X, counted with multiplicity, from a
+    dense eigensolve of the whole graph: the oracle the block spectrum is
+    checked against.  `weights` is one point (k,) or a stack (m, k); the
+    result is a float or (m,).
+
+    The Cayley graph is bipartite by the sign of det g, so
+    P = [[0, C], [C^T, 0]] and the eigenvalues of P are +-sigma_i(C): lambda_1
+    is sqrt of entry 1 of the descending `eigvalsh(C C^T)`, with C the
+    |G|/2 x |G|/2 block filled from `successors`.  No |G| x |G| array and
+    no irreducible block is formed.  `ORACLE_CHUNK` points at a time, each
+    solved alone, so a row of a stack is bit for bit its point alone.
+    Weights of another shape, or not finite, raise `DomainError`.
+    """
+    w = _check_stack(graph.group, weights)
+    rows, cols = _bipartite_half(graph)
+    points = np.atleast_2d(w)
+    vals = np.empty(len(points))
+    for start in range(0, len(points), ORACLE_CHUNK):
+        chunk = points[start:start + ORACLE_CHUNK]
+        c = np.zeros((len(chunk), len(rows), len(rows)))
+        # the neighbours g s_j of g are distinct, so no entry is set twice
+        c[:, rows[:, None], cols] = chunk[:, None, :]
+        mu = np.linalg.eigvalsh(c @ c.swapaxes(-1, -2))
+        vals[start:start + len(chunk)] = np.sqrt(mu[:, -2])
+    return float(vals[0]) if w.ndim == 1 else vals
 
 
 def block_clusters(group, weights, vals):

@@ -140,13 +140,14 @@ def suite_invariants():
     )
     checks.append(_count_check("h3_euler", graph.n_vertices - n_edges + faces, 2, 8))
 
-    # Fourier cross-check and the H3 characteristic polynomial
+    # Fourier cross-check and the H3 characteristic polynomial; the
+    # oracle checks draw each group's points in the rng order of one point
+    # at a time, then evaluate them as one stack
     for name in ("A3", "B3", "H3"):
         group = build_group(name)
         gname = cayley_graph(group)
-        dev = max(
-            crosscheck_mu1(sample_interior(rng, 3), group, gname) for _ in range(50)
-        )
+        xs = np.array([sample_interior(rng, 3) for _ in range(50)])
+        dev = crosscheck_mu1(xs, group, gname).max()
         checks.append(_check(f"fourier_crosscheck_{name}", dev, 1e-9, 6))
     dev = 0.0
     for i in range(1, 10):
@@ -165,15 +166,10 @@ def suite_invariants():
     for name in ("A3", "B3", "H3"):
         group = build_group(name)
         gname = cayley_graph(group)
-        dev_lam, dev_rt = 0.0, 0.0
-        for _ in range(100):
-            x = sample_interior(rng, 3)
-            dev_lam = max(
-                dev_lam,
-                abs(psi_lambda_of(group, x) - lambda1(build_operator(gname, x))),
-            )
-            x_back, _ = psi_maps(psi_delta_inverse(group, x))
-            dev_rt = max(dev_rt, np.abs(x_back - x).max())
+        xs = np.array([sample_interior(rng, 3) for _ in range(100)])
+        dev_lam = np.abs(psi_lambda_of(group, xs) - lambda1(gname, xs)).max()
+        x_back, _ = psi_maps(psi_delta_inverse(group, xs))
+        dev_rt = np.abs(x_back - xs).max()
         checks.append(_check(f"psi_vs_eigensolver_{name}", dev_lam, 1e-9, 7))
         checks.append(_check(f"psi_round_trip_{name}", dev_rt, 1e-9, 7))
 
@@ -284,10 +280,8 @@ def suite_curves():
         _, count, _ = boundary_limit(np.array(target), h3)
         checks.append(_count_check(f"edge_limit_{expected}", count, expected, 9))
 
-    lams = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        x = simplex_point(np.array([(1 - eps) / 2, eps, (1 - eps) / 2]))
-        lams.append(lambda1(build_operator(graph, x)))
+    eps = np.array([1e-2, 1e-3, 1e-4])
+    lams = lambda1(graph, np.column_stack(((1 - eps) / 2, eps, (1 - eps) / 2)))
     monotone = lams[0] < lams[1] < lams[2]
     checks.append(
         _check("boundary_lambda1", lams[-1], 0.999, 9, passed=monotone and lams[-1] > 0.999)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxspec import solids
 from coxspec.cli import main
 from coxspec.coxeter import CoxeterDatum
 from coxspec.coxmaps import (
@@ -292,6 +293,109 @@ class TestPsiMaps:
             psi_delta_inverse(h3, simplex_point([0.0, 0.5, 0.5]))
         with pytest.raises(DomainError):
             psi_lambda_of(h3, simplex_point([0.5, 0.5, 0.0]))
+
+
+def interior_stack(rng, m):
+    # interior points, half of them within 1e-3 of the boundary, and the
+    # uniform point
+    rows = [sample_interior(rng, 3, margin=1e-3 if r % 2 else 0.02) for r in range(m - 1)]
+    return np.array(rows + [uniform_point(3)])
+
+
+class TestPsiStacks:
+    """The psi maps on (m, 3) stacks: each row bit for bit the call on its
+    point alone, every row checked, and the single-point values pinned."""
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_rows_match_single_points(self, groups, name):
+        group = groups[name]
+        xs = interior_stack(np.random.default_rng(16), 40)
+        lam = psi_lambda_of(group, xs)
+        fp = psi_delta_inverse(group, xs)
+        x_back, lam_back = psi_maps(fp)
+        assert lam.shape == lam_back.shape == (40,)
+        assert fp.alphas.shape == fp.point.shape == x_back.shape == (40, 3)
+        assert not x_back.flags.writeable
+        for r, x in enumerate(xs):
+            one = psi_delta_inverse(group, x)
+            assert psi_lambda_of(group, x) == lam[r]
+            assert np.array_equal(one.alphas, fp.alphas[r])
+            assert np.array_equal(one.point, fp.point[r])
+            x_one, lam_one = psi_maps(one)
+            assert isinstance(lam_one, float) and lam_one == lam_back[r]
+            assert np.array_equal(x_one, x_back[r])
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_fundamental_point_rows(self, groups, name):
+        # cone coefficients spread over sixty decades
+        group = groups[name]
+        rng = np.random.default_rng(17)
+        alphas = rng.random((30, 3)) * 10.0 ** rng.integers(-30, 30, size=(30, 3))
+        fp = fundamental_point(group, alphas)
+        x, lam = psi_maps(fp)
+        for r in range(30):
+            one = fundamental_point(group, alphas[r])
+            assert np.array_equal(one.alphas, fp.alphas[r])
+            assert np.array_equal(one.point, fp.point[r])
+            x_one, lam_one = psi_maps(one)
+            assert np.array_equal(x_one, x[r]) and lam_one == lam[r]
+
+    def test_single_points_pinned(self, groups):
+        # curve_point and boundary_limit of one point, to the last bit
+        s = solids.curve_point("C2", 0.5, groups["H3"])
+        assert [v.hex() for v in s.x] == [
+            "0x1.14699adeaa2f0p-2", "0x1.c556a89d9f369p-3", "0x1.04758869431adp-1"
+        ]
+        assert s.lam.hex() == "0x1.f00bed8a98ebdp-1"
+        assert [v.hex() for v in s.class_lengths] == [
+            "0x1.8c531012d9fffp-3", "0x1.8c531012d9fffp-2", "0x1.8c531012d9fffp-3"
+        ]
+        s = solids.curve_point("C3", 1e-3, groups["A3"])
+        assert [v.hex() for v in s.x] == [
+            "0x1.ff7d3082705afp-2", "0x1.ff7d3082705b2p-2", "0x1.059efb1f49f46p-10"
+        ]
+        assert s.lam.hex() == "0x1.ff7d51f6ac166p-1"
+        p, count, _ = solids.boundary_limit(np.array([0.0, 0.5, 0.5]), groups["H3"])
+        assert count == 12
+        assert [v.hex() for v in p] == [
+            "0x1.0d2ca0da1530ap-1", "0x1.28ea9c91dfea2p-55", "0x1.b38880b4603e6p-1"
+        ]
+        p, count, _ = solids.boundary_limit(np.array([0.5, 0.0, 0.5]), groups["B3"])
+        assert count == 8
+        assert [v.hex() for v in p] == ["0x0.0p+0", "0x1.279a74590331ap-1", "0x1.a20bd700c2c3fp-1"]
+
+    def test_relation_names_the_worst_row(self, h3):
+        fp = fundamental_point(h3, np.random.default_rng(18).random((6, 3)) + 0.05)
+        point = fp.point.copy()
+        point[1] += 1e-9  # a deviation of about 1e-9
+        point[4] = fundamental_point(h3, fp.alphas[4][::-1]).point
+        with pytest.raises(DomainError, match="fails at row 4 "):
+            psi_maps(FundamentalPoint(group=h3, alphas=fp.alphas, point=point))
+
+    def test_nan_deviation_fails(self, h3):
+        # a NaN deviation is not below the tolerance
+        fp = fundamental_point(h3, np.random.default_rng(19).random((5, 3)) + 0.05)
+        point = fp.point.copy()
+        point[2, 1] = np.nan
+        with pytest.raises(DomainError, match="fails at row 2 \\(deviation nan\\)"):
+            psi_maps(FundamentalPoint(group=h3, alphas=fp.alphas, point=point))
+        with pytest.raises(DomainError, match="fails \\(deviation nan\\)"):
+            psi_maps(FundamentalPoint(group=h3, alphas=fp.alphas[2], point=point[2]))
+
+    def test_coefficient_ratio_names_the_row(self, h3):
+        alphas = np.ones((4, 3))
+        alphas[3, 1] = 2.0**-1019
+        with pytest.raises(DomainError, match="factor 2\\^1018 at row 3$"):
+            psi_maps(fundamental_point(h3, alphas))
+
+    def test_stacked_inverse_needs_interior(self, h3):
+        xs = np.array([uniform_point(3), [0.0, 0.5, 0.5]])
+        with pytest.raises(DomainError, match="interior simplex point at row 1$"):
+            psi_delta_inverse(h3, xs)
+        with pytest.raises(DomainError, match="interior simplex point at row 1$"):
+            psi_lambda_of(h3, xs)
 
 
 class TestEdgeLengths:

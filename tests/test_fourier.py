@@ -6,6 +6,7 @@ from coxspec.errors import DomainError
 from coxspec.fourier import char_poly_coeffs, crosscheck_mu1, rep_fourier
 from coxspec.linalg import eigh_symmetric
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
+from coxspec.spectral import ORACLE_CHUNK
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -22,6 +23,7 @@ class TestRepFourier:
         rep = rep_fourier(simplex_point([1.0, 0.0, 0.0]), h3)
         assert np.abs(rep.roots - np.array([1.0, 1.0, -1.0])).max() <= 1e-12
 
+    @pytest.mark.bit_equal
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_stack_matches_single_points(self, groups, name):
         # bit for bit: M, its roots and its vectors of a point alone are
@@ -83,6 +85,17 @@ class TestCrosscheck:
             for _ in range(10):
                 x = sample_interior(rng, 3)
                 assert crosscheck_mu1(x, group, graphs[name]) <= 1e-9
+
+    @pytest.mark.bit_equal
+    def test_stack_matches_single_points(self, groups, graphs):
+        # one deviation per row, each that of its point alone
+        rng = np.random.default_rng(23)
+        xs = np.array([sample_interior(rng, 3) for _ in range(2 * ORACLE_CHUNK + 1)])
+        for name, group in groups.items():
+            devs = crosscheck_mu1(xs, group, graphs[name])
+            assert devs.shape == (len(xs),) and devs.max() <= 1e-9
+            for x, dev in zip(xs, devs):
+                assert crosscheck_mu1(x, group, graphs[name]) == dev
 
     def test_rep_roots_in_full_spectrum_with_multiplicity(self, h3, graphs):
         rng = np.random.default_rng(22)

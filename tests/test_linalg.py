@@ -72,6 +72,10 @@ class TestEigh:
         with pytest.raises(LinalgError):
             eigh_symmetric([[0, 1], [0, 0]])
 
+    def test_rejects_stack(self):
+        with pytest.raises(LinalgError, match="expected a square matrix"):
+            eigh_symmetric(np.ones((2, 3, 3)))
+
 
 class TestPerronFrobenius:
     def test_all_ones(self):
@@ -106,6 +110,45 @@ class TestPerronFrobenius:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(LinalgError, match="symmetric"):
             perron_frobenius([[1, 2], [3, 1]])
+
+
+def positive_stack(m, n=4, seed=4):
+    a = np.random.default_rng(seed).random((m, n, n)) + 0.05
+    return a + a.swapaxes(1, 2)
+
+
+class TestPerronFrobeniusStack:
+    @pytest.mark.bit_equal
+    def test_rows_match_single_matrices(self):
+        s = positive_stack(9)
+        lam, vec = perron_frobenius(s)
+        assert lam.shape == (9,) and vec.shape == (9, 4)
+        for r in range(9):
+            one_lam, one_vec = perron_frobenius(s[r])
+            assert one_lam == lam[r] and np.array_equal(one_vec, vec[r])
+
+    def test_names_the_nonsymmetric_matrix(self):
+        s = positive_stack(7)
+        s[5, 0, 1] += 1e-6
+        with pytest.raises(LinalgError, match="not symmetric .*\\(matrix 5 of the stack\\)"):
+            perron_frobenius(s)
+
+    def test_names_the_nonpositive_matrix(self):
+        s = positive_stack(7)
+        s[2, 1, 1] = 0.0
+        s[4, 0, 0] = -1.0
+        with pytest.raises(LinalgError, match="strictly positive .*\\(matrix 2 of the stack\\)"):
+            perron_frobenius(s)
+
+    def test_names_the_non_finite_matrix(self):
+        s = positive_stack(7)
+        s[6, 3, 3] = np.nan
+        with pytest.raises(LinalgError, match="non-finite .*\\(matrix 6 of the stack\\)"):
+            perron_frobenius(s)
+
+    def test_one_matrix_names_none(self):
+        with pytest.raises(LinalgError, match="strictly positive entries$"):
+            perron_frobenius([[1, 0], [0, 1]])
 
 
 class TestDet:

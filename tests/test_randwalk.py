@@ -163,7 +163,7 @@ class TestSpectralStructure:
         lams = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             x = simplex_point([(1 - eps) / 2, eps, (1 - eps) / 2])
-            lams.append(lambda1(build_operator(graph, x)))
+            lams.append(lambda1(graph, x))
         assert all(a < b for a, b in zip(lams, lams[1:]))
         assert lams[-1] > 1 - 1e-3
 
@@ -173,9 +173,9 @@ class TestSpectralStructure:
         for _ in range(50):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
             mid = simplex_point((a + b) / 2)
-            lam_mid = lambda1(build_operator(graph, mid))
+            lam_mid = lambda1(graph, mid)
             lam_avg = (
-                lambda1(build_operator(graph, a)) + lambda1(build_operator(graph, b))
+                lambda1(graph, a) + lambda1(graph, b)
             ) / 2
             assert lam_mid <= lam_avg + 1e-9
 

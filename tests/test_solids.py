@@ -9,7 +9,15 @@ import pytest
 import coxspec
 from coxspec import solids, spectral, verify
 from coxspec.cli import main
-from coxspec.coxmaps import DomainError, fundamental_point, orbit_points
+from coxspec.coxmaps import (
+    DomainError,
+    fundamental_point,
+    orbit_points,
+    psi_delta_inverse,
+    psi_lambda_of,
+    psi_maps,
+)
+from coxspec.fourier import crosscheck_mu1
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
     CURVE_VERTICES,
@@ -94,7 +102,9 @@ class TestMinimize:
         # the step count, and that one dense eigensolve (the final oracle)
         # is all the minimiser and its certificate make
         calls = []
-        monkeypatch.setattr(solids, "lambda1", lambda p: calls.append(p) or lambda1(p))
+        monkeypatch.setattr(
+            solids, "lambda1", lambda graph, x: calls.append(x) or lambda1(graph, x)
+        )
         res = minimize_lambda1(groups[name])
         closed, opt = res.closed_form, res.optimized
         x0, lam0 = closed_form_minimum(groups[name].datum)
@@ -112,7 +122,7 @@ class TestMinimize:
 
     def test_oracle_disagreement_is_typed(self, a3, monkeypatch):
         # the dense lambda_1 at the result must equal the block's mu_1
-        monkeypatch.setattr(solids, "lambda1", lambda p: 0.5)
+        monkeypatch.setattr(solids, "lambda1", lambda graph, x: 0.5)
         with pytest.raises(MinimizationError, match="is not lambda_1"):
             minimize_lambda1(a3)
 
@@ -121,7 +131,7 @@ class TestMinimize:
         # the certificate's finite differences read the irreducible blocks:
         # it certifies X0, and measures a seeded point, with the dense
         # lambda_1 disabled and no dense operator built
-        def no_dense(p):
+        def no_dense(graph, x):
             raise AssertionError("dense lambda_1 called")
 
         monkeypatch.setattr(solids, "lambda1", no_dense)
@@ -224,8 +234,8 @@ class TestMinimize:
                 continue
             mid = simplex_point((a + b) / 2)
             gap = (
-                lambda1(build_operator(graph, a)) + lambda1(build_operator(graph, b))
-            ) / 2 - lambda1(build_operator(graph, mid))
+                lambda1(graph, a) + lambda1(graph, b)
+            ) / 2 - lambda1(graph, mid)
             assert gap > 1e-10
 
 
@@ -242,7 +252,7 @@ class TestDerivativeIdentity:
             gram = pts @ pts.T
 
             def f(w):
-                return lambda1(build_operator(graph, simplex_point(w)))
+                return lambda1(graph, simplex_point(w))
 
             for a in range(3):
                 for b in range(a + 1, 3):
@@ -256,7 +266,7 @@ class TestDerivativeIdentity:
         graph = graphs["H3"]
 
         def f(w):
-            return lambda1(build_operator(graph, simplex_point(w)))
+            return lambda1(graph, simplex_point(w))
 
         x = simplex_point([0.25, 0.35, 0.4])
         xi = np.array([1.0, -1.0, 0.0])
@@ -269,6 +279,7 @@ def gate_value(report, cid):
     return next(c["value"] for c in report["checks"] if c["id"] == cid)
 
 
+@pytest.mark.bit_equal
 class TestStackedProbes:
     """The gate's stacked probes against the loops of one point at a time
     that they replaced, on the same rng streams: the values are equal."""
@@ -328,6 +339,37 @@ class TestStackedProbes:
         assert np.array_equal(margin_points, np.concatenate(np.swapaxes(points, 0, 1)))
         assert np.array_equal(margin_values, np.ravel(values, order="F"))
         assert worst_margin == gate_value(verify_report, "strict_convexity_margin")
+
+    def test_oracle_stacks(self, groups, graphs, verify_report, monkeypatch):
+        # criteria 6 and 7 make one lambda_1 call per group and check, on
+        # the points the one-at-a-time loops drew, in their rng order; the
+        # gate values are the maxima of those loops
+        oracle, stacks = spectral.lambda1, []
+
+        def recording(graph, weights):
+            stacks.append((graph.group.datum.name, np.array(weights)))
+            return oracle(graph, weights)
+
+        monkeypatch.setattr(spectral, "lambda1", recording)
+        monkeypatch.setattr(verify, "lambda1", recording)
+        verify.suite_invariants()
+        monkeypatch.undo()
+        assert [(name, len(w)) for name, w in stacks] == [
+            ("A3", 50), ("B3", 50), ("H3", 50), ("A3", 100), ("B3", 100), ("H3", 100)
+        ]
+        rng = np.random.default_rng(20240613)
+        for name, w in stacks:
+            group, graph = groups[name], graphs[name]
+            drawn = [sample_interior(rng, 3) for _ in range(len(w))]
+            assert np.array_equal(w, drawn)
+            if len(w) == 50:
+                dev = max(crosscheck_mu1(x, group, graph) for x in drawn)
+                assert dev == gate_value(verify_report, f"fourier_crosscheck_{name}")
+                continue
+            dev = max(abs(psi_lambda_of(group, x) - lambda1(graph, x)) for x in drawn)
+            assert dev == gate_value(verify_report, f"psi_vs_eigensolver_{name}")
+            dev = max(np.abs(psi_maps(psi_delta_inverse(group, x))[0] - x).max() for x in drawn)
+            assert dev == gate_value(verify_report, f"psi_round_trip_{name}")
 
     def test_derivative_identity(self, graphs, verify_report):
         graph = graphs["H3"]
@@ -485,9 +527,8 @@ class TestSweep:
             sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths
         ):
             x = simplex_point(w)
-            p = build_operator(graph, x)
-            dense = spectrum_clusters(p)[1]
-            assert abs(lam - lambda1(p)) <= 1e-12
+            dense = spectrum_clusters(build_operator(graph, x))[1]
+            assert abs(lam - lambda1(graph, x)) <= 1e-12
             assert multiplicity == dense.multiplicity
             lengths = edge_class_lengths(spectral_representation(graph, x, dense), graph)
             assert np.abs(measured - lengths).max() <= 1e-12
@@ -559,8 +600,7 @@ class TestSweep:
         assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
         assert seen[0][1] == "dense"
         assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
-        p = build_operator(graphs["A3"], simplex_point(sweep.weights[0]))
-        assert abs(sweep.lambda1[0] - lambda1(p)) <= 1e-12
+        assert abs(sweep.lambda1[0] - lambda1(graphs["A3"], sweep.weights[0])) <= 1e-12
         assert sweep.multiplicity[0] == 3
         assert np.abs(sweep.class_lengths[0] - expected.class_lengths[0]).max() <= 1e-9
         for column in ("lambda1", "multiplicity", "class_lengths"):

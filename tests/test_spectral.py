@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxspec import coxeter
-from coxspec.coxeter import CoxeterError
+from coxspec.coxeter import CayleyGraph, CoxeterError
 from coxspec.coxmaps import eta_rho
 from coxspec.errors import DomainError
 from coxspec.fourier import rep_fourier
@@ -19,6 +19,7 @@ from coxspec.solids import (
 )
 from coxspec.spectral import (
     CLUSTER_TOL,
+    ORACLE_CHUNK,
     SPECTRUM_CHUNK,
     InvarianceError,
     block_spectrum,
@@ -56,8 +57,7 @@ def h3_uniform_embedding(graphs):
 class TestClusters:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_canonical_lambda1(self, graphs, name):
-        p = build_operator(graphs[name], uniform_point(3))
-        assert lambda1(p) == pytest.approx(CANONICAL[name], abs=1e-10)
+        assert lambda1(graphs[name], uniform_point(3)) == pytest.approx(CANONICAL[name], abs=1e-10)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_lambda1_multiplicity_three(self, graphs, name):
@@ -328,6 +328,64 @@ def dense_value_cluster(graph, x):
     return lam, hi - lo, gap, path
 
 
+class TestLambda1Oracle:
+    """The lambda_1 oracle on the bipartite half C of the operator against
+    the full `eigvalsh` of the |G|x|G| operator."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**REGION_POINTS)
+    def test_matches_full_eigvalsh(self, groups, graphs, name, region, raw, k):
+        x = region_point(groups[name], region, raw, k)
+        full = np.linalg.eigvalsh(build_operator(graphs[name], x))[-2]
+        assert abs(lambda1(graphs[name], x) - full) <= 1e-14
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
+    def test_boundary_points(self, graphs, weights):
+        # where the graph falls apart and lambda_1 = 1 is multiple
+        x = simplex_point(weights)
+        for graph in graphs.values():
+            full = np.linalg.eigvalsh(build_operator(graph, x))[-2]
+            assert abs(lambda1(graph, x) - full) <= 1e-14
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_stack_rows_match_single_points(self, groups, graphs, name):
+        # interior, side, vertex and near-X0 points; stacks of one chunk,
+        # of one point and of one point past a chunk
+        group, graph = groups[name], graphs[name]
+        rng = np.random.default_rng(24)
+        points = [
+            region_point(group, region, rng.uniform(0.05, 1.0, 3), k)
+            for region in ("interior", "side", "vertex", "x0")
+            for k in range(3)
+        ]
+        for m in (1, ORACLE_CHUNK, ORACLE_CHUNK + 1):
+            stack = np.array(points[-m:])
+            vals = lambda1(graph, stack)
+            assert isinstance(vals, np.ndarray) and vals.shape == (m,)
+            for w, val in zip(stack, vals):
+                one = lambda1(graph, w)
+                assert isinstance(one, float) and one == val
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_edge_within_one_half_is_rejected(self, graphs, name):
+        # the identity is even, and so is s_0 s_1: an edge between them
+        # breaks the bipartition by det sign
+        graph = graphs[name]
+        succ = np.array(graph.successors)
+        succ[0, 0] = succ[succ[0, 0], 1]
+        tampered = CayleyGraph(group=graph.group, successors=succ)
+        with pytest.raises(InvarianceError, match=f"edge 0-{succ[0, 0]} of class 0 joins"):
+            lambda1(tampered, uniform_point(3))
+
+    @pytest.mark.parametrize(
+        "weights", [[0.5, 0.5], np.full((2, 2, 3), 1 / 3), [np.nan, 0.5, 0.5], [np.inf, 0, 0]]
+    )
+    def test_rejects_bad_weights(self, graphs, weights):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            lambda1(graphs["A3"], weights)
+
+
 class TestBlockSpectrum:
     """The spectrum from the irreducible blocks against the dense
     eigensolve as oracle."""
@@ -342,7 +400,7 @@ class TestBlockSpectrum:
         assert vals.shape == dense.shape
         assert np.abs(vals - dense).max() <= 1e-12
         # the lambda_1 of the certificates and convexity probes
-        assert abs(_lambda1_fn(graphs[name])(x[None])[0] - lambda1(p)) <= 1e-12
+        assert abs(_lambda1_fn(graphs[name])(x[None])[0] - lambda1(graphs[name], x)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @settings(max_examples=80, deadline=None)
@@ -368,6 +426,7 @@ class TestBlockSpectrum:
             assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
             assert abs(cluster.eigenvalue - lam) <= 1e-12
 
+    @pytest.mark.bit_equal
     def test_stack_matches_single_points(self, groups):
         rng = np.random.default_rng(12)
         stack = np.array([sample_interior(rng, 3) for _ in range(7)])
@@ -377,6 +436,7 @@ class TestBlockSpectrum:
             for w, row in zip(stack, vals):
                 assert np.array_equal(block_spectrum(group, w), row)
 
+    @pytest.mark.bit_equal
     @settings(max_examples=30, deadline=None)
     @given(
         name=st.sampled_from(["A3", "B3", "H3"]),
@@ -533,7 +593,7 @@ class TestBlockGradient:
         tol = 1e-6 + graph.n_vertices * np.finfo(float).eps / h
 
         def f(w):
-            return lambda1(build_operator(graph, simplex_point(w)))
+            return lambda1(graph, simplex_point(w))
 
         for a in range(3):
             for b in range(a + 1, 3):
