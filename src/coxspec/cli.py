@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import cache
 
 import numpy as np
 
@@ -29,6 +30,12 @@ from .spectral import (
     spectrum_clusters,
 )
 from .verify import SUITE_NAMES, run_suite
+
+
+# cmd_curve: samples per `curve_point` stack.  A large --samples then
+# holds one chunk's arrays and rows at a time: about 0.5 KiB a sample
+# (tracemalloc peak), so 128 KiB a chunk
+CURVE_CHUNK = 256
 
 
 def _fmt(x):
@@ -136,12 +143,19 @@ def cmd_curve(args):
         group = build_group(args.group)
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "y", "z", "lambda1", "len1", "len2", "len3"])
-        for t in ts:
-            s = curve_point(args.curve, float(t), group)
-            writer.writerow(
-                [_fmt(t), *(_fmt(w) for w in s.x), _fmt(s.lam),
-                 *(_fmt(v) for v in s.class_lengths)]
-            )
+        for start in range(0, len(ts), CURVE_CHUNK):
+            chunk = ts[start:start + CURVE_CHUNK]
+            try:
+                s = curve_point(args.curve, chunk, group)
+            except DomainError as exc:
+                if start == 0:
+                    raise
+                raise DomainError(f"{exc}; rows count from sample {start}") from None
+            columns = (s.t, s.x, s.lam, s.class_lengths)
+            for t, x, lam, lengths in zip(*(c.tolist() for c in columns)):
+                writer.writerow(
+                    [_fmt(t), *(_fmt(w) for w in x), _fmt(lam), *(_fmt(v) for v in lengths)]
+                )
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 
@@ -214,11 +228,18 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    # built by the first `main` call, not at import, and reused by every
+    # later one: building it takes about 1 ms, and parsing leaves it as it was
+    return build_parser()
+
+
 def main(argv=None):
     """Run one verb; invalid input ends with a one-line message on stderr
     and exit code 2, and a closed standard output (a reader such as
     `head` that stops early) with exit code 1 and no message."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         # a reader that stops early is met here, not at the flush at exit

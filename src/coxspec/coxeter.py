@@ -11,7 +11,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CoxspecError, DomainError
+from .errors import CoxspecError, DomainError, MeshError
 
 DEDUP_TOL = 1e-6
 # generate_group: closure size at which a datum counts as not finite
@@ -112,8 +112,8 @@ class ReflectionGroup:
 
     elements[0] is the identity; successors[i, j] is the index of
     elements[i] @ generators[j]; `generate_group` makes all four arrays
-    read-only.  The Cayley table `mult` and the `irreducible_blocks` are
-    derived from `successors` on first use.
+    read-only.  The Cayley table `mult`, the `irreducible_blocks` and the
+    `face_cycles` are derived from `successors` on first use.
     """
 
     datum: CoxeterDatum
@@ -252,6 +252,37 @@ class ReflectionGroup:
             stack.flags.writeable = False
             blocks.append(stack)
         return tuple(blocks)
+
+    @cached_property
+    def face_cycles(self):
+        """The alternating-generator cycles of the Cayley graph, one
+        read-only int array (cycles, 2 m_ab) per generator pair a < b in
+        order.  A row is s, s s_a, s s_a s_b, ...: the coset s <s_a, s_b>,
+        started at its least element s; rows ascend in s.  A walk whose
+        first return to its start is not at step 2 m_ab raises
+        `MeshError`."""
+        n, k = self.successors.shape
+        cycles = []
+        for a in range(k):
+            for b in range(a + 1, k):
+                length = 2 * int(self.datum.orders[a, b])
+                walk = np.empty((n, length + 1), dtype=np.intp)
+                walk[:, 0] = np.arange(n)
+                for step in range(length):
+                    walk[:, step + 1] = self.successors[walk[:, step], (a, b)[step % 2]]
+                # each walk must first return to its start at the last step;
+                # argmax is 0 for a walk that never returns, and length >= 4
+                bad = np.flatnonzero((walk[:, 1:] == walk[:, :1]).argmax(axis=1) != length - 1)
+                if len(bad):
+                    raise MeshError(
+                        f"face cycle for pair ({a},{b}) from vertex {bad[0]} does not "
+                        f"first close after {length} steps"
+                    )
+                walk = walk[:, :length]
+                rows = walk[walk.min(axis=1) == np.arange(n)]
+                rows.flags.writeable = False
+                cycles.append(rows)
+        return tuple(cycles)
 
     def left_action_permutation(self, g):
         """Vertex permutation i -> index(element_g . element_i): row g of

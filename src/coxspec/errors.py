@@ -8,3 +8,8 @@ class CoxspecError(ValueError):
 
 class DomainError(CoxspecError):
     """Input outside the domain a function is defined on."""
+
+
+class MeshError(CoxspecError):
+    """A mesh that cannot be built, read or written: a Cayley face cycle
+    of the wrong length, a malformed OFF file or an unwritable path."""

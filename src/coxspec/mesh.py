@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import cayley_graph
 from .coxmaps import orbit_points
-from .errors import CoxspecError
+from .errors import MeshError
 
 
-class MeshError(CoxspecError):
-    pass
+def _edge_set(faces):
+    # every undirected edge (low, high) of the face cycles, in one pass
+    return {(a, b) if a < b else (b, a) for f in faces for a, b in zip(f, f[1:] + f[:1])}
 
 
 @dataclass
@@ -26,44 +26,18 @@ class MeshDocument:
 
     @property
     def edges(self):
-        out = set()
-        for face in self.faces:
-            for a, b in zip(face, face[1:] + face[:1]):
-                out.add((min(a, b), max(a, b)))
-        return sorted(out)
+        return sorted(_edge_set(self.faces))
 
     def euler_characteristic(self):
-        return len(self.vertices) - len(self.edges) + len(self.faces)
+        return len(self.vertices) - len(_edge_set(self.faces)) + len(self.faces)
 
 
 def cayley_faces(graph):
-    """Alternating-generator cycles of the Cayley graph, one list of
-    vertex cycles per generator pair; cycle length is twice the order of
-    the generator product."""
-    faces = []
-    for a in range(graph.n_classes):
-        for b in range(a + 1, graph.n_classes):
-            seen = set()
-            for start in range(graph.n_vertices):
-                if start in seen:
-                    continue
-                cycle = []
-                v, gen = start, a
-                while True:
-                    cycle.append(v)
-                    v = int(graph.successors[v, gen])
-                    gen = b if gen == a else a
-                    if v == start:
-                        break
-                expected = 2 * int(graph.group.datum.orders[a, b])
-                if len(cycle) != expected:
-                    raise MeshError(
-                        f"face cycle for pair ({a},{b}) has length {len(cycle)}, "
-                        f"expected {expected}"
-                    )
-                seen.update(cycle)
-                faces.append(cycle)
-    return faces
+    """Alternating-generator cycles of the Cayley graph as lists of
+    vertices, the cycles of each generator pair in turn: the rows of
+    `ReflectionGroup.face_cycles`, computed once per group.  Cycle length
+    is twice the order of the generator product."""
+    return [cycle for cycles in graph.group.face_cycles for cycle in cycles.tolist()]
 
 
 def build_cayley_mesh(pts, graph):
@@ -87,13 +61,13 @@ def _collapse_cycle(cycle):
 def build_orbit_mesh(group, point):
     """Polytope of a group orbit: Cayley faces projected through the
     orbit quotient, with degenerate cycles dropped."""
-    graph = cayley_graph(group)
     pts, index = orbit_points(group, point)
     faces = {}
-    for cycle in cayley_faces(graph):
-        projected = _collapse_cycle([int(index[v]) for v in cycle])
-        if len(projected) >= 3 and len(set(projected)) == len(projected):
-            faces.setdefault(frozenset(projected), projected)
+    for cycles in group.face_cycles:
+        for cycle in index[cycles].tolist():
+            projected = _collapse_cycle(cycle)
+            if len(projected) >= 3 and len(set(projected)) == len(projected):
+                faces.setdefault(frozenset(projected), projected)
     return MeshDocument(vertices=pts, faces=list(faces.values()))
 
 
@@ -122,28 +96,33 @@ def vertex_configuration(mesh, vertex=0):
     return min(candidates)
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _vertex_lines(vertices, prefix=""):
+    # 17 significant digits, so a parsed file re-exports byte for byte
+    line = prefix + " ".join(["%.17g"] * vertices.shape[1])
+    return [line % tuple(v) for v in vertices.tolist()]
 
 
-def export_off(mesh, destination):
-    """Write the mesh in OFF text form; byte-exact for identical input."""
-    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} {len(mesh.edges)}"]
-    for v in mesh.vertices:
-        lines.append(" ".join(_fmt(c) for c in v))
-    for f in mesh.faces:
-        lines.append(" ".join(str(i) for i in [len(f), *f]))
+def _write(destination, lines, kind):
     data = ("\n".join(lines) + "\n").encode()
     try:
         with open(destination, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise MeshError(f"cannot write OFF file {destination}: {exc}") from exc
+        raise MeshError(f"cannot write {kind} file {destination}: {exc}") from exc
     return len(data)
 
 
+def export_off(mesh, destination):
+    """Write the mesh in OFF text form; byte-exact for identical input."""
+    lines = ["OFF", f"{len(mesh.vertices)} {len(mesh.faces)} {len(_edge_set(mesh.faces))}"]
+    lines += _vertex_lines(mesh.vertices)
+    lines += [" ".join(map(str, [len(f), *f])) for f in mesh.faces]
+    return _write(destination, lines, "OFF")
+
+
 def parse_off(path):
-    """Read an OFF file; its counts must match its contents exactly."""
+    """Read an OFF file; its counts must match its contents exactly, and
+    each face must have 3 or more distinct vertices."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if not tokens or tokens[0] != "OFF":
@@ -168,20 +147,14 @@ def parse_off(path):
         raise MeshError(f"{path}: truncated or malformed OFF file ({exc})") from None
     if pos != len(tokens):
         raise MeshError(f"{path}: {len(tokens) - pos} tokens beyond the declared counts")
+    for i, face in enumerate(faces):
+        if len(face) < 3 or len(set(face)) != len(face):
+            raise MeshError(f"{path}: face {i} {face} does not have 3 or more distinct vertices")
     return MeshDocument(vertices=vertices, faces=faces)
 
 
 def export_obj(mesh, destination):
     """OBJ mirror of the OFF writer (v/f records, 1-based indices)."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(_fmt(c) for c in v))
-    for f in mesh.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in f))
-    data = ("\n".join(lines) + "\n").encode()
-    try:
-        with open(destination, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise MeshError(f"cannot write OBJ file {destination}: {exc}") from exc
-    return len(data)
+    lines = _vertex_lines(mesh.vertices, "v ")
+    lines += ["f " + " ".join(str(i + 1) for i in f) for f in mesh.faces]
+    return _write(destination, lines, "OBJ")

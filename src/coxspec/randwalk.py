@@ -59,10 +59,15 @@ def uniform_point(n_classes):
     return simplex_point(np.full(n_classes, 1.0 / n_classes))
 
 
-def sample_interior(rng, n_classes, margin=0.02):
-    """Random interior simplex point, bounded away from the boundary."""
-    w = margin + rng.random(n_classes)
-    return simplex_point(w / w.sum())
+def sample_interior(rng, n_classes, margin=0.02, rows=None):
+    """Random interior simplex point (n_classes,), bounded away from the
+    boundary; with `rows`, a stack (rows, n_classes) of them from one draw,
+    bit for bit the points of `rows` calls in turn, which also leave the
+    generator in the same state.  Read-only, checked by `check_weights`."""
+    w = margin + rng.random(n_classes if rows is None else (rows, n_classes))
+    w = check_weights(w / w.sum(axis=-1, keepdims=True))
+    w.flags.writeable = False
+    return w
 
 
 def build_operator(graph, x):

@@ -10,6 +10,7 @@ import numpy as np
 
 from .coxeter import cayley_graph
 from .coxmaps import (
+    _worst,
     edge_lengths_closed_form,
     eta_rho,
     fundamental_point,
@@ -53,11 +54,12 @@ LIMIT_STEPS = 8
 VANISH_RATIO = 0.1
 
 CURVE_PATTERNS = {
-    # cone-coefficient pattern in t; two equal coefficients force two
-    # equal edge-class lengths (lengths are proportional to the alphas)
-    "C1": lambda t: np.array([1.0, t, t]),
-    "C2": lambda t: np.array([t, 1.0, t]),
-    "C3": lambda t: np.array([t, t, 1.0]),
+    # cone-coefficient pattern in t, (3,) for one t and (m, 3) for a 1-d
+    # array; two equal coefficients force two equal edge-class lengths
+    # (lengths are proportional to the alphas)
+    "C1": lambda t: np.stack(np.broadcast_arrays(1.0, t, t), axis=-1),
+    "C2": lambda t: np.stack(np.broadcast_arrays(t, 1.0, t), axis=-1),
+    "C3": lambda t: np.stack(np.broadcast_arrays(t, t, 1.0), axis=-1),
 }
 # simplex vertex reached as t -> infinity along each curve
 CURVE_VERTICES = {"C1": 0, "C2": 1, "C3": 2}
@@ -233,24 +235,36 @@ def minimize_lambda1(group):
 
 @dataclass(frozen=True)
 class CurveSample:
+    """One sample of a curve, or a stack of them: t float or (m,), x (3,)
+    or (m, 3) read-only from `psi_maps`, lam float or (m,), class_lengths
+    (3,) or (m, 3)."""
+
     curve: str
     t: float
-    x: np.ndarray  # (3,) read-only, from `psi_maps`
+    x: np.ndarray
     lam: float
     class_lengths: np.ndarray
 
 
 def curve_point(curve, t, group):
-    """Sample of the equal-length curve: two of the three class lengths
-    coincide for every t > 0, and the curves meet at the minimizer at t = 1.
-    Closed forms of the fundamental point only; no orbit is formed."""
+    """Sample of the equal-length curve at t > 0, or one sample per entry
+    of a 1-d array t as one stack, each row bit for bit its t alone: two
+    of the three class lengths coincide for every t, and the curves meet
+    at the minimizer at t = 1.  Closed forms of the fundamental point
+    only; no orbit is formed.  A bad t raises `DomainError`, which names
+    its row in a stack."""
     _check_curve(curve)
-    if not 0 < t < np.inf:
-        raise DomainError("curve parameter must be positive and finite")
-    fp = fundamental_point(group, CURVE_PATTERNS[curve](float(t)))
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DomainError("curve parameter must be a number or a 1-d array")
+    valid = (t > 0) & (t < np.inf)
+    if not valid.all():
+        raise DomainError(f"curve parameter must be positive and finite{_worst(~valid)[1]}")
+    fp = fundamental_point(group, CURVE_PATTERNS[curve](t))
     x, lam = psi_maps(fp)
     return CurveSample(
-        curve=curve, t=float(t), x=x, lam=lam, class_lengths=edge_lengths_closed_form(fp)
+        curve=curve, t=t if t.ndim else float(t), x=x, lam=lam,
+        class_lengths=edge_lengths_closed_form(fp),
     )
 
 

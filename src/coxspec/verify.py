@@ -141,12 +141,12 @@ def suite_invariants():
     checks.append(_count_check("h3_euler", graph.n_vertices - n_edges + faces, 2, 8))
 
     # Fourier cross-check and the H3 characteristic polynomial; the
-    # oracle checks draw each group's points in the rng order of one point
-    # at a time, then evaluate them as one stack
+    # oracle checks draw each group's points as one stack, the same points
+    # in the same rng order as one point at a time
     for name in ("A3", "B3", "H3"):
         group = build_group(name)
         gname = cayley_graph(group)
-        xs = np.array([sample_interior(rng, 3) for _ in range(50)])
+        xs = sample_interior(rng, 3, rows=50)
         dev = crosscheck_mu1(xs, group, gname).max()
         checks.append(_check(f"fourier_crosscheck_{name}", dev, 1e-9, 6))
     dev = 0.0
@@ -166,7 +166,7 @@ def suite_invariants():
     for name in ("A3", "B3", "H3"):
         group = build_group(name)
         gname = cayley_graph(group)
-        xs = np.array([sample_interior(rng, 3) for _ in range(100)])
+        xs = sample_interior(rng, 3, rows=100)
         dev_lam = np.abs(psi_lambda_of(group, xs) - lambda1(gname, xs)).max()
         x_back, _ = psi_maps(psi_delta_inverse(group, xs))
         dev_rt = np.abs(x_back - xs).max()
@@ -193,9 +193,10 @@ def suite_invariants():
     checks.append(_check("moment_matrix_identity", dev, 1e-8, 10))
 
     # convexity of lambda_1 on the simplex: each probe draws all its
-    # points, then evaluates them as one stack
+    # points (pairs a, b in turn; the margin probe rejects some, so one at
+    # a time), then evaluates them as one stack
     f = _lambda1_fn(graph)
-    ab = np.array([[sample_interior(rng, 3) for _ in range(2)] for _ in range(200)])
+    ab = sample_interior(rng, 3, rows=400).reshape(200, 2, 3)
     a, b = ab[:, 0], ab[:, 1]
     fa, fb, mid = f(np.concatenate((a, b, (a + b) / 2))).reshape(3, -1)
     worst_mid = (mid - (fa + fb) / 2).max()

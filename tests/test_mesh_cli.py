@@ -1,14 +1,19 @@
+import dataclasses
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from coxspec import verify
+import coxspec
+from coxspec import cli, verify
 from coxspec.cli import main
-from coxspec.coxmaps import fundamental_point, fundamental_vectors
+from coxspec.coxmaps import fundamental_point, fundamental_vectors, orbit_points
 from coxspec.mesh import (
     MeshDocument,
     MeshError,
@@ -21,7 +26,7 @@ from coxspec.mesh import (
     vertex_configuration,
 )
 from coxspec.randwalk import uniform_point
-from coxspec.solids import curve_limit
+from coxspec.solids import boundary_limit, curve_limit
 from coxspec.spectral import lambda1_cluster, spectral_representation
 
 
@@ -31,7 +36,85 @@ def h3_mesh(graphs):
     return build_cayley_mesh(pts, graphs["H3"])
 
 
+def walk_faces(graph):
+    """The alternating-generator cycles walked from each vertex not yet on
+    a cycle of its pair: the loop that `ReflectionGroup.face_cycles`
+    replaced, kept as the reference."""
+    faces = []
+    for a in range(graph.n_classes):
+        for b in range(a + 1, graph.n_classes):
+            seen = set()
+            for start in range(graph.n_vertices):
+                if start in seen:
+                    continue
+                cycle, v, gen = [], start, a
+                while True:
+                    cycle.append(v)
+                    v = int(graph.successors[v, gen])
+                    gen = b if gen == a else a
+                    if v == start:
+                        break
+                seen.update(cycle)
+                faces.append(cycle)
+    return faces
+
+
+def project_faces(faces, index):
+    """The orbit faces of `build_orbit_mesh`, by the loop it replaced."""
+    out = {}
+    for cycle in faces:
+        projected = []
+        for v in (int(index[v]) for v in cycle):
+            if not projected or v != projected[-1]:
+                projected.append(v)
+        if len(projected) > 1 and projected[0] == projected[-1]:
+            projected.pop()
+        if len(projected) >= 3 and len(set(projected)) == len(projected):
+            out.setdefault(frozenset(projected), projected)
+    return list(out.values())
+
+
+def limit_points(group):
+    """The fundamental points of the 9 curve and edge limits of a group,
+    in the order of the pinned OFF digest."""
+    points = [curve_limit(c, group, end)[0] for c in ("C1", "C2", "C3") for end in (0, "inf")]
+    targets = ([0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0])
+    return points + [boundary_limit(np.array(t), group)[0] for t in targets]
+
+
 class TestCayleyFaces:
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_cached_cycles_are_the_walked_faces(self, groups, graphs, name):
+        cycles = groups[name].face_cycles
+        assert groups[name].face_cycles is cycles  # computed once per group
+        assert len(cycles) == 3
+        for rows in cycles:
+            assert rows.dtype == np.intp and not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+        assert cayley_faces(graphs[name]) == walk_faces(graphs[name])
+
+    @pytest.mark.parametrize("swap", [(0, 2), (1, 2)])
+    def test_longer_cycle_is_a_mesh_error(self, h3, swap):
+        # generators relabelled against the datum: the pair (0, 1) no longer
+        # has product order 2, so its walks do not close after 4 steps
+        succ = h3.successors.copy()
+        succ[:, list(swap)] = succ[:, list(swap[::-1])]
+        tampered = dataclasses.replace(h3, successors=succ)
+        message = r"pair \(0,1\) from vertex 0 does not first close after 4 steps"
+        with pytest.raises(MeshError, match=message):
+            tampered.face_cycles
+
+    def test_shorter_cycle_is_a_mesh_error(self, h3):
+        # generator 2 acting as generator 0: the pair (0, 2) walks s_0 s_0,
+        # back at the start after 2 of its 6 steps
+        succ = h3.successors.copy()
+        succ[:, 2] = succ[:, 0]
+        tampered = dataclasses.replace(h3, successors=succ)
+        message = r"pair \(0,2\) from vertex 0 does not first close after 6 steps"
+        with pytest.raises(MeshError, match=message):
+            tampered.face_cycles
+
     def test_h3_census(self, graphs):
         census = Counter(len(f) for f in cayley_faces(graphs["H3"]))
         assert census == {4: 30, 6: 20, 10: 12}
@@ -86,6 +169,30 @@ class TestOrbitMeshes:
         assert mesh.euler_characteristic() == 2
         for v in range(0, 60, 7):
             assert vertex_configuration(mesh, v) == config
+
+
+    def test_orbit_faces_are_the_projected_walks(self, groups, graphs):
+        for name, group in groups.items():
+            reference = walk_faces(graphs[name])
+            for p in limit_points(group):
+                mesh = build_orbit_mesh(group, p)
+                pts, index = orbit_points(group, p)
+                assert np.array_equal(mesh.vertices, pts)
+                assert mesh.faces == project_faces(reference, index)
+
+    @pytest.mark.bit_equal
+    def test_limit_off_bytes_pinned(self, groups, tmp_path):
+        # the OFF files of the 27 curve and edge limits on A3, B3 and H3,
+        # as written before the faces were cached on the group
+        digest = hashlib.sha256()
+        for name in ("A3", "B3", "H3"):
+            for i, p in enumerate(limit_points(groups[name])):
+                path = tmp_path / f"{name}-{i}.off"
+                export_off(build_orbit_mesh(groups[name], p), path)
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "bf8ef14a26f72436d20b9cdaf74211f9039e22ded18fdb2ee3c439f99a29bf8a"
+        )
 
 
 class TestOffObj:
@@ -145,6 +252,27 @@ class TestOffObj:
         path.write_text(text)
         with pytest.raises(MeshError):
             parse_off(path)
+
+    @pytest.mark.parametrize(
+        "face,listed",
+        [("2 0 1", "[0, 1]"), ("3 0 0 1", "[0, 0, 1]")],
+        ids=["two-vertices", "repeated-vertex"],
+    )
+    def test_parse_rejects_degenerate_faces(self, tmp_path, face, listed):
+        # once accepted as faces, so the Euler characteristic counted them
+        path = tmp_path / "degenerate.off"
+        path.write_text(f"OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n{face}\n")
+        with pytest.raises(MeshError, match=rf"face 1 \{listed[:-1]}\] does not have 3"):
+            parse_off(path)
+
+    def test_obj_and_off_vertices_agree(self, graphs, tmp_path):
+        mesh = h3_mesh(graphs)
+        export_off(mesh, tmp_path / "h3.off")
+        export_obj(mesh, tmp_path / "h3.obj")
+        off = tmp_path.joinpath("h3.off").read_text().splitlines()[2:122]
+        obj = tmp_path.joinpath("h3.obj").read_text().splitlines()[:120]
+        assert obj == ["v " + line for line in off]
+        assert [[float(t) for t in line.split()] for line in off] == mesh.vertices.tolist()
 
     def test_export_reports_bytes(self, graphs, tmp_path):
         path = tmp_path / "h3.off"
@@ -236,6 +364,98 @@ class TestCli:
         finally:
             os.close(fd)
         assert capsys.readouterr().err == ""
+
+    CURVE_SHA256 = {
+        ("A3", "C1"): "b5ab8b718ba9795fb15623fbbe2ebe24d88af1477973b3002d30ef9b32632cda",
+        ("A3", "C2"): "c2f733e21c60bcaecf1536c63f597449e3a11d85eacb18c72fe9eb77b8176682",
+        ("A3", "C3"): "4a4b949fe9a9f1da938db4b9387fd3ddb819878ba91802442677f8303880796e",
+        ("B3", "C1"): "6034581fcf1bd1017bde661b904b43d12c7b7a7f913c06c5af3eb45fd3a1abc9",
+        ("B3", "C2"): "9508c4abd0593bcdb8eee561e650aed96870a032791c89fbd561c7cb37145df3",
+        ("B3", "C3"): "f4f00db39aebe13b23592806fa338a7b59b47e144f6842236da986b0dd1c5fb9",
+        ("H3", "C1"): "f338f7a9ff3d255a11effc8aee178b70ad839ef1d3305f9fe00b65bd23d3d583",
+        ("H3", "C2"): "7601609782198138e3b268ac88371f6f99a5d1fe77e86d16bbadd9aa2318ca74",
+        ("H3", "C3"): "07761bca2397bd97ff6ce82ab566f2691c17222cd391e8bc3eea963c512bf356",
+    }
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name,curve", sorted(CURVE_SHA256))
+    def test_curve_csv_pinned(self, tmp_path, name, curve):
+        # the default 50 samples, as written one t per call before the
+        # curves were stacked
+        out_file = tmp_path / "curve.csv"
+        assert main(["curve", "--group", name, "--curve", curve, "--out", str(out_file)]) == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == self.CURVE_SHA256[name, curve]
+
+    @pytest.mark.bit_equal
+    def test_curve_chunks_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        argv = ["curve", "--group", "B3", "--curve", "C3", "--t-min", "1e-200",
+                "--t-max", "1e250", "--samples", "23"]
+        written = []
+        for chunk in (5, 23, cli.CURVE_CHUNK):
+            monkeypatch.setattr(cli, "CURVE_CHUNK", chunk)
+            out_file = tmp_path / f"chunk-{chunk}.csv"
+            assert main([*argv, "--out", str(out_file)]) == 0
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert len(written[0].splitlines()) == 24
+
+    def test_curve_bad_row_in_a_later_chunk(self, tmp_path, monkeypatch, capsys):
+        # t past 2^1018 only in the last of three chunks of 5
+        monkeypatch.setattr(cli, "CURVE_CHUNK", 5)
+        out_file = tmp_path / "c1.csv"
+        argv = ["curve", "--group", "A3", "--curve", "C1", "--t-min", "1", "--t-max", "1e307",
+                "--samples", "12", "--out", str(out_file)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("coxspec: cone coefficients") and err.count("\n") == 1
+        assert err.endswith("at row 1; rows count from sample 10\n")
+        assert not out_file.exists()
+
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch):
+        # success, a bad argument, then another verb: the same output and
+        # exit codes as from a fresh parser per call
+        sequence = [["group", "--group", "A3"], ["group", "--group", "D4"],
+                    ["minimize", "--group", "A3"], ["curve", "--group", "A3"]]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [run(argv) for argv in sequence]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run(argv) for argv in sequence]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2]
+        assert "invalid choice: 'D4'" in reused[1][2]
+        assert "--curve" in reused[3][2]
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import coxspec.cli\n"
+            "assert built == [], built\n"
+            "coxspec.cli.main(['group', '--group', 'A3'])\n"
+            "assert built[0] == 'coxspec', built\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coxspec.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_sweep_csv(self, tmp_path):
         out_file = tmp_path / "sweep.csv"

@@ -180,6 +180,33 @@ class TestSpectralStructure:
             assert lam_mid <= lam_avg + 1e-9
 
 
+class TestSampleInterior:
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("margin", [0.02, 0.15, 1e-3])
+    def test_stack_is_the_single_draws(self, margin):
+        # the same numbers, bit for bit, and the generator left in the same state
+        one, many = np.random.default_rng(5), np.random.default_rng(5)
+        singles = np.array([sample_interior(one, 3, margin=margin) for _ in range(400)])
+        stack = sample_interior(many, 3, margin=margin, rows=400)
+        assert np.array_equal(stack, singles)
+        assert np.array_equal(one.random(4), many.random(4))
+
+    def test_stack_is_checked_and_read_only(self):
+        stack = sample_interior(np.random.default_rng(6), 4, rows=7)
+        assert stack.shape == (7, 4) and stack.dtype == float
+        assert np.array_equal(check_weights(stack), stack)
+        # each weight is at least the margin before the division by a sum below k (1 + margin)
+        assert (stack > 0.02 / (4 * (1 + 0.02))).all()
+        with pytest.raises(ValueError):
+            stack[0, 0] = 0.5
+
+    def test_rows_reshape_into_pairs(self):
+        # the midpoint-convexity probe reads pairs (a, b) drawn in turn
+        one, many = np.random.default_rng(7), np.random.default_rng(7)
+        pairs = np.array([[sample_interior(one, 3) for _ in range(2)] for _ in range(5)])
+        assert np.array_equal(sample_interior(many, 3, rows=10).reshape(5, 2, 3), pairs)
+
+
 POINT_SOURCES = {
     "simplex_point": lambda g: simplex_point([0.2, 0.3, 0.5]),
     "uniform_point": lambda g: uniform_point(3),

@@ -435,6 +435,47 @@ class TestCurves:
             curve_point("C2", t, h3)
 
 
+@pytest.mark.bit_equal
+class TestCurveStacks:
+    """`curve_point` over a 1-d array of t against its single-t calls."""
+
+    # t up to the 2^1018 limit of the cone-coefficient ratio, both ways
+    TS = np.array([2.0**-1018, np.nextafter(2.0**-1018, 1.0), 1e-300, 1e-7, 0.3, 1.0,
+                   2.5, 1e12, 1e300, np.nextafter(2.0**1018, 0.0), 2.0**1018])
+
+    @pytest.mark.parametrize("curve", ["C1", "C2", "C3"])
+    def test_rows_equal_single_calls(self, groups, curve):
+        for group in groups.values():
+            stack = curve_point(curve, self.TS, group)
+            assert stack.t.shape == (len(self.TS),) and stack.x.shape == (len(self.TS), 3)
+            assert not stack.x.flags.writeable
+            for r, t in enumerate(self.TS):
+                one = curve_point(curve, float(t), group)
+                assert one.t == stack.t[r] and isinstance(one.t, float)
+                assert np.array_equal(one.x, stack.x[r])
+                assert one.lam == stack.lam[r] and isinstance(one.lam, float)
+                assert np.array_equal(one.class_lengths, stack.class_lengths[r])
+
+    def test_single_row_stack(self, h3):
+        stack = curve_point("C2", np.array([0.5]), h3)
+        one = curve_point("C2", 0.5, h3)
+        assert np.array_equal(stack.x[0], one.x) and stack.lam[0] == one.lam
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(0.0, "positive and finite at row 2"), (-1.0, "positive and finite at row 2"),
+         (np.inf, "positive and finite at row 2"), (np.nan, "positive and finite at row 2"),
+         (2.0**1019, "factor 2\\^1018 at row 2"), (2.0**-1019, "factor 2\\^1018 at row 2")],
+    )
+    def test_bad_row_is_named(self, h3, bad, message):
+        with pytest.raises(DomainError, match=message):
+            curve_point("C1", np.array([0.5, 2.0, bad, 3.0]), h3)
+
+    def test_rejects_a_matrix_of_t(self, h3):
+        with pytest.raises(DomainError, match="1-d array"):
+            curve_point("C1", np.ones((2, 2)), h3)
+
+
 class TestLimits:
     @pytest.mark.parametrize("curve,count", [("C1", 12), ("C2", 20), ("C3", 30)])
     def test_zero_limits_are_single_orbits(self, h3, curve, count):
