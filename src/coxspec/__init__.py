@@ -3,11 +3,9 @@ optimal-mixing random walks."""
 
 from .coxeter import (
     BUILTIN_NAMES,
-    CayleyGraph,
     CoxeterDatum,
     ReflectionGroup,
     build_group,
-    cayley_graph,
     coxeter_datum,
     generate_group,
     reflection_matrix,

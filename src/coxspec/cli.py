@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .coxeter import BUILTIN_NAMES, build_group, cayley_graph
+from .coxeter import BUILTIN_NAMES, build_group
 from .errors import CoxspecError, DomainError
 from .mesh import build_cayley_mesh, cayley_faces, export_obj, export_off
 from .randwalk import build_operator, simplex_point, uniform_point
@@ -77,24 +77,20 @@ def _add_group_arg(parser):
 
 def cmd_group(args):
     group = build_group(args.group)
-    graph = cayley_graph(group)
-    census = Counter(len(f) for f in cayley_faces(graph))
+    census = Counter(len(f) for f in cayley_faces(group))
     print(f"group {args.group}")
     print(f"order {group.order}")
-    print(f"edges {len(graph.edges)}")
-    print(f"edge classes {graph.n_classes}")
-    faces = census.total()
+    print(f"edges {len(group.edges)}")
+    print(f"edge classes {group.rank}")
     print("faces", " ".join(f"{size}-gon:{census[size]}" for size in sorted(census)))
-    print(f"euler {group.order - len(graph.edges) + faces}")
+    print(f"euler {group.order - len(group.edges) + census.total()}")
     return 0
 
 
 def cmd_spectrum(args):
     x = _parse_point(args)
-    group = build_group(args.group)
-    graph = cayley_graph(group)
     print("point", " ".join(_fmt(w) for w in x))
-    for c in spectrum_clusters(build_operator(graph, x)):
+    for c in spectrum_clusters(build_operator(build_group(args.group), x)):
         print(f"{_fmt(c.eigenvalue)} multiplicity {c.multiplicity}")
     return 0
 
@@ -102,19 +98,23 @@ def cmd_spectrum(args):
 def cmd_embed(args):
     x = _parse_point(args)
     group = build_group(args.group)
-    graph = cayley_graph(group)
     if args.eigenvalue == "second":
-        cluster = lambda1_cluster(graph, x)
+        cluster = lambda1_cluster(group, x)
     else:
-        clusters = spectrum_clusters(build_operator(graph, x))
+        clusters = spectrum_clusters(build_operator(group, x))
         if not args.eigenvalue.isdigit() or int(args.eigenvalue) >= len(clusters):
             last = len(clusters) - 1
             raise CoxspecError(f"--eigenvalue must be 'second' or a cluster index 0..{last}")
         cluster = clusters[int(args.eigenvalue)]
-    pts = spectral_representation(graph, x, cluster)
-    lengths = edge_class_lengths(pts, graph)
+    if cluster.multiplicity != 3:
+        raise CoxspecError(
+            f"mesh export needs a 3-dimensional embedding; --eigenvalue {args.eigenvalue} "
+            f"is a cluster of multiplicity {cluster.multiplicity}"
+        )
+    pts = spectral_representation(group, x, cluster)
+    lengths = edge_class_lengths(pts, group)
     writer = export_off if args.format == "off" else export_obj
-    nbytes = writer(build_cayley_mesh(pts, graph), args.out)
+    nbytes = writer(build_cayley_mesh(pts, group), args.out)
     print(f"wrote {nbytes} bytes to {args.out}")
     print("eigenvalue", _fmt(cluster.eigenvalue), "multiplicity", cluster.multiplicity)
     print("faithful", check_faithful(pts))

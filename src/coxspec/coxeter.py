@@ -112,8 +112,11 @@ class ReflectionGroup:
 
     elements[0] is the identity; successors[i, j] is the index of
     elements[i] @ generators[j]; `generate_group` makes all four arrays
-    read-only.  The Cayley table `mult`, the `irreducible_blocks` and the
-    `face_cycles` are derived from `successors` on first use.
+    read-only.  The group is its own Cayley graph: vertices are the
+    element indices, and `successors` gives the neighbour along each
+    generator class.  Its `edges`, the Cayley table `mult`, the
+    `irreducible_blocks` and the `face_cycles` are derived from
+    `successors` on first use.
     """
 
     datum: CoxeterDatum
@@ -137,6 +140,16 @@ class ReflectionGroup:
         if dist[i] >= DEDUP_TOL:
             raise CoxeterError("matrix is not a group element")
         return i
+
+    @cached_property
+    def edges(self):
+        """The Cayley graph's edges as one read-only int array (E, 3) of
+        rows (i, j, label) with i < j = successors[i, label], ordered by i,
+        then by label."""
+        i, label = np.nonzero(np.arange(self.order)[:, None] < self.successors)
+        edges = np.column_stack((i, self.successors[i, label], label))
+        edges.flags.writeable = False
+        return edges
 
     @cached_property
     def fundamental_vectors(self):
@@ -343,38 +356,6 @@ def build_group(name):
     return generate_group(coxeter_datum(name))
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
-    """Cayley graph on group-element indices, edges labeled by generator.
-
-    For involutive generators each edge equivalence class is a single
-    generator label with multiplicity 1.
-    """
-
-    group: ReflectionGroup
-    successors: np.ndarray  # (n, N) int, neighbor along each class
-
-    @property
-    def n_vertices(self):
-        return self.successors.shape[0]
-
-    @property
-    def n_classes(self):
-        return self.successors.shape[1]
-
-    @cached_property
-    def edges(self):
-        """Sorted list of (i, j, class_label) with i < j."""
-        out = []
-        for i in range(self.n_vertices):
-            for j in range(self.n_classes):
-                nb = int(self.successors[i, j])
-                if i < nb:
-                    out.append((i, nb, j))
-        return out
-
-
 def cayley_graph(group):
-    # successors double as the adjacency structure: neighbor of vertex i
-    # along class j is i * s_j
-    return CayleyGraph(group=group, successors=group.successors)
+    # the group is its own Cayley graph; perfbench/run.py still calls this
+    return group

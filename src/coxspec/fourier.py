@@ -40,10 +40,10 @@ def char_poly_coeffs(mat):
     return -float(tr), float(minors), -float(np.linalg.det(mat))
 
 
-def crosscheck_mu1(x, group, graph):
+def crosscheck_mu1(x, group):
     """|mu_1(X) - lambda_1(P_X)| of one point (3,) or each row of a stack
     (m, 3), as a float or (m,): the top eigenvalue of the 3x3 block against
     the dense eigensolve of the whole graph (`spectral.lambda1`)."""
     from .spectral import lambda1  # spectral imports this module
 
-    return np.abs(rep_fourier(x, group).roots[..., 0] - lambda1(graph, x))
+    return np.abs(rep_fourier(x, group).roots[..., 0] - lambda1(group, x))

@@ -32,19 +32,19 @@ class MeshDocument:
         return len(self.vertices) - len(_edge_set(self.faces)) + len(self.faces)
 
 
-def cayley_faces(graph):
+def cayley_faces(group):
     """Alternating-generator cycles of the Cayley graph as lists of
     vertices, the cycles of each generator pair in turn: the rows of
     `ReflectionGroup.face_cycles`, computed once per group.  Cycle length
     is twice the order of the generator product."""
-    return [cycle for cycles in graph.group.face_cycles for cycle in cycles.tolist()]
+    return [cycle for cycles in group.face_cycles for cycle in cycles.tolist()]
 
 
-def build_cayley_mesh(pts, graph):
+def build_cayley_mesh(pts, group):
     """Mesh of a faithful 3-dimensional Cayley embedding `pts`, (n, 3)."""
     if pts.shape[1] != 3:
         raise MeshError("mesh export needs a 3-dimensional embedding")
-    return MeshDocument(vertices=pts.copy(), faces=cayley_faces(graph))
+    return MeshDocument(vertices=pts.copy(), faces=cayley_faces(group))
 
 
 def _collapse_cycle(cycle):

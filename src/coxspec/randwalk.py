@@ -70,18 +70,16 @@ def sample_interior(rng, n_classes, margin=0.02, rows=None):
     return w
 
 
-def build_operator(graph, x):
+def build_operator(group, x):
     """The dense |G| x |G| symmetric stochastic matrix with zero diagonal
-    realizing X: only the dense oracle and the dense clusters read it."""
-    if len(x) != graph.n_classes:
-        raise SimplexError(
-            f"point has {len(x)} classes, graph has {graph.n_classes}"
-        )
-    n = graph.n_vertices
+    realizing X on the Cayley graph of `group`: only the dense oracle and
+    the dense clusters read it."""
+    if len(x) != group.rank:
+        raise SimplexError(f"point has {len(x)} classes, group has rank {group.rank}")
+    n = group.order
     p = np.zeros((n, n))
-    for j in range(graph.n_classes):
-        nb = graph.successors[:, j]
-        p[np.arange(n), nb] += x[j]
+    # the neighbours g s_j of g are distinct, so no entry is set twice
+    p[np.arange(n)[:, None], group.successors] += x
     return p
 
 

@@ -8,7 +8,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .coxeter import cayley_graph
 from .coxmaps import (
     _worst,
     edge_lengths_closed_form,
@@ -79,7 +78,7 @@ def closed_form_minimum(datum):
     return x, lam
 
 
-def _lambda1_fn(graph):
+def _lambda1_fn(group):
     """lambda_1 as a function of a stack of weights (m, 3), as (m,): the
     function the finite differences and convexity probes evaluate.  The
     stack is checked once and read from the irreducible blocks
@@ -90,7 +89,7 @@ def _lambda1_fn(graph):
         w = check_weights(weights)
         vals = np.empty(len(w))
         for s in range(0, len(w), SPECTRUM_CHUNK):
-            vals[s:s + SPECTRUM_CHUNK] = block_spectrum(graph.group, w[s:s + SPECTRUM_CHUNK])[:, 1]
+            vals[s:s + SPECTRUM_CHUNK] = block_spectrum(group, w[s:s + SPECTRUM_CHUNK])[:, 1]
         return vals
 
     return f
@@ -137,13 +136,14 @@ def _is_equilateral(lengths):
     return bool(abs(max(lengths) / min(lengths) - 1.0) <= EQUILATERAL_TOL)
 
 
-def critical_certificate(x, group, graph):
+def critical_certificate(x, group, graph=None):
     """Finite-difference criticality check paired with the equilateral
     measurement of the second-eigenvalue embedding.
 
     x and its six stencil points are one `block_spectrum` stack: row 0
     gives the cluster (`block_cluster`, or `lambda1_cluster` where the 3x3
-    block does not give it), the other rows the finite differences."""
+    block does not give it), the other rows the finite differences.
+    `graph` is ignored: perfbench/workloads.py still passes one."""
     if x.min() < FD_STEP:
         raise DomainError(
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
@@ -152,7 +152,7 @@ def critical_certificate(x, group, graph):
     vals = block_spectrum(group, np.vstack((x, _pair_stencil(x[None], FD_STEP))))
     top = block_cluster(group, x, vals[0])
     if top is None:
-        top = lambda1_cluster(graph, x)
+        top = lambda1_cluster(group, x)
     if top.gap <= GAP_GUARD:
         raise DomainError(
             f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
@@ -160,7 +160,7 @@ def critical_certificate(x, group, graph):
     plus, minus = vals[1:, 1].reshape(2, -1)
     grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
 
-    lengths = edge_class_lengths(spectral_representation(graph, x, top), graph)
+    lengths = edge_class_lengths(spectral_representation(group, x, top), group)
     return CriticalReport(
         x=x,
         lam=float(top.eigenvalue),
@@ -190,7 +190,6 @@ def minimize_lambda1(group):
     of a matrix affine in x: projected gradient on `block_state`, Armijo
     backtracking, Barzilai-Borwein initial steps.  One dense `lambda1` at
     the result is the oracle that mu_1 is lambda_1 there."""
-    graph = cayley_graph(group)
     x_closed, _ = closed_form_minimum(group.datum)
 
     x = uniform_point(group.rank)
@@ -217,7 +216,7 @@ def minimize_lambda1(group):
     else:
         raise MinimizationError(f"lambda_1 minimization did not converge; best {x}")
 
-    lam_dense = lambda1(graph, x)
+    lam_dense = lambda1(group, x)
     if abs(lam_dense - fx) > CLUSTER_TOL:
         raise MinimizationError(f"mu_1 = {fx!r} is not lambda_1 = {lam_dense!r} at {x}")
     report_opt = CriticalReport(
@@ -227,7 +226,7 @@ def minimize_lambda1(group):
         class_lengths=lengths.tolist(),
         equilateral=_is_equilateral(lengths),
     )
-    report_closed = critical_certificate(x_closed, group, graph)
+    report_closed = critical_certificate(x_closed, group)
     return MinimizationResult(
         closed_form=report_closed, optimized=report_opt, iterations=iterations
     )
@@ -298,14 +297,14 @@ def boundary_limit(target, group, curve=None):
     decay of the inverse map over the last halving of the distance, at
     the steps 2^-(LIMIT_STEPS - 1) and 2^-LIMIT_STEPS.  Vertex targets are
     curve dependent and require a curve id; a curve id, where given, must
-    name a curve for every target.
+    name a curve for every target.  The target's weights are checked by
+    `check_weights`, as every other point's are.
     """
     if curve is not None:
         _check_curve(curve)
-    target = np.asarray(target, dtype=float)
-    if (target.shape != (group.rank,) or not np.isfinite(target).all()
-            or abs(target.sum() - 1) > 1e-9 or np.any(target < 0)):
-        raise DomainError("target must lie on the simplex")
+    if np.shape(target) != (group.rank,):
+        raise DomainError(f"target must be one point of shape ({group.rank},)")
+    target = check_weights(target)
     zeros = np.flatnonzero(target <= 1e-12)
     if len(zeros) == 0:
         raise DomainError("target must lie on the simplex boundary")
@@ -363,7 +362,6 @@ def sweep_lambda1(group, g):
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
-    graph = cayley_graph(group)
     denom = g + 1
     ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
     weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
@@ -375,7 +373,7 @@ def sweep_lambda1(group, g):
         lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given])[1]
     for r in np.flatnonzero(~given):
         x = simplex_point(weights[r])
-        cluster = lambda1_cluster(graph, x)
+        cluster = lambda1_cluster(group, x)
         lam[r], multiplicity[r] = cluster.eigenvalue, cluster.multiplicity
-        lengths[r] = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
+        lengths[r] = edge_class_lengths(spectral_representation(group, x, cluster), group)
     return Sweep(weights, lam, multiplicity, lengths, np.where(given, "fourier", "dense"))

@@ -174,14 +174,14 @@ def block_spectrum(group, weights):
     return vals[0] if w.ndim == 1 else vals
 
 
-def _bipartite_half(graph):
+def _bipartite_half(group):
     """Row and columns of the edges of the even-to-odd block C of P_X: the
     row (|G|/2,) of each even element (det g = +1) and the columns
     (|G|/2, k) of its neighbours along each class.  Every generator
     reflects, so an edge joins elements of opposite det sign; one that
     does not is an `InvarianceError`."""
-    even = np.linalg.det(graph.group.elements) > 0
-    succ = graph.successors
+    even = np.linalg.det(group.elements) > 0
+    succ = group.successors
     same = even[succ] == even[:, None]
     if same.any():
         i, j = np.argwhere(same)[0]
@@ -194,7 +194,7 @@ def _bipartite_half(graph):
     return half[even], half[succ[even]]
 
 
-def lambda1(graph, weights):
+def lambda1(group, weights):
     """Second-highest eigenvalue of P_X, counted with multiplicity, from a
     dense eigensolve of the whole graph: the oracle the block spectrum is
     checked against.  `weights` is one point (k,) or a stack (m, k); the
@@ -208,8 +208,8 @@ def lambda1(graph, weights):
     solved alone, so a row of a stack is bit for bit its point alone.
     Weights of another shape, or not finite, raise `DomainError`.
     """
-    w = _check_stack(graph.group, weights)
-    rows, cols = _bipartite_half(graph)
+    w = _check_stack(group, weights)
+    rows, cols = _bipartite_half(group)
     points = np.atleast_2d(w)
     vals = np.empty(len(points))
     for start in range(0, len(points), ORACLE_CHUNK):
@@ -279,7 +279,7 @@ def block_lengths(group, weights, lam, vectors):
     return c, np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
 
 
-def lambda1_cluster(graph, x):
+def lambda1_cluster(group, x):
     """The cluster of P_X containing the second-highest eigenvalue.
 
     The eigenvalues, the multiplicity and the gap come from
@@ -287,15 +287,14 @@ def lambda1_cluster(graph, x):
     Elsewhere (a boundary point whose graph falls apart, or a degenerate
     block) the cluster comes from the dense eigensolve.
     """
-    group = graph.group
     cluster = block_cluster(group, x, block_spectrum(group, x))
     if cluster is None:
-        dense = spectrum_clusters(build_operator(graph, x))
+        dense = spectrum_clusters(build_operator(group, x))
         cluster = dense[_lambda1_index(dense[0].multiplicity)]
     return cluster
 
 
-def spectral_representation(graph, x, cluster):
+def spectral_representation(group, x, cluster):
     """Embedding of the vertices: a copy of the cluster basis B, (n, k),
     whose row i is the image of vertex i; flagged (warning) when the
     eigenvalue is simple.  ||P B - lambda B||, with
@@ -304,7 +303,7 @@ def spectral_representation(graph, x, cluster):
     if cluster.multiplicity == 1:
         warnings.warn("multiplicity-1 cluster: embedding into R^1")
     b, lam = cluster.basis, cluster.eigenvalue
-    gathered = np.take(b, graph.successors.T, axis=0).reshape(graph.n_classes, -1)
+    gathered = np.take(b, group.successors.T, axis=0).reshape(group.rank, -1)
     r = (x @ gathered).reshape(b.shape) - lam * b
     res = np.sqrt((r * r).sum())
     if not _residual_excess(res, lam, len(b)) <= 1.0:  # NaN fails too
@@ -312,11 +311,11 @@ def spectral_representation(graph, x, cluster):
     return b.copy()
 
 
-def edge_class_lengths(pts, graph):
+def edge_class_lengths(pts, group):
     """Per-class Euclidean edge length of the embedding `pts`, (n, k),
     the mean over the vertices; a nonzero spread within a class is an
     `InvarianceError`."""
-    diff = np.take(pts, graph.successors, axis=0) - pts[:, None, :]
+    diff = np.take(pts, group.successors, axis=0) - pts[:, None, :]
     d = np.sqrt((diff * diff).sum(axis=-1))  # the sums of np.linalg.norm
     spread = d.max(axis=0) - d.min(axis=0)
     if not spread.max() <= EDGE_SPREAD_TOL:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coxeter import build_group, cayley_graph
+from .coxeter import build_group
 from .coxmaps import (
     gram_inverse,
     psi_delta_inverse,
@@ -107,8 +107,7 @@ def suite_closed_forms():
         checks.append(_check(f"min_lambda_{name}", abs(res.optimized.lam - lam0), 1e-9, crit))
         checks.append(_check(f"min_point_{name}", np.abs(res.optimized.x - x0).max(), 1e-6, crit))
 
-        graph = cayley_graph(group)
-        cluster = lambda1_cluster(graph, uniform_point(3))
+        cluster = lambda1_cluster(group, uniform_point(3))
         dev = abs(cluster.eigenvalue - CANONICAL_LAMBDA1[name])
         checks.append(_check(f"canonical_lambda1_{name}", dev, 1e-9, 3))
         checks.append(_count_check(f"canonical_mult_{name}", cluster.multiplicity, 3, 3))
@@ -129,25 +128,22 @@ def suite_invariants():
         checks.append(_count_check(f"group_order_{name}", order, GROUP_ORDERS[name], 8))
 
     h3 = build_group("H3")
-    graph = cayley_graph(h3)
-    checks.append(_count_check("h3_vertices", graph.n_vertices, 120, 8))
-    n_edges = len(graph.edges)
+    checks.append(_count_check("h3_vertices", h3.order, 120, 8))
+    n_edges = len(h3.edges)
     checks.append(_count_check("h3_edges", n_edges, 180, 8))
-    census = Counter(len(f) for f in cayley_faces(graph))
+    census = Counter(len(f) for f in cayley_faces(h3))
     faces = census.total()
     checks.append(
         _check("h3_face_census", faces, 62, 8, passed=census == {4: 30, 6: 20, 10: 12})
     )
-    checks.append(_count_check("h3_euler", graph.n_vertices - n_edges + faces, 2, 8))
+    checks.append(_count_check("h3_euler", h3.order - n_edges + faces, 2, 8))
 
     # Fourier cross-check and the H3 characteristic polynomial; the
     # oracle checks draw each group's points as one stack, the same points
     # in the same rng order as one point at a time
     for name in ("A3", "B3", "H3"):
-        group = build_group(name)
-        gname = cayley_graph(group)
         xs = sample_interior(rng, 3, rows=50)
-        dev = crosscheck_mu1(xs, group, gname).max()
+        dev = crosscheck_mu1(xs, build_group(name)).max()
         checks.append(_check(f"fourier_crosscheck_{name}", dev, 1e-9, 6))
     dev = 0.0
     for i in range(1, 10):
@@ -165,16 +161,15 @@ def suite_invariants():
     # and the round trip through the fundamental domain
     for name in ("A3", "B3", "H3"):
         group = build_group(name)
-        gname = cayley_graph(group)
         xs = sample_interior(rng, 3, rows=100)
-        dev_lam = np.abs(psi_lambda_of(group, xs) - lambda1(gname, xs)).max()
+        dev_lam = np.abs(psi_lambda_of(group, xs) - lambda1(group, xs)).max()
         x_back, _ = psi_maps(psi_delta_inverse(group, xs))
         dev_rt = np.abs(x_back - xs).max()
         checks.append(_check(f"psi_vs_eigensolver_{name}", dev_lam, 1e-9, 7))
         checks.append(_check(f"psi_round_trip_{name}", dev_rt, 1e-9, 7))
 
     # bipartite spectral symmetry on H3
-    vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
+    vals, _ = eigh_symmetric(build_operator(h3, sample_interior(rng, 3)))
     checks.append(_check("h3_spectrum_symmetry", np.abs(vals + vals[::-1]).max(), 1e-9, 10))
 
     # orbit eigenfunction norms and Gram invariance at the uniform point
@@ -183,7 +178,7 @@ def suite_invariants():
     dev = np.abs(phi_mat.T @ phi_mat - (h3.order / 3) * np.eye(3)).max()
     checks.append(_check("orbit_eigenfunction_norms", dev, 1e-8, 10))
     x = uniform_point(3)
-    pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
+    pts = spectral_representation(h3, x, lambda1_cluster(h3, x))
     checks.append(_check("gram_invariance", gram_invariance_check(pts, h3), 1e-8, 10))
 
     # orbit moment matrix proportional to the identity
@@ -195,7 +190,7 @@ def suite_invariants():
     # convexity of lambda_1 on the simplex: each probe draws all its
     # points (pairs a, b in turn; the margin probe rejects some, so one at
     # a time), then evaluates them as one stack
-    f = _lambda1_fn(graph)
+    f = _lambda1_fn(h3)
     ab = sample_interior(rng, 3, rows=400).reshape(200, 2, 3)
     a, b = ab[:, 0], ab[:, 1]
     fa, fb, mid = f(np.concatenate((a, b, (a + b) / 2))).reshape(3, -1)
@@ -223,15 +218,14 @@ def suite_invariants():
 def suite_theorem2():
     checks = []
     h3 = build_group("H3")
-    graph = cayley_graph(h3)
     x0 = simplex_point(PAPER_MINIMA["H3"][0])
 
-    cert0 = critical_certificate(x0, h3, graph)
+    cert0 = critical_certificate(x0, h3)
     checks.append(_check("x0_gradient_norm", cert0.gradient_norm, 1e-6, 4))
     spread = max(cert0.class_lengths) / min(cert0.class_lengths) - 1
     checks.append(_check("x0_equilateral", spread, 1e-7, 4, passed=cert0.equilateral))
 
-    cert_hat = critical_certificate(uniform_point(3), h3, graph)
+    cert_hat = critical_certificate(uniform_point(3), h3)
     norm = cert_hat.gradient_norm
     checks.append(_check("xhat_gradient_norm", norm, 1e-3, 4, passed=norm > 1e-3))
     spread = max(cert_hat.class_lengths) / min(cert_hat.class_lengths) - 1
@@ -243,17 +237,17 @@ def suite_theorem2():
     # whose cluster gap passes the guard, then their stencils in one stack
     rng = np.random.default_rng(42)
     kept, lhs, scale = [], [], []
-    s = graph.successors[0]
+    s = h3.successors[0]
     while len(kept) < 20:
         x = sample_interior(rng, 3)
-        top = lambda1_cluster(graph, x)
+        top = lambda1_cluster(h3, x)
         if top.gap <= GAP_GUARD:
             continue
-        pts = spectral_representation(graph, x, top)
+        pts = spectral_representation(h3, x, top)
         kept.append(x)
         lhs.append([pts[0] @ pts[s[a]] - pts[0] @ pts[s[b]] for a, b in combinations(range(3), 2)])
-        scale.append(top.multiplicity / graph.n_vertices)
-    d = pair_derivatives(_lambda1_fn(graph), np.array(kept))
+        scale.append(top.multiplicity / h3.order)
+    d = pair_derivatives(_lambda1_fn(h3), np.array(kept))
     worst = np.abs(np.array(lhs) - np.array(scale)[:, None] * d).max()
     checks.append(_check("derivative_identity", worst, 1e-5, 5))
     return checks
@@ -262,7 +256,6 @@ def suite_theorem2():
 def suite_curves():
     checks = []
     h3 = build_group("H3")
-    graph = cayley_graph(h3)
 
     s = curve_point("C2", 1e3, h3)
     other = min(s.class_lengths[0], s.class_lengths[2])
@@ -282,7 +275,7 @@ def suite_curves():
         checks.append(_count_check(f"edge_limit_{expected}", count, expected, 9))
 
     eps = np.array([1e-2, 1e-3, 1e-4])
-    lams = lambda1(graph, np.column_stack(((1 - eps) / 2, eps, (1 - eps) / 2)))
+    lams = lambda1(h3, np.column_stack(((1 - eps) / 2, eps, (1 - eps) / 2)))
     monotone = lams[0] < lams[1] < lams[2]
     checks.append(
         _check("boundary_lambda1", lams[-1], 0.999, 9, passed=monotone and lams[-1] > 0.999)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coxspec.cli  # noqa: F401  (binds build_operator; patched by no_operator)
-from coxspec import build_group, cayley_graph, randwalk
+from coxspec import build_group, randwalk
 from coxspec.verify import run_suite
 
 PHI = (1 + np.sqrt(5)) / 2
@@ -31,11 +31,6 @@ def b3(groups):
 
 
 @pytest.fixture(scope="session")
-def graphs(groups):
-    return {name: cayley_graph(g) for name, g in groups.items()}
-
-
-@pytest.fixture(scope="session")
 def verify_report():
     """The records of `coxspec verify --suite all`, computed once."""
     return run_suite("all")
@@ -47,7 +42,7 @@ def no_operator(monkeypatch):
     takes this fixture shows that its calls build no dense operator."""
     original = randwalk.build_operator
 
-    def refuse(graph, x):
+    def refuse(group, x):
         raise AssertionError("dense operator built")
 
     patched = []

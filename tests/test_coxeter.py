@@ -148,32 +148,57 @@ class TestGroup:
 
 
 class TestCayleyGraph:
-    def test_counts(self, graphs):
-        g = graphs["H3"]
-        assert g.n_vertices == 120
-        assert len(g.edges) == 180
-        assert g.n_classes == 3
+    """The group is its own Cayley graph: `successors` are the neighbours
+    along each generator class, and `edges` lists every edge once."""
 
-    def test_regular_degree(self, graphs):
-        for g in graphs.values():
-            for i in range(g.n_vertices):
+    def test_counts(self, h3):
+        assert h3.order == 120
+        assert h3.rank == 3
+        assert h3.edges.shape == (180, 3)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_edges_are_the_successor_table(self, groups, name):
+        # rows (i, successors[i, l], l) with i < j, by i and then by label:
+        # the order of the loop over vertices and classes
+        group = groups[name]
+        expected = [
+            (i, int(group.successors[i, label]), label)
+            for i in range(group.order)
+            for label in range(group.rank)
+            if i < group.successors[i, label]
+        ]
+        edges = group.edges
+        assert edges.dtype.kind == "i" and edges.shape == (group.order * group.rank // 2, 3)
+        assert edges.tolist() == [list(e) for e in expected]
+        i, j, label = edges.T
+        assert np.all(i < j)
+        assert np.array_equal(group.successors[i, label], j)
+
+    def test_edges_cached_and_read_only(self, a3):
+        assert a3.edges is a3.edges
+        with pytest.raises(ValueError):
+            a3.edges[0, 0] = 1
+
+    def test_regular_degree(self, groups):
+        for g in groups.values():
+            for i in range(g.order):
                 nbs = g.successors[i]
                 assert len(set(nbs.tolist())) == 3
                 assert i not in nbs
 
-    def test_bipartite(self, graphs):
+    def test_bipartite(self, groups):
         # rotations and reflections: every generator flips the determinant
-        for g in graphs.values():
-            color = np.linalg.det(g.group.elements) < 0
+        for g in groups.values():
+            color = np.linalg.det(g.elements) < 0
             for i, j, _ in g.edges:
                 assert color[i] != color[j]
 
-    def test_face_cycles_close(self, graphs):
+    def test_face_cycles_close(self, groups):
         # alternating (s_i, s_j) walks close after exactly 2 m_ij steps
-        for name, g in graphs.items():
-            orders = g.group.datum.orders
+        for g in groups.values():
+            orders = g.datum.orders
             for a, b in itertools.combinations(range(3), 2):
-                for start in range(0, g.n_vertices, 7):
+                for start in range(0, g.order, 7):
                     v, gen, steps = start, a, 0
                     while True:
                         v = int(g.successors[v, gen])
@@ -183,14 +208,13 @@ class TestCayleyGraph:
                             break
                     assert steps == 2 * orders[a, b]
 
-    def test_left_action_is_labelled_automorphism(self, h3, graphs):
-        graph = graphs["H3"]
-        edge_set = {(i, j, l) for i, j, l in graph.edges}
+    def test_left_action_is_labelled_automorphism(self, h3):
+        edge_set = {(i, j, l) for i, j, l in h3.edges.tolist()}
         rng = np.random.default_rng(2)
         for g in rng.integers(0, h3.order, size=10):
             perm = h3.left_action_permutation(int(g))
             assert sorted(perm) == list(range(120))
-            for i, j, label in graph.edges:
+            for i, j, label in h3.edges:
                 a, b = perm[i], perm[j]
                 assert (min(a, b), max(a, b), label) in edge_set
 

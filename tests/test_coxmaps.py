@@ -254,14 +254,13 @@ class TestPsiMaps:
         with pytest.raises(DomainError, match="fails"):
             psi_maps(FundamentalPoint(group=h3, alphas=fp.alphas, point=other))
 
-    def test_lambda_matches_eigensolver(self, groups, graphs):
+    def test_lambda_matches_eigensolver(self, groups):
         rng = np.random.default_rng(13)
-        for name, group in groups.items():
-            graph = graphs[name]
+        for group in groups.values():
             for _ in range(10):
                 fp = fundamental_point(group, rng.random(3) + 0.05)
                 x, lam = psi_maps(fp)
-                cluster = lambda1_cluster(graph, x)
+                cluster = lambda1_cluster(group, x)
                 assert lam == pytest.approx(cluster.eigenvalue, abs=1e-9)
                 assert cluster.multiplicity == 3
 
@@ -407,16 +406,15 @@ class TestEdgeLengths:
             d = np.linalg.norm(fp.point - h3.generators[j] @ fp.point)
             assert d == pytest.approx(lengths[j], abs=1e-12)
 
-    def test_spectral_lengths_proportional_to_alphas(self, groups, graphs):
+    def test_spectral_lengths_proportional_to_alphas(self, groups):
         # measured class lengths of the unit-columns embedding carry an
         # extra sqrt(k / n) against the orbit-map lengths
         rng = np.random.default_rng(16)
-        for name, group in groups.items():
-            graph = graphs[name]
+        for group in groups.values():
             fp = fundamental_point(group, rng.random(3) + 0.1)
             x, _ = psi_maps(fp)
-            pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
-            measured = np.array(edge_class_lengths(pts, graph))
+            pts = spectral_representation(group, x, lambda1_cluster(group, x))
+            measured = np.array(edge_class_lengths(pts, group))
             expected = edge_lengths_closed_form(fp) * np.sqrt(3.0 / group.order)
             assert np.abs(measured - expected).max() <= 1e-8
 
@@ -433,9 +431,9 @@ class TestOrbitEigenfunctions:
             expected = (group.order / 3.0) * np.eye(3)
             assert np.abs(gram - expected).max() <= 1e-9
 
-    def test_eigenfunction_relation(self, h3, graphs):
+    def test_eigenfunction_relation(self, h3):
         fp = fundamental_point(h3, [0.4, 0.8, 1.3])
         x, lam = psi_maps(fp)
-        p = build_operator(graphs["H3"], x)
+        p = build_operator(h3, x)
         funcs = h3.elements @ fp.point
         assert np.abs(p @ funcs - lam * funcs).max() <= 1e-10

@@ -79,28 +79,28 @@ class TestCharPoly:
 
 
 class TestCrosscheck:
-    def test_mu1_equals_lambda1(self, groups, graphs):
+    def test_mu1_equals_lambda1(self, groups):
         rng = np.random.default_rng(21)
-        for name, group in groups.items():
+        for group in groups.values():
             for _ in range(10):
                 x = sample_interior(rng, 3)
-                assert crosscheck_mu1(x, group, graphs[name]) <= 1e-9
+                assert crosscheck_mu1(x, group) <= 1e-9
 
     @pytest.mark.bit_equal
-    def test_stack_matches_single_points(self, groups, graphs):
+    def test_stack_matches_single_points(self, groups):
         # one deviation per row, each that of its point alone
         rng = np.random.default_rng(23)
         xs = np.array([sample_interior(rng, 3) for _ in range(2 * ORACLE_CHUNK + 1)])
-        for name, group in groups.items():
-            devs = crosscheck_mu1(xs, group, graphs[name])
+        for group in groups.values():
+            devs = crosscheck_mu1(xs, group)
             assert devs.shape == (len(xs),) and devs.max() <= 1e-9
             for x, dev in zip(xs, devs):
-                assert crosscheck_mu1(x, group, graphs[name]) == dev
+                assert crosscheck_mu1(x, group) == dev
 
-    def test_rep_roots_in_full_spectrum_with_multiplicity(self, h3, graphs):
+    def test_rep_roots_in_full_spectrum_with_multiplicity(self, h3):
         rng = np.random.default_rng(22)
         x = sample_interior(rng, 3)
         roots = rep_fourier(x, h3).roots
-        vals, _ = eigh_symmetric(build_operator(graphs["H3"], x))
+        vals, _ = eigh_symmetric(build_operator(h3, x))
         for mu in roots:
             assert np.sum(np.abs(vals - mu) <= 1e-9) >= 3

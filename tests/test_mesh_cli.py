@@ -30,27 +30,27 @@ from coxspec.solids import boundary_limit, curve_limit
 from coxspec.spectral import lambda1_cluster, spectral_representation
 
 
-def h3_mesh(graphs):
+def h3_mesh(h3):
     x = uniform_point(3)
-    pts = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
-    return build_cayley_mesh(pts, graphs["H3"])
+    pts = spectral_representation(h3, x, lambda1_cluster(h3, x))
+    return build_cayley_mesh(pts, h3)
 
 
-def walk_faces(graph):
+def walk_faces(group):
     """The alternating-generator cycles walked from each vertex not yet on
     a cycle of its pair: the loop that `ReflectionGroup.face_cycles`
     replaced, kept as the reference."""
     faces = []
-    for a in range(graph.n_classes):
-        for b in range(a + 1, graph.n_classes):
+    for a in range(group.rank):
+        for b in range(a + 1, group.rank):
             seen = set()
-            for start in range(graph.n_vertices):
+            for start in range(group.order):
                 if start in seen:
                     continue
                 cycle, v, gen = [], start, a
                 while True:
                     cycle.append(v)
-                    v = int(graph.successors[v, gen])
+                    v = int(group.successors[v, gen])
                     gen = b if gen == a else a
                     if v == start:
                         break
@@ -84,7 +84,7 @@ def limit_points(group):
 
 class TestCayleyFaces:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_cached_cycles_are_the_walked_faces(self, groups, graphs, name):
+    def test_cached_cycles_are_the_walked_faces(self, groups, name):
         cycles = groups[name].face_cycles
         assert groups[name].face_cycles is cycles  # computed once per group
         assert len(cycles) == 3
@@ -92,7 +92,7 @@ class TestCayleyFaces:
             assert rows.dtype == np.intp and not rows.flags.writeable
             with pytest.raises(ValueError):
                 rows[0, 0] = 1
-        assert cayley_faces(graphs[name]) == walk_faces(graphs[name])
+        assert cayley_faces(groups[name]) == walk_faces(groups[name])
 
     @pytest.mark.parametrize("swap", [(0, 2), (1, 2)])
     def test_longer_cycle_is_a_mesh_error(self, h3, swap):
@@ -115,25 +115,25 @@ class TestCayleyFaces:
         with pytest.raises(MeshError, match=message):
             tampered.face_cycles
 
-    def test_h3_census(self, graphs):
-        census = Counter(len(f) for f in cayley_faces(graphs["H3"]))
+    def test_h3_census(self, h3):
+        census = Counter(len(f) for f in cayley_faces(h3))
         assert census == {4: 30, 6: 20, 10: 12}
 
-    def test_a3_census(self, graphs):
-        census = Counter(len(f) for f in cayley_faces(graphs["A3"]))
+    def test_a3_census(self, a3):
+        census = Counter(len(f) for f in cayley_faces(a3))
         assert census == {4: 6, 6: 8}
 
     @pytest.mark.parametrize("name,euler", [("A3", 2), ("B3", 2), ("H3", 2)])
-    def test_euler_characteristic(self, graphs, name, euler):
+    def test_euler_characteristic(self, groups, name, euler):
         mesh = MeshDocument(
-            vertices=np.zeros((graphs[name].n_vertices, 3)),
-            faces=cayley_faces(graphs[name]),
+            vertices=np.zeros((groups[name].order, 3)),
+            faces=cayley_faces(groups[name]),
         )
         assert mesh.euler_characteristic() == euler
 
-    def test_every_edge_in_two_faces(self, graphs):
+    def test_every_edge_in_two_faces(self, h3):
         counts = Counter()
-        for f in cayley_faces(graphs["H3"]):
+        for f in cayley_faces(h3):
             for a, b in zip(f, f[1:] + f[:1]):
                 counts[(min(a, b), max(a, b))] += 1
         assert len(counts) == 180
@@ -171,9 +171,9 @@ class TestOrbitMeshes:
             assert vertex_configuration(mesh, v) == config
 
 
-    def test_orbit_faces_are_the_projected_walks(self, groups, graphs):
-        for name, group in groups.items():
-            reference = walk_faces(graphs[name])
+    def test_orbit_faces_are_the_projected_walks(self, groups):
+        for group in groups.values():
+            reference = walk_faces(group)
             for p in limit_points(group):
                 mesh = build_orbit_mesh(group, p)
                 pts, index = orbit_points(group, p)
@@ -210,21 +210,21 @@ class TestOffObj:
         assert lines[5] == "3 0 1 2"
         assert len(lines) == 6
 
-    def test_round_trip_bit_exact(self, graphs, tmp_path):
-        mesh = h3_mesh(graphs)
+    def test_round_trip_bit_exact(self, h3, tmp_path):
+        mesh = h3_mesh(h3)
         p1, p2 = tmp_path / "a.off", tmp_path / "b.off"
         export_off(mesh, p1)
         export_off(parse_off(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_counts_line(self, graphs, tmp_path):
+    def test_counts_line(self, h3, tmp_path):
         path = tmp_path / "h3.off"
-        export_off(h3_mesh(graphs), path)
+        export_off(h3_mesh(h3), path)
         assert path.read_text().splitlines()[1] == "120 62 180"
 
-    def test_obj_records(self, graphs, tmp_path):
+    def test_obj_records(self, h3, tmp_path):
         path = tmp_path / "h3.obj"
-        export_obj(h3_mesh(graphs), path)
+        export_obj(h3_mesh(h3), path)
         lines = path.read_text().splitlines()
         assert sum(1 for l in lines if l.startswith("v ")) == 120
         f_lines = [l for l in lines if l.startswith("f ")]
@@ -265,8 +265,8 @@ class TestOffObj:
         with pytest.raises(MeshError, match=rf"face 1 \{listed[:-1]}\] does not have 3"):
             parse_off(path)
 
-    def test_obj_and_off_vertices_agree(self, graphs, tmp_path):
-        mesh = h3_mesh(graphs)
+    def test_obj_and_off_vertices_agree(self, h3, tmp_path):
+        mesh = h3_mesh(h3)
         export_off(mesh, tmp_path / "h3.off")
         export_obj(mesh, tmp_path / "h3.obj")
         off = tmp_path.joinpath("h3.off").read_text().splitlines()[2:122]
@@ -274,9 +274,9 @@ class TestOffObj:
         assert obj == ["v " + line for line in off]
         assert [[float(t) for t in line.split()] for line in off] == mesh.vertices.tolist()
 
-    def test_export_reports_bytes(self, graphs, tmp_path):
+    def test_export_reports_bytes(self, h3, tmp_path):
         path = tmp_path / "h3.off"
-        nbytes = export_off(h3_mesh(graphs), path)
+        nbytes = export_off(h3_mesh(h3), path)
         assert nbytes == path.stat().st_size
 
 
@@ -306,6 +306,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "faithful True" in out
         assert parse_off(out_file).vertices.shape == (120, 3)
+
+    @pytest.mark.parametrize(
+        "argv,cluster,multiplicity",
+        [(["--eigenvalue", "0"], "0", 1), (["--point", "0.5,0.5,0"], "second", 30)],
+    )
+    def test_embed_needs_three_dimensions(self, tmp_path, argv, cluster, multiplicity):
+        # rejected before the embedding is formed: one stderr line (no
+        # multiplicity-1 warning), exit code 2 and no --out file
+        out_file = tmp_path / "k.off"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coxspec.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxspec.cli", "embed", "--group", "H3", *argv,
+             "--out", str(out_file)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"coxspec: mesh export needs a 3-dimensional embedding; --eigenvalue {cluster} "
+            f"is a cluster of multiplicity {multiplicity}"
+        ]
+        assert not out_file.exists()
 
     def test_curve_csv(self, tmp_path):
         out_file = tmp_path / "c2.csv"

@@ -62,36 +62,36 @@ class TestSimplexPoint:
 
 
 class TestOperator:
-    def test_canonical_laplacian(self, graphs):
-        p = build_operator(graphs["H3"], uniform_point(3))
+    def test_canonical_laplacian(self, groups):
+        p = build_operator(groups["H3"], uniform_point(3))
         off = p[~np.eye(120, dtype=bool)]
         assert set(np.round(off, 12)) <= {0.0, np.round(1 / 3, 12)}
         assert np.abs(p.sum(axis=1) - 1).max() <= 1e-12
 
-    def test_symmetric_zero_diagonal(self, graphs):
+    def test_symmetric_zero_diagonal(self, groups):
         rng = np.random.default_rng(0)
-        p = build_operator(graphs["B3"], sample_interior(rng, 3))
+        p = build_operator(groups["B3"], sample_interior(rng, 3))
         assert p.shape == (48, 48)
         assert np.abs(p - p.T).max() <= 1e-15
         assert np.abs(np.diag(p)).max() == 0.0
 
-    def test_support_respects_edges(self, graphs):
-        graph = graphs["A3"]
-        p = build_operator(graph, simplex_point([0.3, 0.3, 0.4]))
-        edge_set = {(i, j) for i, j, _ in graph.edges}
+    def test_support_respects_edges(self, groups):
+        group = groups["A3"]
+        p = build_operator(group, simplex_point([0.3, 0.3, 0.4]))
+        edge_set = {(i, j) for i, j, _ in group.edges}
         ii, jj = np.nonzero(p)
         for i, j in zip(ii, jj):
             assert (min(i, j), max(i, j)) in edge_set
 
-    def test_zero_weight_drops_class(self, graphs):
-        graph = graphs["A3"]
-        p = build_operator(graph, simplex_point([0.0, 0.5, 0.5]))
-        for i, j, label in graph.edges:
+    def test_zero_weight_drops_class(self, groups):
+        group = groups["A3"]
+        p = build_operator(group, simplex_point([0.0, 0.5, 0.5]))
+        for i, j, label in group.edges:
             assert (p[i, j] > 0) == (label != 0)
 
-    def test_class_count_mismatch(self, graphs):
+    def test_class_count_mismatch(self, groups):
         with pytest.raises(SimplexError):
-            build_operator(graphs["A3"], simplex_point([0.5, 0.5]))
+            build_operator(groups["A3"], simplex_point([0.5, 0.5]))
 
 
 def brute_force_projection(raw):
@@ -143,39 +143,39 @@ class TestProjection:
 
 
 class TestSpectralStructure:
-    def test_bipartite_symmetry(self, graphs):
+    def test_bipartite_symmetry(self, groups):
         rng = np.random.default_rng(4)
-        for graph in graphs.values():
-            vals, _ = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
+        for group in groups.values():
+            vals, _ = eigh_symmetric(build_operator(group, sample_interior(rng, 3)))
             assert np.abs(vals + vals[::-1]).max() <= 1e-9
 
-    def test_top_eigenvalue_simple_constant(self, graphs):
+    def test_top_eigenvalue_simple_constant(self, groups):
         rng = np.random.default_rng(5)
-        graph = graphs["H3"]
-        vals, vecs = eigh_symmetric(build_operator(graph, sample_interior(rng, 3)))
+        group = groups["H3"]
+        vals, vecs = eigh_symmetric(build_operator(group, sample_interior(rng, 3)))
         assert abs(vals[0] - 1) <= 1e-12
         assert vals[1] < 1 - 1e-6
         top = vecs[:, 0]
         assert np.abs(top - top[0]).max() <= 1e-9
 
-    def test_boundary_lambda1_monotone_to_one(self, graphs):
-        graph = graphs["H3"]
+    def test_boundary_lambda1_monotone_to_one(self, groups):
+        group = groups["H3"]
         lams = []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             x = simplex_point([(1 - eps) / 2, eps, (1 - eps) / 2])
-            lams.append(lambda1(graph, x))
+            lams.append(lambda1(group, x))
         assert all(a < b for a, b in zip(lams, lams[1:]))
         assert lams[-1] > 1 - 1e-3
 
-    def test_midpoint_convexity(self, graphs):
-        graph = graphs["A3"]
+    def test_midpoint_convexity(self, groups):
+        group = groups["A3"]
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
             mid = simplex_point((a + b) / 2)
-            lam_mid = lambda1(graph, mid)
+            lam_mid = lambda1(group, mid)
             lam_avg = (
-                lambda1(graph, a) + lambda1(graph, b)
+                lambda1(group, a) + lambda1(group, b)
             ) / 2
             assert lam_mid <= lam_avg + 1e-9
 

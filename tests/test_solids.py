@@ -18,7 +18,13 @@ from coxspec.coxmaps import (
     psi_maps,
 )
 from coxspec.fourier import crosscheck_mu1
-from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
+from coxspec.randwalk import (
+    SimplexError,
+    build_operator,
+    sample_interior,
+    simplex_point,
+    uniform_point,
+)
 from coxspec.solids import (
     CURVE_VERTICES,
     MinimizationError,
@@ -51,14 +57,14 @@ def directional_derivative(f, weights, xi, h=solids.FD_STEP):
     return (f(weights + h * xi) - f(weights - h * xi)) / (2 * h)
 
 
-def pointwise_lambda1(graph):
+def pointwise_lambda1(group):
     """lambda_1 of one point, one `block_spectrum` call each: the oracle for
     the stacked `_lambda1_fn` of the certificates and the gate's probes."""
-    return lambda w: float(block_spectrum(graph.group, simplex_point(w))[1])
+    return lambda w: float(block_spectrum(group, simplex_point(w))[1])
 
 
-def pointwise_gradient_norm(graph, weights):
-    f, derivs = pointwise_lambda1(graph), []
+def pointwise_gradient_norm(group, weights):
+    f, derivs = pointwise_lambda1(group), []
     for a in range(3):
         for b in range(a + 1, 3):
             xi = np.zeros(3)
@@ -103,7 +109,7 @@ class TestMinimize:
         # is all the minimiser and its certificate make
         calls = []
         monkeypatch.setattr(
-            solids, "lambda1", lambda graph, x: calls.append(x) or lambda1(graph, x)
+            solids, "lambda1", lambda group, x: calls.append(x) or lambda1(group, x)
         )
         res = minimize_lambda1(groups[name])
         closed, opt = res.closed_form, res.optimized
@@ -122,45 +128,45 @@ class TestMinimize:
 
     def test_oracle_disagreement_is_typed(self, a3, monkeypatch):
         # the dense lambda_1 at the result must equal the block's mu_1
-        monkeypatch.setattr(solids, "lambda1", lambda graph, x: 0.5)
+        monkeypatch.setattr(solids, "lambda1", lambda group, x: 0.5)
         with pytest.raises(MinimizationError, match="is not lambda_1"):
             minimize_lambda1(a3)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_certificate_at_minimum(self, groups, graphs, name, monkeypatch, no_operator):
+    def test_certificate_at_minimum(self, groups, name, monkeypatch, no_operator):
         # the certificate's finite differences read the irreducible blocks:
         # it certifies X0, and measures a seeded point, with the dense
         # lambda_1 disabled and no dense operator built
-        def no_dense(graph, x):
+        def no_dense(group, x):
             raise AssertionError("dense lambda_1 called")
 
         monkeypatch.setattr(solids, "lambda1", no_dense)
         monkeypatch.setattr(spectral, "lambda1", no_dense)
-        group, graph = groups[name], graphs[name]
+        group = groups[name]
         x, lam = closed_form_minimum(group.datum)
-        report = critical_certificate(x, group, graph)
+        report = critical_certificate(x, group)
         assert report.gradient_norm <= 1e-6
         assert report.equilateral
         assert abs(report.lam - lam) <= 1e-12
         x = sample_interior(np.random.default_rng(36), 3, margin=0.1)
-        report = critical_certificate(x, group, graph)
+        report = critical_certificate(x, group)
         assert abs(report.lam - block_spectrum(group, x)[1]) <= 1e-12
         assert report.gradient_norm > 1e-3 and not report.equilateral
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_stacked_stencil_matches_points(self, groups, graphs, name):
+    def test_stacked_stencil_matches_points(self, groups, name):
         # the six stencil points in one stack give the gradient norm of six
         # single-point evaluations, bit for bit
-        group, graph = groups[name], graphs[name]
+        group = groups[name]
         rng = np.random.default_rng(37)
         points = [closed_form_minimum(group.datum)[0], uniform_point(3)]
         points += [sample_interior(rng, 3, margin=0.1) for _ in range(4)]
         for x in points:
-            report = critical_certificate(x, group, graph)
-            assert report.gradient_norm == pointwise_gradient_norm(graph, x)
+            report = critical_certificate(x, group)
+            assert report.gradient_norm == pointwise_gradient_norm(group, x)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_one_spectrum_per_certificate(self, groups, graphs, name, monkeypatch):
+    def test_one_spectrum_per_certificate(self, groups, name, monkeypatch):
         # x is row 0 of the stencil stack: one `block_spectrum` call, and
         # no `lambda1_cluster` where the 3x3 block gives the cluster
         def refuse(*args):
@@ -175,15 +181,15 @@ class TestMinimize:
         monkeypatch.setattr(solids, "lambda1_cluster", refuse)
         monkeypatch.setattr(solids, "block_spectrum", spectrum)
         x = closed_form_minimum(groups[name].datum)[0]
-        report = critical_certificate(x, groups[name], graphs[name])
+        report = critical_certificate(x, groups[name])
         assert stacks == [7]
         assert report.lam == spectral.rep_fourier(x, groups[name]).roots[0]
 
-    def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, graphs, monkeypatch):
+    def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
         # a mu_1 that misses lambda_1: the cluster of x comes from
         # lambda1_cluster, the finite differences still from the stack
         true_rep, true_cluster = spectral.rep_fourier, solids.lambda1_cluster
-        expected = critical_certificate(uniform_point(3), a3, graphs["A3"])
+        expected = critical_certificate(uniform_point(3), a3)
 
         def shifted(weights, group):
             rep = true_rep(weights, group)
@@ -191,14 +197,14 @@ class TestMinimize:
 
         paths = []
 
-        def spy(graph, x):
-            cluster = true_cluster(graph, x)
+        def spy(group, x):
+            cluster = true_cluster(group, x)
             paths.append(cluster.path)
             return cluster
 
         monkeypatch.setattr(spectral, "rep_fourier", shifted)
         monkeypatch.setattr(solids, "lambda1_cluster", spy)
-        report = critical_certificate(uniform_point(3), a3, graphs["A3"])
+        report = critical_certificate(uniform_point(3), a3)
         assert paths == ["dense"]
         assert report.gradient_norm == expected.gradient_norm
         assert abs(report.lam - expected.lam) <= 1e-12
@@ -207,7 +213,7 @@ class TestMinimize:
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5, 0.0], [1 - 1.5e-6, 1e-6, 0.5e-6], [0.3, 0.7 - 9e-7, 9e-7]]
     )
-    def test_certificate_near_boundary_is_refused(self, h3, graphs, weights, monkeypatch):
+    def test_certificate_near_boundary_is_refused(self, h3, weights, monkeypatch):
         # a stencil point would leave the simplex: one-line DomainError
         # before any evaluation
         def refuse(*args):
@@ -216,17 +222,16 @@ class TestMinimize:
         monkeypatch.setattr(solids, "lambda1_cluster", refuse)
         monkeypatch.setattr(solids, "block_spectrum", refuse)
         with pytest.raises(DomainError, match="every weight to be at least FD_STEP") as err:
-            critical_certificate(simplex_point(weights), h3, graphs["H3"])
+            critical_certificate(simplex_point(weights), h3)
         assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_uniform_point_is_not_critical(self, groups, graphs, name):
-        report = critical_certificate(uniform_point(3), groups[name], graphs[name])
+    def test_uniform_point_is_not_critical(self, groups, name):
+        report = critical_certificate(uniform_point(3), groups[name])
         assert report.gradient_norm > 1e-3
         assert not report.equilateral
 
-    def test_strict_convexity_random_segments(self, a3, graphs):
-        graph = graphs["A3"]
+    def test_strict_convexity_random_segments(self, a3):
         rng = np.random.default_rng(30)
         for _ in range(30):
             a, b = sample_interior(rng, 3), sample_interior(rng, 3)
@@ -234,39 +239,36 @@ class TestMinimize:
                 continue
             mid = simplex_point((a + b) / 2)
             gap = (
-                lambda1(graph, a) + lambda1(graph, b)
-            ) / 2 - lambda1(graph, mid)
+                lambda1(a3, a) + lambda1(a3, b)
+            ) / 2 - lambda1(a3, mid)
             assert gap > 1e-10
 
 
 class TestDerivativeIdentity:
-    def test_gram_differences_give_directional_derivatives(self, h3, graphs):
+    def test_gram_differences_give_directional_derivatives(self, h3):
         # <Phi(e), Phi(sigma_a e)> - <Phi(e), Phi(sigma_b e)> equals
         # (k / n) D lambda_1 at xi = e_a / m_a - e_b / m_b
-        graph = graphs["H3"]
         rng = np.random.default_rng(31)
         e = h3.element_index(np.eye(3))
         for _ in range(5):
             x = sample_interior(rng, 3, margin=0.1)
-            pts = spectral_representation(graph, x, lambda1_cluster(graph, x))
+            pts = spectral_representation(h3, x, lambda1_cluster(h3, x))
             gram = pts @ pts.T
 
             def f(w):
-                return lambda1(graph, simplex_point(w))
+                return lambda1(h3, simplex_point(w))
 
             for a in range(3):
                 for b in range(a + 1, 3):
                     xi = np.zeros(3)
                     xi[a], xi[b] = 1.0, -1.0
-                    lhs = gram[e, graph.successors[e, a]] - gram[e, graph.successors[e, b]]
+                    lhs = gram[e, h3.successors[e, a]] - gram[e, h3.successors[e, b]]
                     rhs = (3.0 / h3.order) * directional_derivative(f, x, xi)
                     assert abs(lhs - rhs) <= 1e-5
 
-    def test_derivative_stable_under_step_refinement(self, h3, graphs):
-        graph = graphs["H3"]
-
+    def test_derivative_stable_under_step_refinement(self, h3):
         def f(w):
-            return lambda1(graph, simplex_point(w))
+            return lambda1(h3, simplex_point(w))
 
         x = simplex_point([0.25, 0.35, 0.4])
         xi = np.array([1.0, -1.0, 0.0])
@@ -284,12 +286,12 @@ class TestStackedProbes:
     """The gate's stacked probes against the loops of one point at a time
     that they replaced, on the same rng streams: the values are equal."""
 
-    def test_convexity_probes(self, graphs, verify_report, monkeypatch):
+    def test_convexity_probes(self, h3, verify_report, monkeypatch):
         # the stacks the suite evaluates, recorded
         stacks, stacked = [], solids._lambda1_fn
 
-        def recording(graph):
-            f = stacked(graph)
+        def recording(group):
+            f = stacked(group)
 
             def record(weights):
                 stacks.append((weights, f(weights)))
@@ -301,7 +303,7 @@ class TestStackedProbes:
         verify.suite_invariants()
         (mid_points, mid_values), (margin_points, margin_values) = stacks
 
-        f = pointwise_lambda1(graphs["H3"])
+        f = pointwise_lambda1(h3)
         rng = np.random.default_rng(20240613)
         # the draws of suite_invariants before its convexity probes: the
         # Fourier cross-checks (3 x 50), the psi checks (3 x 100) and the
@@ -340,15 +342,15 @@ class TestStackedProbes:
         assert np.array_equal(margin_values, np.ravel(values, order="F"))
         assert worst_margin == gate_value(verify_report, "strict_convexity_margin")
 
-    def test_oracle_stacks(self, groups, graphs, verify_report, monkeypatch):
+    def test_oracle_stacks(self, groups, verify_report, monkeypatch):
         # criteria 6 and 7 make one lambda_1 call per group and check, on
         # the points the one-at-a-time loops drew, in their rng order; the
         # gate values are the maxima of those loops
         oracle, stacks = spectral.lambda1, []
 
-        def recording(graph, weights):
-            stacks.append((graph.group.datum.name, np.array(weights)))
-            return oracle(graph, weights)
+        def recording(group, weights):
+            stacks.append((group.datum.name, np.array(weights)))
+            return oracle(group, weights)
 
         monkeypatch.setattr(spectral, "lambda1", recording)
         monkeypatch.setattr(verify, "lambda1", recording)
@@ -359,37 +361,36 @@ class TestStackedProbes:
         ]
         rng = np.random.default_rng(20240613)
         for name, w in stacks:
-            group, graph = groups[name], graphs[name]
+            group = groups[name]
             drawn = [sample_interior(rng, 3) for _ in range(len(w))]
             assert np.array_equal(w, drawn)
             if len(w) == 50:
-                dev = max(crosscheck_mu1(x, group, graph) for x in drawn)
+                dev = max(crosscheck_mu1(x, group) for x in drawn)
                 assert dev == gate_value(verify_report, f"fourier_crosscheck_{name}")
                 continue
-            dev = max(abs(psi_lambda_of(group, x) - lambda1(graph, x)) for x in drawn)
+            dev = max(abs(psi_lambda_of(group, x) - lambda1(group, x)) for x in drawn)
             assert dev == gate_value(verify_report, f"psi_vs_eigensolver_{name}")
             dev = max(np.abs(psi_maps(psi_delta_inverse(group, x))[0] - x).max() for x in drawn)
             assert dev == gate_value(verify_report, f"psi_round_trip_{name}")
 
-    def test_derivative_identity(self, graphs, verify_report):
-        graph = graphs["H3"]
-        f = pointwise_lambda1(graph)
+    def test_derivative_identity(self, h3, verify_report):
+        f = pointwise_lambda1(h3)
         rng = np.random.default_rng(42)
         worst = 0.0
         done = 0
         while done < 20:
             x = sample_interior(rng, 3)
-            top = lambda1_cluster(graph, x)
+            top = lambda1_cluster(h3, x)
             if top.gap <= solids.GAP_GUARD:
                 continue
-            pts = spectral_representation(graph, x, top)
-            k, n = top.multiplicity, graph.n_vertices
+            pts = spectral_representation(h3, x, top)
+            k, n = top.multiplicity, h3.order
             for a in range(3):
                 for b in range(a + 1, 3):
                     xi = np.zeros(3)
                     xi[a], xi[b] = 1.0, -1.0
                     d = directional_derivative(f, x, xi)
-                    ia, jb = graph.successors[0, a], graph.successors[0, b]
+                    ia, jb = h3.successors[0, a], h3.successors[0, b]
                     lhs = pts[0] @ pts[ia] - pts[0] @ pts[jb]
                     worst = max(worst, abs(lhs - (k / n) * d))
             done += 1
@@ -527,8 +528,25 @@ class TestLimits:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("target", [[np.nan, 0.0, 1.0], [np.inf, 0.0, -np.inf]])
     def test_non_finite_target_rejected(self, h3, target):
-        with pytest.raises(DomainError, match="target must lie on the simplex$"):
+        with pytest.raises(SimplexError, match="weights must be finite: "):
             boundary_limit(target, h3)
+
+    def test_target_sum_checked_as_every_point(self, h3):
+        # a sum 5e-10 off 1 is not a simplex point: rejected as given, not
+        # as an interpolated point the caller never passed
+        with pytest.raises(SimplexError, match=r"weights do not sum to 1: \[0\. +0\.5 "):
+            boundary_limit([0.0, 0.5, 0.5 + 5e-10], h3)
+
+    def test_target_within_simplex_tolerance_accepted(self, h3):
+        # a weight of -1e-13 is inside SIMPLEX_TOL, as everywhere else
+        _, n, pattern = boundary_limit([-1e-13, 0.5, 0.5 + 1e-13], h3)
+        _, n_ref, pattern_ref = boundary_limit([0.0, 0.5, 0.5], h3)
+        assert n == n_ref == 12
+        assert np.abs(pattern - pattern_ref).max() <= 1e-9
+
+    def test_target_shape_rejected(self, h3):
+        with pytest.raises(DomainError, match=r"target must be one point of shape \(3,\)"):
+            boundary_limit([0.5, 0.5], h3)
 
 
 class TestSweep:
@@ -559,19 +577,18 @@ class TestSweep:
             assert len(sweep) == 15
             assert set(sweep.path) == {"fourier"}
 
-    def test_rows_match_dense_clusters(self, b3, graphs):
+    def test_rows_match_dense_clusters(self, b3):
         # the dense eigensolve as oracle: lambda_1 is the top cluster
         # after the simple eigenvalue 1
-        graph = graphs["B3"]
         sweep = sweep_lambda1(b3, 7)
         for w, lam, multiplicity, measured in zip(
             sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths
         ):
             x = simplex_point(w)
-            dense = spectrum_clusters(build_operator(graph, x))[1]
-            assert abs(lam - lambda1(graph, x)) <= 1e-12
+            dense = spectrum_clusters(build_operator(b3, x))[1]
+            assert abs(lam - lambda1(b3, x)) <= 1e-12
             assert multiplicity == dense.multiplicity
-            lengths = edge_class_lengths(spectral_representation(graph, x, dense), graph)
+            lengths = edge_class_lengths(spectral_representation(b3, x, dense), b3)
             assert np.abs(measured - lengths).max() <= 1e-12
 
     def test_columns_are_read_only(self, a3):
@@ -583,12 +600,12 @@ class TestSweep:
                 column[0] = column[1]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_stack_matches_points_bit_for_bit(self, groups, graphs, name, tmp_path):
+    def test_stack_matches_points_bit_for_bit(self, groups, name, tmp_path):
         # the oracle: one point at a time, each from its row of the stacked
         # spectra through block_cluster, with the class lengths of
         # block_state, and the CSV line formed from its fields; the
         # measured lengths of the embedding agree to rounding
-        group, graph, g = groups[name], graphs[name], 24
+        group, g = groups[name], 24
         sweep = sweep_lambda1(group, g)
         spectra = block_spectrum(group, np.asarray(sweep.weights))
         points = [
@@ -600,7 +617,7 @@ class TestSweep:
         for r, x in enumerate(points):
             cluster = block_cluster(group, x, spectra[r])
             lengths = block_state(x, group)[2].tolist()
-            measured = edge_class_lengths(spectral_representation(graph, x, cluster), graph)
+            measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
             assert np.array_equal(sweep.weights[r], x)
             assert sweep.lambda1[r] == cluster.eigenvalue
             assert sweep.multiplicity[r] == cluster.multiplicity
@@ -615,7 +632,7 @@ class TestSweep:
         assert main(["sweep", "--group", name, "--grid", str(g), "--out", str(out)]) == 0
         assert out.read_text().splitlines() == lines
 
-    def test_row_off_the_block_takes_lambda1_cluster(self, a3, graphs, monkeypatch):
+    def test_row_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
         # a mu_1 that misses lambda_1 in the first row of every stack: sweep
         # row 0 must leave the block path and come back through
         # lambda1_cluster, which takes the dense cluster
@@ -629,8 +646,8 @@ class TestSweep:
 
         seen = []
 
-        def spy(graph, x):
-            cluster = true_cluster(graph, x)
+        def spy(group, x):
+            cluster = true_cluster(group, x)
             seen.append((x, cluster.path))
             return cluster
 
@@ -641,7 +658,7 @@ class TestSweep:
         assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
         assert seen[0][1] == "dense"
         assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
-        assert abs(sweep.lambda1[0] - lambda1(graphs["A3"], sweep.weights[0])) <= 1e-12
+        assert abs(sweep.lambda1[0] - lambda1(a3, sweep.weights[0])) <= 1e-12
         assert sweep.multiplicity[0] == 3
         assert np.abs(sweep.class_lengths[0] - expected.class_lengths[0]).max() <= 1e-9
         for column in ("lambda1", "multiplicity", "class_lengths"):
@@ -678,17 +695,17 @@ class TestStackedChecks:
     """The residual check of a stack of block eigenvectors and the checks
     of one embedding are typed errors, with and without asserts."""
 
-    def test_corrupted_basis_fails_the_residual(self, h3, graphs):
+    def test_corrupted_basis_fails_the_residual(self, h3):
         x, cluster = moved_vertex_embedding(h3)
         with pytest.raises(InvarianceError, match="residual too large"):
-            spectral_representation(graphs["H3"], x, cluster)
-        spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+            spectral_representation(h3, x, cluster)
+        spectral_representation(h3, x, lambda1_cluster(h3, x))
 
-    def test_perturbed_length_fails_the_spread(self, h3, graphs):
+    def test_perturbed_length_fails_the_spread(self, h3):
         x, cluster = moved_vertex_embedding(h3)
         with pytest.raises(InvarianceError, match="non-constant length"):
-            edge_class_lengths(cluster.basis, graphs["H3"])
-        assert len(edge_class_lengths(lambda1_cluster(graphs["H3"], x).basis, graphs["H3"])) == 3
+            edge_class_lengths(cluster.basis, h3)
+        assert len(edge_class_lengths(lambda1_cluster(h3, x).basis, h3)) == 3
 
     def test_wrong_eigenvector_fails_its_row(self, b3):
         weights, lam, vectors = wrong_eigenvector_stack(b3)
@@ -701,14 +718,14 @@ class TestStackedChecks:
     def test_checks_raise_without_asserts(self):
         script = (
             "import sys; sys.path.insert(0, 'tests'); "
-            "from coxspec import build_group, cayley_graph; "
+            "from coxspec import build_group; "
             "from coxspec.spectral import InvarianceError, block_lengths, edge_class_lengths; "
             "from test_solids import moved_vertex_embedding, wrong_eigenvector_stack\n"
-            "group = build_group('H3'); graph = cayley_graph(group)\n"
+            "group = build_group('H3')\n"
             "weights, lam, vectors = wrong_eigenvector_stack(group)\n"
             "_, cluster = moved_vertex_embedding(group)\n"
             "for check in (lambda: block_lengths(group, weights, lam, vectors),\n"
-            "              lambda: edge_class_lengths(cluster.basis, graph)):\n"
+            "              lambda: edge_class_lengths(cluster.basis, group)):\n"
             "    try:\n"
             "        check()\n"
             "    except InvarianceError as exc:\n"

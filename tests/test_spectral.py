@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxspec import coxeter
-from coxspec.coxeter import CayleyGraph, CoxeterError
+from coxspec.coxeter import CoxeterError
 from coxspec.coxmaps import eta_rho
 from coxspec.errors import DomainError
 from coxspec.fourier import rep_fourier
@@ -49,32 +49,32 @@ def minimum_point(group):
     return simplex_point(np.array([3 + rho + eta, 3 + 3 * eta, 6 + 2 * eta]) / denom)
 
 
-def h3_uniform_embedding(graphs):
+def h3_uniform_embedding(h3):
     x = uniform_point(3)
-    return spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+    return spectral_representation(h3, x, lambda1_cluster(h3, x))
 
 
 class TestClusters:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_canonical_lambda1(self, graphs, name):
-        assert lambda1(graphs[name], uniform_point(3)) == pytest.approx(CANONICAL[name], abs=1e-10)
+    def test_canonical_lambda1(self, groups, name):
+        assert lambda1(groups[name], uniform_point(3)) == pytest.approx(CANONICAL[name], abs=1e-10)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_lambda1_multiplicity_three(self, graphs, name):
-        assert lambda1_cluster(graphs[name], uniform_point(3)).multiplicity == 3
+    def test_lambda1_multiplicity_three(self, groups, name):
+        assert lambda1_cluster(groups[name], uniform_point(3)).multiplicity == 3
 
-    def test_multiplicity_three_at_random_interior(self, graphs, no_operator):
+    def test_multiplicity_three_at_random_interior(self, groups, no_operator):
         # interior clusters and their embeddings come from the blocks alone
         rng = np.random.default_rng(8)
-        for name, graph in graphs.items():
+        for group in groups.values():
             for _ in range(5):
                 x = sample_interior(rng, 3)
-                cluster = lambda1_cluster(graph, x)
+                cluster = lambda1_cluster(group, x)
                 assert cluster.multiplicity == 3 and cluster.path == "fourier"
-                assert spectral_representation(graph, x, cluster).shape[1] == 3
+                assert spectral_representation(group, x, cluster).shape[1] == 3
 
-    def test_clusters_cover_spectrum(self, graphs):
-        clusters = spectrum_clusters(build_operator(graphs["H3"], uniform_point(3)))
+    def test_clusters_cover_spectrum(self, groups):
+        clusters = spectrum_clusters(build_operator(groups["H3"], uniform_point(3)))
         assert sum(c.multiplicity for c in clusters) == 120
         vals = [c.eigenvalue for c in clusters]
         assert vals == sorted(vals, reverse=True)
@@ -83,8 +83,8 @@ class TestClusters:
 
     @pytest.mark.parametrize("name,weights", [("H3", [1 / 3] * 3), ("B3", [0.2, 0.3, 0.5]),
                                               ("A3", [0.5, 0.5, 0.0])])
-    def test_cluster_bases_are_orthonormal_eigenbases(self, graphs, name, weights):
-        p = build_operator(graphs[name], simplex_point(weights))
+    def test_cluster_bases_are_orthonormal_eigenbases(self, groups, name, weights):
+        p = build_operator(groups[name], simplex_point(weights))
         clusters = spectrum_clusters(p)
         for c, again in zip(clusters, spectrum_clusters(p)):
             b = c.basis
@@ -147,74 +147,74 @@ class TestLambda1Clusters:
 
 
 class TestEmbedding:
-    def test_points_on_sphere(self, graphs):
-        pts = h3_uniform_embedding(graphs)
+    def test_points_on_sphere(self, h3):
+        pts = h3_uniform_embedding(h3)
         assert pts.shape[1] == 3
         norms = np.linalg.norm(pts, axis=1)
         assert norms.max() - norms.min() <= 1e-9
 
-    def test_faithful_at_interior(self, graphs):
-        pts = h3_uniform_embedding(graphs)
+    def test_faithful_at_interior(self, h3):
+        pts = h3_uniform_embedding(h3)
         assert check_faithful(pts)
 
-    def test_top_cluster_not_faithful(self, graphs):
+    def test_top_cluster_not_faithful(self, groups):
         # the constant eigenfunction collapses all vertices to one point
         x = uniform_point(3)
-        top = spectrum_clusters(build_operator(graphs["A3"], x))[0]
+        top = spectrum_clusters(build_operator(groups["A3"], x))[0]
         with pytest.warns(UserWarning, match="multiplicity-1"):
-            pts = spectral_representation(graphs["A3"], x, top)
+            pts = spectral_representation(groups["A3"], x, top)
         assert not check_faithful(pts)
         assert np.abs(pts - pts[0]).max() <= 1e-10
 
-    def test_residual_guard(self, graphs):
+    def test_residual_guard(self, groups):
         x = uniform_point(3)
-        cluster = lambda1_cluster(graphs["A3"], x)
+        cluster = lambda1_cluster(groups["A3"], x)
         broken = type(cluster)(
             eigenvalue=cluster.eigenvalue + 0.1,
             multiplicity=cluster.multiplicity,
             basis=cluster.basis,
         )
         with pytest.raises(InvarianceError):
-            spectral_representation(graphs["A3"], x, broken)
+            spectral_representation(groups["A3"], x, broken)
 
 
 class TestClassLengths:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_equilateral_at_minimum(self, groups, graphs, name):
+    def test_equilateral_at_minimum(self, groups, name):
         x = minimum_point(groups[name])
-        pts = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
-        lengths = edge_class_lengths(pts, graphs[name])
+        pts = spectral_representation(groups[name], x, lambda1_cluster(groups[name], x))
+        lengths = edge_class_lengths(pts, groups[name])
         assert max(lengths) / min(lengths) == pytest.approx(1.0, abs=1e-7)
 
-    def test_three_distinct_lengths_at_uniform(self, graphs):
-        pts = h3_uniform_embedding(graphs)
-        lengths = sorted(edge_class_lengths(pts, graphs["H3"]))
+    def test_three_distinct_lengths_at_uniform(self, h3):
+        pts = h3_uniform_embedding(h3)
+        lengths = sorted(edge_class_lengths(pts, h3))
         assert lengths[1] - lengths[0] > 1e-4
         assert lengths[2] - lengths[1] > 1e-4
 
-    def test_tampered_embedding_detected(self, graphs):
-        pts = h3_uniform_embedding(graphs)
+    def test_tampered_embedding_detected(self, h3):
+        pts = h3_uniform_embedding(h3)
         pts[17] *= 1.5
         with pytest.raises(InvarianceError):
-            edge_class_lengths(pts, graphs["H3"])
+            edge_class_lengths(pts, h3)
 
 
 class TestInvariance:
-    def test_gram_invariance_exhaustive(self, h3, graphs):
+    def test_gram_invariance_exhaustive(self, h3):
         rng = np.random.default_rng(9)
         x = sample_interior(rng, 3)
-        pts = spectral_representation(graphs["H3"], x, lambda1_cluster(graphs["H3"], x))
+        pts = spectral_representation(h3, x, lambda1_cluster(h3, x))
         dev = gram_invariance_check(pts, h3)
         assert dev <= 1e-8
 
-    def test_gram_invariance_all_groups(self, groups, graphs):
-        for name, group in groups.items():
+    def test_gram_invariance_all_groups(self, groups):
+        for group in groups.values():
             x = uniform_point(3)
-            pts = spectral_representation(graphs[name], x, lambda1_cluster(graphs[name], x))
+            pts = spectral_representation(group, x, lambda1_cluster(group, x))
             assert gram_invariance_check(pts, group) <= 1e-8
 
-    def test_tampered_embedding_detected(self, h3, graphs):
-        pts = h3_uniform_embedding(graphs)
+    def test_tampered_embedding_detected(self, h3):
+        pts = h3_uniform_embedding(h3)
         pts[17] *= 1.5
         assert gram_invariance_check(pts, h3) > 1e-8
 
@@ -259,11 +259,11 @@ class TestFourierCluster:
         raw=st.tuples(*[st.floats(0.05, 1.0)] * 3),
         k=st.integers(0, 2),
     )
-    def test_matches_dense_oracle(self, groups, graphs, name, region, raw, k):
-        graph = graphs[name]
+    def test_matches_dense_oracle(self, groups, name, region, raw, k):
+        group = groups[name]
         x = region_point(groups[name], region, raw, k)
-        p = build_operator(graph, x)
-        fast, dense = lambda1_cluster(graph, x), dense_lambda1_cluster(p)
+        p = build_operator(group, x)
+        fast, dense = lambda1_cluster(group, x), dense_lambda1_cluster(p)
         assert fast.path == "fourier" and dense.path == "dense"
         assert fast.multiplicity == dense.multiplicity == 3
         assert abs(fast.eigenvalue - dense.eigenvalue) <= 1e-12
@@ -271,14 +271,14 @@ class TestFourierCluster:
         # the block basis is exact; the dense eigenvectors carry an error of
         # about n eps / gap (Davis-Kahan), which near the boundary, where
         # the gap is ~1e-7, exceeds 1e-12
-        n = graph.n_vertices
+        n = group.order
         tol = 1e-12 + n * np.finfo(float).eps / dense.gap
         b = fast.basis
         assert np.abs(b.T @ b - np.eye(3)).max() <= 1e-13
         assert np.abs(p @ b - fast.eigenvalue * b).max() <= 1e-13
         assert np.abs(b @ b.T - dense.basis @ dense.basis.T).max() <= tol
         lengths = [
-            edge_class_lengths(spectral_representation(graph, x, c), graph) for c in (fast, dense)
+            edge_class_lengths(spectral_representation(group, x, c), group) for c in (fast, dense)
         ]
         assert np.abs(np.subtract(*lengths)).max() <= tol
 
@@ -292,17 +292,17 @@ class TestFourierCluster:
         "weights,components",
         [([0.5, 0.5, 0.0], 4), ([1.0, 0.0, 0.0], 2), ([0.0, 0.0, 1.0], 2)],
     )
-    def test_dense_path_where_graph_falls_apart(self, graphs, weights, components):
+    def test_dense_path_where_graph_falls_apart(self, groups, weights, components):
         # generators 0 and 1 commute, so x = (1/2, 1/2, 0) leaves 4-cycles
         # and a simplex vertex a perfect matching: lambda_1 = 1 with
         # multiplicity n / (component size)
         x = simplex_point(weights)
-        for graph in graphs.values():
-            cluster = lambda1_cluster(graph, x)
+        for group in groups.values():
+            cluster = lambda1_cluster(group, x)
             assert cluster.path == "dense"
-            assert cluster.multiplicity == graph.n_vertices // components
+            assert cluster.multiplicity == group.order // components
             assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
-            spectral_representation(graph, x, cluster)
+            spectral_representation(group, x, cluster)
 
 
 REGION_POINTS = dict(
@@ -317,13 +317,13 @@ REGION_POINTS = dict(
 CLASS_COUNTS = {"A3": 5, "B3": 10, "H3": 10}
 
 
-def dense_value_cluster(graph, x):
+def dense_value_cluster(group, x):
     """(eigenvalue, multiplicity, gap, path) of the lambda_1 cluster from a
     dense `eigvalsh`, by the rule `lambda1_cluster` follows."""
-    vals = np.linalg.eigvalsh(build_operator(graph, x))[::-1]
+    vals = np.linalg.eigvalsh(build_operator(group, x))[::-1]
     clusters = _value_clusters(vals)
     lam, lo, hi, gap = clusters[1 if clusters[0][2] == 1 else 0]
-    mu1 = rep_fourier(x, graph.group).roots[0]
+    mu1 = rep_fourier(x, group).roots[0]
     path = "fourier" if hi - lo == 3 and abs(mu1 - lam) <= CLUSTER_TOL else "dense"
     return lam, hi - lo, gap, path
 
@@ -334,25 +334,25 @@ class TestLambda1Oracle:
 
     @settings(max_examples=80, deadline=None)
     @given(**REGION_POINTS)
-    def test_matches_full_eigvalsh(self, groups, graphs, name, region, raw, k):
+    def test_matches_full_eigvalsh(self, groups, name, region, raw, k):
         x = region_point(groups[name], region, raw, k)
-        full = np.linalg.eigvalsh(build_operator(graphs[name], x))[-2]
-        assert abs(lambda1(graphs[name], x) - full) <= 1e-14
+        full = np.linalg.eigvalsh(build_operator(groups[name], x))[-2]
+        assert abs(lambda1(groups[name], x) - full) <= 1e-14
 
     @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
-    def test_boundary_points(self, graphs, weights):
+    def test_boundary_points(self, groups, weights):
         # where the graph falls apart and lambda_1 = 1 is multiple
         x = simplex_point(weights)
-        for graph in graphs.values():
-            full = np.linalg.eigvalsh(build_operator(graph, x))[-2]
-            assert abs(lambda1(graph, x) - full) <= 1e-14
+        for group in groups.values():
+            full = np.linalg.eigvalsh(build_operator(group, x))[-2]
+            assert abs(lambda1(group, x) - full) <= 1e-14
 
     @pytest.mark.bit_equal
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_stack_rows_match_single_points(self, groups, graphs, name):
+    def test_stack_rows_match_single_points(self, groups, name):
         # interior, side, vertex and near-X0 points; stacks of one chunk,
         # of one point and of one point past a chunk
-        group, graph = groups[name], graphs[name]
+        group = groups[name]
         rng = np.random.default_rng(24)
         points = [
             region_point(group, region, rng.uniform(0.05, 1.0, 3), k)
@@ -361,29 +361,29 @@ class TestLambda1Oracle:
         ]
         for m in (1, ORACLE_CHUNK, ORACLE_CHUNK + 1):
             stack = np.array(points[-m:])
-            vals = lambda1(graph, stack)
+            vals = lambda1(group, stack)
             assert isinstance(vals, np.ndarray) and vals.shape == (m,)
             for w, val in zip(stack, vals):
-                one = lambda1(graph, w)
+                one = lambda1(group, w)
                 assert isinstance(one, float) and one == val
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_edge_within_one_half_is_rejected(self, graphs, name):
+    def test_edge_within_one_half_is_rejected(self, groups, name):
         # the identity is even, and so is s_0 s_1: an edge between them
         # breaks the bipartition by det sign
-        graph = graphs[name]
-        succ = np.array(graph.successors)
+        group = groups[name]
+        succ = np.array(group.successors)
         succ[0, 0] = succ[succ[0, 0], 1]
-        tampered = CayleyGraph(group=graph.group, successors=succ)
+        tampered = dataclasses.replace(group, successors=succ)
         with pytest.raises(InvarianceError, match=f"edge 0-{succ[0, 0]} of class 0 joins"):
             lambda1(tampered, uniform_point(3))
 
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5], np.full((2, 2, 3), 1 / 3), [np.nan, 0.5, 0.5], [np.inf, 0, 0]]
     )
-    def test_rejects_bad_weights(self, graphs, weights):
+    def test_rejects_bad_weights(self, groups, weights):
         with pytest.raises(DomainError, match="weights must be finite"):
-            lambda1(graphs["A3"], weights)
+            lambda1(groups["A3"], weights)
 
 
 class TestBlockSpectrum:
@@ -392,23 +392,23 @@ class TestBlockSpectrum:
 
     @settings(max_examples=80, deadline=None)
     @given(**REGION_POINTS)
-    def test_matches_dense_eigvalsh(self, groups, graphs, name, region, raw, k):
+    def test_matches_dense_eigvalsh(self, groups, name, region, raw, k):
         x = region_point(groups[name], region, raw, k)
-        p = build_operator(graphs[name], x)
+        p = build_operator(groups[name], x)
         dense = np.linalg.eigvalsh(p)[::-1]
         vals = block_spectrum(groups[name], x)
         assert vals.shape == dense.shape
         assert np.abs(vals - dense).max() <= 1e-12
         # the lambda_1 of the certificates and convexity probes
-        assert abs(_lambda1_fn(graphs[name])(x[None])[0] - lambda1(graphs[name], x)) <= 1e-12
+        assert abs(_lambda1_fn(groups[name])(x[None])[0] - lambda1(groups[name], x)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @settings(max_examples=80, deadline=None)
     @given(**REGION_POINTS)
-    def test_lambda1_cluster_matches_dense_clustering(self, groups, graphs, name, region, raw, k):
+    def test_lambda1_cluster_matches_dense_clustering(self, groups, name, region, raw, k):
         x = region_point(groups[name], region, raw, k)
-        cluster = lambda1_cluster(graphs[name], x)
-        lam, multiplicity, gap, path = dense_value_cluster(graphs[name], x)
+        cluster = lambda1_cluster(groups[name], x)
+        lam, multiplicity, gap, path = dense_value_cluster(groups[name], x)
         assert cluster.multiplicity == multiplicity
         assert cluster.path == path
         assert abs(cluster.eigenvalue - lam) <= 1e-12
@@ -416,13 +416,13 @@ class TestBlockSpectrum:
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
-    def test_boundary_points(self, groups, graphs, weights):
+    def test_boundary_points(self, groups, weights):
         x = simplex_point(weights)
-        for name, group in groups.items():
-            dense = np.linalg.eigvalsh(build_operator(graphs[name], x))[::-1]
+        for group in groups.values():
+            dense = np.linalg.eigvalsh(build_operator(group, x))[::-1]
             assert np.abs(block_spectrum(group, x) - dense).max() <= 1e-12
-            cluster = lambda1_cluster(graphs[name], x)
-            lam, multiplicity, gap, path = dense_value_cluster(graphs[name], x)
+            cluster = lambda1_cluster(group, x)
+            lam, multiplicity, gap, path = dense_value_cluster(group, x)
             assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
             assert abs(cluster.eigenvalue - lam) <= 1e-12
 
@@ -450,9 +450,10 @@ class TestBlockSpectrum:
             max_size=20,
         ),
     )
-    def test_stacked_lambda1_matches_single_points(self, groups, graphs, name, points):
+    def test_stacked_lambda1_matches_single_points(self, groups, name, points):
         # the points repeated to span two chunks of SPECTRUM_CHUNK rows
-        group, f = groups[name], _lambda1_fn(graphs[name])
+        group = groups[name]
+        f = _lambda1_fn(group)
         stack = np.array([region_point(group, *point) for point in points])
         stack = np.resize(stack, (SPECTRUM_CHUNK + len(points), 3))
         vals = f(stack)
@@ -551,10 +552,10 @@ class TestBlockSpectrum:
         with pytest.raises(DomainError, match="weights must be finite"):
             block_spectrum(h3, weights)
 
-    def test_class_count_mismatch(self, graphs):
+    def test_class_count_mismatch(self, groups):
         # the check in block_spectrum stands in for the one in build_operator
         with pytest.raises(DomainError, match=r"shape \(3,\)"):
-            lambda1_cluster(graphs["A3"], simplex_point([0.5, 0.5]))
+            lambda1_cluster(groups["A3"], simplex_point([0.5, 0.5]))
 
     def test_broken_group_raises_typed_error(self, b3):
         succ = b3.successors.copy()
@@ -580,20 +581,20 @@ class TestBlockGradient:
         raw=st.tuples(*[st.floats(0.05, 1.0)] * 3),
         k=st.integers(0, 2),
     )
-    def test_matches_dense_differences(self, groups, graphs, name, region, raw, k):
-        group, graph = groups[name], graphs[name]
+    def test_matches_dense_differences(self, groups, name, region, raw, k):
+        group = groups[name]
         x = region_point(group, region, raw, k)
-        gap = lambda1_cluster(graph, x).gap
+        gap = lambda1_cluster(group, x).gap
         _, grad, _ = block_state(x, group)
         # a step far below the cluster gap keeps both differences on the
         # lambda_1 branch (near the boundary the gap is ~1e-7); the dense
         # eigenvalues carry a rounding error of about n eps, which the
         # difference quotient divides by h
         h = min(1e-6, gap / 1000, x.min() / 2)
-        tol = 1e-6 + graph.n_vertices * np.finfo(float).eps / h
+        tol = 1e-6 + group.order * np.finfo(float).eps / h
 
         def f(w):
-            return lambda1(graph, simplex_point(w))
+            return lambda1(group, simplex_point(w))
 
         for a in range(3):
             for b in range(a + 1, 3):
@@ -603,9 +604,9 @@ class TestBlockGradient:
                 assert abs(d - (grad[a] - grad[b])) <= tol
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_optimized_lengths_are_measured(self, groups, graphs, name):
+    def test_optimized_lengths_are_measured(self, groups, name):
         opt = minimize_lambda1(groups[name]).optimized
-        pts = spectral_representation(graphs[name], opt.x, lambda1_cluster(graphs[name], opt.x))
-        measured = edge_class_lengths(pts, graphs[name])
+        pts = spectral_representation(groups[name], opt.x, lambda1_cluster(groups[name], opt.x))
+        measured = edge_class_lengths(pts, groups[name])
         assert np.abs(np.subtract(opt.class_lengths, measured)).max() <= 1e-12
         assert opt.gradient_norm <= 1e-9
