@@ -8,7 +8,6 @@ check suites as JSON).  Numeric output uses 15 significant digits.
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -40,6 +39,11 @@ CURVE_CHUNK = 256
 
 def _fmt(x):
     return f"{x:.15g}"
+
+
+# the CSV rows of `cmd_curve` and `cmd_sweep`; '%.15g' % v is `_fmt(v)`
+CURVE_ROW = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g\r\n"
+SWEEP_ROW = "%.15g,%.15g,%.15g,%.15g,%d,%.15g,%.15g,%.15g\r\n"
 
 
 def _parse_point(args):
@@ -141,8 +145,7 @@ def cmd_curve(args):
     ts = np.geomspace(args.t_min, args.t_max, args.samples)
     with _open_out(args.out) as fh:
         group = build_group(args.group)
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "z", "lambda1", "len1", "len2", "len3"])
+        fh.write("t,x,y,z,lambda1,len1,len2,len3\r\n")
         for start in range(0, len(ts), CURVE_CHUNK):
             chunk = ts[start:start + CURVE_CHUNK]
             try:
@@ -151,11 +154,8 @@ def cmd_curve(args):
                 if start == 0:
                     raise
                 raise DomainError(f"{exc}; rows count from sample {start}") from None
-            columns = (s.t, s.x, s.lam, s.class_lengths)
-            for t, x, lam, lengths in zip(*(c.tolist() for c in columns)):
-                writer.writerow(
-                    [_fmt(t), *(_fmt(w) for w in x), _fmt(lam), *(_fmt(v) for v in lengths)]
-                )
+            table = np.column_stack((s.t, s.x, s.lam, s.class_lengths))
+            fh.write("".join(CURVE_ROW % tuple(row) for row in table.tolist()))
     print(f"wrote {args.samples} samples to {args.out}")
     return 0
 
@@ -163,13 +163,10 @@ def cmd_curve(args):
 def cmd_sweep(args):
     with _open_out(args.out) as fh:
         sweep = sweep_lambda1(build_group(args.group), args.grid)
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "lambda1", "mult", "len1", "len2", "len3"])
+        fh.write("x,y,z,lambda1,mult,len1,len2,len3\r\n")
         columns = (sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths)
-        for weights, lam, multiplicity, lengths in zip(*(c.tolist() for c in columns)):
-            writer.writerow(
-                [*(_fmt(w) for w in weights), _fmt(lam), multiplicity, *(_fmt(v) for v in lengths)]
-            )
+        table = np.column_stack(columns)  # a multiplicity is exact as a float
+        fh.write("".join(SWEEP_ROW % tuple(row) for row in table.tolist()))
     print(f"wrote {len(sweep)} rows to {args.out}")
     return 0
 

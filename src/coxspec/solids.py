@@ -4,7 +4,6 @@ equal-length curves and the boundary degenerations.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .randwalk import (
 from .spectral import (
     CLUSTER_TOL,
     SPECTRUM_CHUNK,
-    block_cluster,
     block_clusters,
     block_lengths,
     block_spectrum,
@@ -95,18 +93,19 @@ def _lambda1_fn(group):
     return f
 
 
+# the steps of the central differences: xi = e_a - e_b for a < b, then -xi
+_XI = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+_STENCIL_STEPS = np.stack((_XI, -_XI))[:, None]  # (2, 1, 3, 3)
+
+
 def _pair_stencil(weights, h):
-    # the points w + h xi, then w - h xi, for xi = e_a - e_b, a < b, and
-    # each row w of `weights` (m, n), as (2 m pairs, n)
-    m, n = weights.shape
-    a, b = np.array(list(combinations(range(n), 2))).T
-    step = h * (np.eye(n)[a] - np.eye(n)[b])
-    return np.concatenate((weights[:, None] + step, weights[:, None] - step)).reshape(-1, n)
+    # the points w + h xi, then w - h xi, for each row w of `weights` (m, 3), as (6 m, 3)
+    return (weights[:, None] + h * _STENCIL_STEPS).reshape(-1, 3)
 
 
 def pair_derivatives(f, weights, h=FD_STEP):
     """Central differences (f(w + h xi) - f(w - h xi)) / 2h along
-    xi = e_a - e_b, a < b, at each row w of `weights` (m, n), as (m, pairs):
+    xi = e_a - e_b, a < b, at each row w of `weights` (m, 3), as (m, 3 pairs):
     one call of the stacked `f` on the whole stencil."""
     plus, minus = f(_pair_stencil(weights, h)).reshape(2, len(weights), -1)
     return (plus - minus) / (2 * h)
@@ -138,35 +137,33 @@ def _is_equilateral(lengths):
 
 def critical_certificate(x, group, graph=None):
     """Finite-difference criticality check paired with the equilateral
-    measurement of the second-eigenvalue embedding.
+    measurement of the second-eigenvalue embedding, at one point x of
+    shape (3,) (else `DomainError`) that passes `check_weights`.
 
     x and its six stencil points are one `block_spectrum` stack: row 0
-    gives the cluster (`block_cluster`, or `lambda1_cluster` where the 3x3
-    block does not give it), the other rows the finite differences.
-    `graph` is ignored: perfbench/workloads.py still passes one."""
+    gives lambda_1, its gap and the class lengths (`_lambda1_rows`), the
+    other rows the finite differences.  `graph` is ignored:
+    perfbench/workloads.py still passes one."""
+    if np.shape(x) != (group.rank,):
+        raise DomainError(f"x must be one point of shape ({group.rank},)")
+    x = simplex_point(x)
     if x.min() < FD_STEP:
         raise DomainError(
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
             f"got {x}"
         )
     vals = block_spectrum(group, np.vstack((x, _pair_stencil(x[None], FD_STEP))))
-    top = block_cluster(group, x, vals[0])
-    if top is None:
-        top = lambda1_cluster(group, x)
-    if top.gap <= GAP_GUARD:
-        raise DomainError(
-            f"eigenvalue cluster gap {top.gap:.2g} too small for finite differences"
-        )
+    lam, _, gap, lengths, _ = _lambda1_rows(group, x[None], vals[:1])
+    if gap[0] <= GAP_GUARD:
+        raise DomainError(f"eigenvalue cluster gap {gap[0]:.2g} too small for finite differences")
     plus, minus = vals[1:, 1].reshape(2, -1)
     grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
-
-    lengths = edge_class_lengths(spectral_representation(group, x, top), group)
     return CriticalReport(
         x=x,
-        lam=float(top.eigenvalue),
+        lam=float(lam[0]),
         gradient_norm=grad_norm,
-        class_lengths=lengths,
-        equilateral=_is_equilateral(lengths),
+        class_lengths=lengths[0].tolist(),
+        equilateral=_is_equilateral(lengths[0]),
     )
 
 
@@ -350,30 +347,36 @@ class Sweep:
         return len(self.weights)
 
 
-def sweep_lambda1(group, g):
-    """Deterministic barycentric sweep of the open simplex at the lattice
-    points (i, j, k) / (g + 1) with positive integer parts, as a `Sweep`.
-
-    The points are checked once; their spectra come from one batch of
-    block eigensolves, their clusters from one `block_clusters`, and the
-    class lengths of the rows the 3x3 block gives from `block_lengths` of
-    their eigenvectors.  Any other row takes `lambda1_cluster`, which
-    builds a dense operator, and is measured.
-    """
-    if g < 2:
-        raise DomainError("grid resolution must be at least 2")
-    denom = g + 1
-    ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
-    weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
-    lam, multiplicity, _, vectors, given = block_clusters(
-        group, weights, block_spectrum(group, weights)
-    )
+def _lambda1_rows(group, weights, vals):
+    """(eigenvalue, multiplicity, gap, class lengths (m, 3), given) of the
+    lambda_1 clusters of the points `weights` (m, 3) with descending
+    spectra `vals`: the rows of the sweep and of the certificates.  A row
+    the 3x3 block gives (`block_clusters`) takes `block_lengths`; any
+    other row `lambda1_cluster`, a dense operator, and measured lengths."""
+    lam, multiplicity, gap, vectors, given = block_clusters(group, weights, vals)
     lengths = np.empty_like(weights)
     if given.any():
         lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given])[1]
     for r in np.flatnonzero(~given):
         x = simplex_point(weights[r])
         cluster = lambda1_cluster(group, x)
-        lam[r], multiplicity[r] = cluster.eigenvalue, cluster.multiplicity
+        lam[r], multiplicity[r], gap[r] = cluster.eigenvalue, cluster.multiplicity, cluster.gap
         lengths[r] = edge_class_lengths(spectral_representation(group, x, cluster), group)
+    return lam, multiplicity, gap, lengths, given
+
+
+def sweep_lambda1(group, g):
+    """Deterministic barycentric sweep of the open simplex at the lattice
+    points (i, j, k) / (g + 1) with positive integer parts, as a `Sweep`.
+
+    The points are checked once; their spectra come from one batch of
+    block eigensolves and their rows from one `_lambda1_rows`.
+    """
+    if g < 2:
+        raise DomainError("grid resolution must be at least 2")
+    denom = g + 1
+    ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
+    weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
+    vals = block_spectrum(group, weights)
+    lam, multiplicity, _, lengths, given = _lambda1_rows(group, weights, vals)
     return Sweep(weights, lam, multiplicity, lengths, np.where(given, "fourier", "dense"))

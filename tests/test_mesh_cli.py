@@ -486,6 +486,22 @@ class TestCli:
         assert lines[0] == "x,y,z,lambda1,mult,len1,len2,len3"
         assert len(lines) == 7
 
+    SWEEP_SHA256 = {
+        "A3": "1caffe75b73a67db03ed73e188e3397c32e8dcfc80ef881d13bf71ce7178330d",
+        "B3": "a0508c80c95b0863c39be979fd4e16c10a0a3564d56a3d2952b26fc7da0e1ad6",
+        "H3": "3ce0d9ee92f6aec8a648e0682296e936e61e76c25b7a62e14d70abd5bc15c4ee",
+    }
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", sorted(SWEEP_SHA256))
+    def test_sweep_csv_pinned(self, tmp_path, name):
+        # the grid-24 sweep, 276 rows, as written by a csv.writer row by row
+        # with the sweep's rows assembled inside `sweep_lambda1`
+        out_file = tmp_path / "sweep.csv"
+        assert main(["sweep", "--group", name, "--grid", "24", "--out", str(out_file)]) == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == self.SWEEP_SHA256[name]
+
     @staticmethod
     def one_record_suite(monkeypatch, passed):
         record = {"id": "stub", "value": 0.0 if passed else 1.0, "tolerance": 0.5,

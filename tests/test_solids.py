@@ -168,9 +168,10 @@ class TestMinimize:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, name, monkeypatch):
         # x is row 0 of the stencil stack: one `block_spectrum` call, and
-        # no `lambda1_cluster` where the 3x3 block gives the cluster
+        # neither `lambda1_cluster` nor a measured embedding where the 3x3
+        # block gives the cluster
         def refuse(*args):
-            raise AssertionError("lambda1_cluster called")
+            raise AssertionError("the measured path was taken")
 
         stacks = []
 
@@ -178,7 +179,8 @@ class TestMinimize:
             stacks.append(len(weights))
             return block_spectrum(group, weights)
 
-        monkeypatch.setattr(solids, "lambda1_cluster", refuse)
+        for measured in ("lambda1_cluster", "spectral_representation", "edge_class_lengths"):
+            monkeypatch.setattr(solids, measured, refuse)
         monkeypatch.setattr(solids, "block_spectrum", spectrum)
         x = closed_form_minimum(groups[name].datum)[0]
         report = critical_certificate(x, groups[name])
@@ -209,6 +211,48 @@ class TestMinimize:
         assert report.gradient_norm == expected.gradient_norm
         assert abs(report.lam - expected.lam) <= 1e-12
         assert np.abs(np.subtract(report.class_lengths, expected.class_lengths)).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_certificate_lengths_match_the_measured_embedding(self, groups, name):
+        # the closed-form lengths sqrt(3/|G|) 2 |<n_j, v>| against the
+        # lengths measured on the |G| x 3 block basis
+        group = groups[name]
+        rng = np.random.default_rng(38)
+        points = [closed_form_minimum(group.datum)[0], uniform_point(3)]
+        points += list(sample_interior(rng, 3, margin=0.05, rows=40))
+        for x in points:
+            report = critical_certificate(x, group)
+            cluster = block_cluster(group, x, block_spectrum(group, x))
+            measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
+            assert np.abs(np.subtract(report.class_lengths, measured)).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "x,error,message",
+        [
+            ([0.5, 0.5, 0.5], SimplexError, "weights do not sum to 1"),
+            ([[0.2, 0.3, 0.5]], DomainError, r"x must be one point of shape \(3,\)"),
+            ([0.2, 0.3, np.nan], SimplexError, "weights must be finite"),
+        ],
+    )
+    def test_certificate_rejects_bad_points(self, h3, x, error, message, monkeypatch):
+        # a list or an array that is not one simplex point: a typed
+        # one-line error before any evaluation
+        def refuse(*args):
+            raise AssertionError("lambda_1 evaluated")
+
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        for given in (x, np.array(x)):
+            with pytest.raises(error, match=message) as err:
+                critical_certificate(given, h3)
+            assert "\n" not in str(err.value)
+
+    def test_certificate_takes_a_list(self, h3):
+        x = closed_form_minimum(h3.datum)[0]
+        report = critical_certificate(x.tolist(), h3)
+        expected = critical_certificate(x, h3)
+        assert np.array_equal(report.x, x) and not report.x.flags.writeable
+        assert report.class_lengths == expected.class_lengths
+        assert report.gradient_norm == expected.gradient_norm
 
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5, 0.0], [1 - 1.5e-6, 1e-6, 0.5e-6], [0.3, 0.7 - 9e-7, 9e-7]]
