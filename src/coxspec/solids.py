@@ -14,12 +14,12 @@ from .coxmaps import (
     fundamental_point,
     fundamental_vectors,
     orbit_points,
-    psi_delta_inverse,
     psi_maps,
 )
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
 from .randwalk import (
+    SIMPLEX_TOL,
     check_weights,
     project_to_simplex,
     simplex_point,
@@ -28,12 +28,12 @@ from .randwalk import (
 from .spectral import (
     CLUSTER_TOL,
     SPECTRUM_CHUNK,
+    _dense_lambda1_cluster,
     block_clusters,
     block_lengths,
     block_spectrum,
     edge_class_lengths,
     lambda1,
-    lambda1_cluster,
     spectral_representation,
 )
 
@@ -44,11 +44,6 @@ EQUILATERAL_TOL = 1e-7
 GAP_GUARD = 1e-4
 MIN_GRAD_TOL = 1e-9
 MAX_ITER = 10_000
-# boundary_limit: the geometric step 2^-LIMIT_STEPS towards the target at
-# which the cone coefficients are read, and their decay over the last
-# halving below which a coefficient counts as vanishing
-LIMIT_STEPS = 8
-VANISH_RATIO = 0.1
 
 CURVE_PATTERNS = {
     # cone-coefficient pattern in t, (3,) for one t and (m, 3) for a 1-d
@@ -264,14 +259,6 @@ def curve_point(curve, t, group):
     )
 
 
-def _limit_from_pattern(group, pattern):
-    pvecs, _ = fundamental_vectors(group)
-    p = np.asarray(pattern, dtype=float) @ pvecs
-    p = p / np.linalg.norm(p)
-    pts, _ = orbit_points(group, p)
-    return p, pts
-
-
 def curve_limit(curve, group, end):
     """Degenerate orbit at a curve endpoint (`end` is 0 or "inf")."""
     _check_curve(curve)
@@ -282,27 +269,30 @@ def curve_limit(curve, group, end):
         pattern = np.where(base(2.0) > base(1.0), 1.0, 0.0)
     else:
         raise DomainError("curve end must be 0 or 'inf'")
-    p, pts = _limit_from_pattern(group, pattern)
+    p = pattern @ fundamental_vectors(group)[0]
+    p = p / np.linalg.norm(p)
+    pts, _ = orbit_points(group, p)
     return p, pts, pattern
 
 
 def boundary_limit(target, group, curve=None):
     """Limit orbit as the weights approach a boundary target.
 
-    Edge-interior targets are approached on the straight line from the
-    barycenter; the surviving cone coefficients are detected from the
-    decay of the inverse map over the last halving of the distance, at
-    the steps 2^-(LIMIT_STEPS - 1) and 2^-LIMIT_STEPS.  Vertex targets are
-    curve dependent and require a curve id; a curve id, where given, must
-    name a curve for every target.  The target's weights are checked by
-    `check_weights`, as every other point's are.
+    An edge target with x_k = 0 has the pattern e_k, the limit of curve
+    C_(k+1) at t -> 0, wherever on the edge it lies: the weights are
+    proportional to x'_j = V (M^-1 alpha)_j / alpha_j with M^-1 > 0
+    entrywise, so x'_k >= V (M^-1)_kk, and x_k -> 0 needs sum x' -> inf.
+    The other two weights stay positive, so both other alpha_j -> 0.
+    Vertex targets are curve dependent and require a curve id; a curve
+    id, where given, must name a curve for every target.  The target's
+    weights are checked by `check_weights`, as every other point's are.
     """
     if curve is not None:
         _check_curve(curve)
     if np.shape(target) != (group.rank,):
         raise DomainError(f"target must be one point of shape ({group.rank},)")
     target = check_weights(target)
-    zeros = np.flatnonzero(target <= 1e-12)
+    zeros = np.flatnonzero(target <= SIMPLEX_TOL)
     if len(zeros) == 0:
         raise DomainError("target must lie on the simplex boundary")
     if len(zeros) >= 2:
@@ -312,20 +302,8 @@ def boundary_limit(target, group, curve=None):
         if CURVE_VERTICES[curve] != vertex:
             raise DomainError(f"curve {curve} does not end at this simplex vertex")
         p, pts, pattern = curve_limit(curve, group, "inf")
-        return p, len(pts), pattern
-
-    center = np.full(group.rank, 1.0 / group.rank)
-    # the last two steps, whose decay decides; one stack, each row bit for
-    # bit its point alone
-    eps = 2.0 ** -np.arange(LIMIT_STEPS - 1, LIMIT_STEPS + 1.0)
-    xs = check_weights((1 - eps)[:, None] * target + eps[:, None] * center)
-    a = psi_delta_inverse(group, xs).alphas
-    alphas = a / a.max(axis=1, keepdims=True)
-    surviving = alphas[-1] / alphas[-2] > 1.0 - VANISH_RATIO
-    surviving &= alphas[-1] > 1e-4
-    # linear extrapolation in eps of the surviving coefficients
-    pattern = np.where(surviving, 2 * alphas[-1] - alphas[-2], 0.0)
-    p, pts = _limit_from_pattern(group, pattern)
+    else:
+        p, pts, pattern = curve_limit(f"C{zeros[0] + 1}", group, 0)
     return p, len(pts), pattern
 
 
@@ -337,7 +315,7 @@ class Sweep:
     lambda1: np.ndarray        # (m,) second eigenvalue
     multiplicity: np.ndarray   # (m,) its multiplicity
     class_lengths: np.ndarray  # (m, 3) from `block_lengths`, measured on "dense" rows
-    path: np.ndarray           # (m,) "fourier" or "dense", see `lambda1_cluster`
+    path: np.ndarray           # (m,) "fourier" or "dense", see `_lambda1_rows`
 
     def __post_init__(self):
         for column in vars(self).values():
@@ -352,14 +330,15 @@ def _lambda1_rows(group, weights, vals):
     lambda_1 clusters of the points `weights` (m, 3) with descending
     spectra `vals`: the rows of the sweep and of the certificates.  A row
     the 3x3 block gives (`block_clusters`) takes `block_lengths`; any
-    other row `lambda1_cluster`, a dense operator, and measured lengths."""
+    other row the dense cluster (`_dense_lambda1_cluster`) and measured
+    lengths."""
     lam, multiplicity, gap, vectors, given = block_clusters(group, weights, vals)
     lengths = np.empty_like(weights)
     if given.any():
         lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given])[1]
     for r in np.flatnonzero(~given):
         x = simplex_point(weights[r])
-        cluster = lambda1_cluster(group, x)
+        cluster = _dense_lambda1_cluster(group, x)
         lam[r], multiplicity[r], gap[r] = cluster.eigenvalue, cluster.multiplicity, cluster.gap
         lengths[r] = edge_class_lengths(spectral_representation(group, x, cluster), group)
     return lam, multiplicity, gap, lengths, given

@@ -279,6 +279,12 @@ def block_lengths(group, weights, lam, vectors):
     return c, np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
 
 
+def _dense_lambda1_cluster(group, x):
+    # the lambda_1 cluster of the dense eigensolve of P_X
+    dense = spectrum_clusters(build_operator(group, x))
+    return dense[_lambda1_index(dense[0].multiplicity)]
+
+
 def lambda1_cluster(group, x):
     """The cluster of P_X containing the second-highest eigenvalue.
 
@@ -288,10 +294,7 @@ def lambda1_cluster(group, x):
     block) the cluster comes from the dense eigensolve.
     """
     cluster = block_cluster(group, x, block_spectrum(group, x))
-    if cluster is None:
-        dense = spectrum_clusters(build_operator(group, x))
-        cluster = dense[_lambda1_index(dense[0].multiplicity)]
-    return cluster
+    return _dense_lambda1_cluster(group, x) if cluster is None else cluster
 
 
 def spectral_representation(group, x, cluster):

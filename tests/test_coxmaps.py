@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from coxspec import solids
 from coxspec.cli import main
 from coxspec.coxeter import CoxeterDatum
 from coxspec.coxmaps import (
+    ORBIT_TOL,
     DomainError,
     FundamentalPoint,
     edge_lengths_closed_form,
@@ -158,25 +160,46 @@ class TestFundamentalVectors:
 
 
 def _greedy_orbit(group, p, dedup_tol=1e-6):
-    # reference: each image against every representative found so far
+    # reference: each image joins the first representative found so far
+    # within dedup_tol in every coordinate, else becomes the next one
     images = group.elements @ np.asarray(p, dtype=float)
-    reps = []
+    reps = np.empty_like(images)
+    count = 0
     index = np.empty(group.order, dtype=int)
     for i, q in enumerate(images):
-        for r, rep in enumerate(reps):
-            if np.abs(rep - q).max() < dedup_tol:
-                index[i] = r
-                break
+        close = (np.abs(reps[:count] - q) < dedup_tol).all(axis=1)
+        if close.any():
+            index[i] = close.argmax()
         else:
-            index[i] = len(reps)
-            reps.append(q)
-    return np.stack(reps), index
+            index[i] = count
+            reps[count] = q
+            count += 1
+    return reps[:count], index
 
 
-# cone coefficients of zero, far below, just below, at and just above the
-# default dedup_tol, and well clear of it
-NEAR_TOL = [0.0, 1e-9, 3e-7, 1e-6, 2e-6, 1e-3]
-coefficient = st.one_of(st.sampled_from(NEAR_TOL), st.floats(0.0, 1.0))
+def cone_point(group, alphas):
+    p = np.asarray(alphas, dtype=float) @ fundamental_vectors(group)[0]
+    return p / np.linalg.norm(p)
+
+
+def mirror_points(group):
+    # the cone points of the curve and edge limits: each coefficient 0 or 1
+    patterns = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    return [cone_point(group, pattern) for pattern in patterns]
+
+
+def parabolic_order(group, zero):
+    # |W_J| of the generators J with a zero cone coefficient
+    J = np.flatnonzero(zero)
+    if len(J) < 2:
+        return 2 ** len(J)
+    return 2 * int(group.datum.orders[J[0], J[1]])
+
+
+# cone coefficients clear of every tolerance: zero, or at least 1e-3
+coefficient = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+# coefficients far below, below, at and above the greedy's 1e-6
+NEAR_MIRROR = [1e-9, 3e-7, 1e-6, 2e-6]
 
 
 class TestOrbitPoints:
@@ -189,13 +212,10 @@ class TestOrbitPoints:
     @settings(max_examples=150, deadline=None)
     @given(
         name=st.sampled_from(["A3", "B3", "H3"]),
-        # tinier cone points underflow when normalised
-        alphas=st.tuples(coefficient, coefficient, coefficient).filter(lambda a: max(a) >= 1e-9),
+        alphas=st.tuples(coefficient, coefficient, coefficient).filter(lambda a: max(a) > 0),
     )
     def test_matches_greedy_on_cone_points(self, groups, name, alphas):
-        pvecs, _ = fundamental_vectors(groups[name])
-        p = np.array(alphas) @ pvecs
-        self.assert_matches_greedy(groups[name], p / np.linalg.norm(p))
+        self.assert_matches_greedy(groups[name], cone_point(groups[name], alphas))
 
     @settings(max_examples=50, deadline=None)
     @given(name=st.sampled_from(["A3", "B3", "H3"]), seed=st.integers(0, 2**32 - 1))
@@ -203,20 +223,66 @@ class TestOrbitPoints:
         u = np.random.default_rng(seed).normal(size=3)
         self.assert_matches_greedy(groups[name], u / np.linalg.norm(u))
 
-    def test_non_transitive_closeness(self, groups):
-        # images within dedup_tol of a representative are not all within
-        # dedup_tol of each other; first-match keeps 12 points where
-        # "first close image" would keep 16
+    def test_matches_greedy_on_limits_and_generic_points(self, groups):
+        # the 27 curve and edge limits, and seeded points inside the cone
+        rng = np.random.default_rng(20)
+        for group in groups.values():
+            points = [solids.curve_limit(c, group, end)[0]
+                      for c in CURVE_PATTERNS for end in (0, "inf")]
+            points += [solids.boundary_limit((1.0 - e) / 2, group)[0] for e in np.eye(3)]
+            points += [cone_point(group, a) for a in rng.random((5, 3)) + 1e-3]
+            for p in points:
+                self.assert_matches_greedy(group, p)
+
+    def test_images_of_mirror_points_match_greedy(self, groups):
+        # g p for every element g: the stabiliser g H g^-1, cosets of it
+        for group in groups.values():
+            for p in mirror_points(group):
+                for q in group.elements @ p:
+                    self.assert_matches_greedy(group, q)
+
+    def test_near_mirror_points_are_distinct(self, groups):
+        # a coefficient of 1e-9 to 2e-6 keeps the point off its mirror:
+        # |G| / |W_J| points for the exactly zero coefficients J, so 24 at
+        # the A3 point (3e-7, 0.5, 3e-7), not the 4 of (0, 0.5, 0)
         a3 = groups["A3"]
-        pvecs, _ = fundamental_vectors(a3)
-        p = np.array([3e-7, 0.5, 3e-7]) @ pvecs
-        p /= np.linalg.norm(p)
-        images = a3.elements @ p
-        close = (np.abs(images[:, None] - images[None]) < 1e-6).all(axis=-1)
-        assert ((close.astype(int) @ close > 0) & ~close).any()
-        assert len(np.unique(close.argmax(axis=1))) == 16
-        self.assert_matches_greedy(a3, p)
-        assert len(orbit_points(a3, p)[0]) == 12
+        assert len(orbit_points(a3, cone_point(a3, [3e-7, 0.5, 3e-7]))[0]) == 24
+        for group in groups.values():
+            for c in NEAR_MIRROR:
+                for alphas in itertools.product([0.0, c, 0.4, 1.0], repeat=3):
+                    if max(alphas) < 0.4:
+                        continue
+                    reps, index = orbit_points(group, cone_point(group, alphas))
+                    expected = group.order // parabolic_order(group, np.equal(alphas, 0.0))
+                    assert len(reps) == expected
+                    assert np.array_equal(np.bincount(index), np.full(expected, group.order // expected))
+
+    def test_zero_point_is_one_point(self, groups):
+        for group in groups.values():
+            reps, index = orbit_points(group, np.zeros(3))
+            assert np.array_equal(reps, np.zeros((1, 3))) and not index.any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_scale_free(self, groups):
+        # |p| near 1e300 or 1e-270 overflows or underflows a plain norm
+        for group in groups.values():
+            for p in mirror_points(group):
+                reps, index = orbit_points(group, p)
+                for k in (-900, 600, 1000):
+                    scaled = orbit_points(group, np.ldexp(p, k))
+                    assert np.array_equal(scaled[0], np.ldexp(reps, k))
+                    assert np.array_equal(scaled[1], index)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_unseparated_orbit_raises(self, groups, name):
+        # moved 1.5 ORBIT_TOL by s_1: neither fixed nor clear of the mirror
+        group = groups[name]
+        p = cone_point(group, [1.0, 0.0, 0.0])
+        on = orbit_points(group, p + 0.1 * ORBIT_TOL * group.roots[1])
+        off = orbit_points(group, p + 10 * ORBIT_TOL * group.roots[1])
+        assert len(on[0]) == len(orbit_points(group, p)[0]) < len(off[0])
+        with pytest.raises(DomainError, match="does not separate the orbit"):
+            orbit_points(group, p + 0.75 * ORBIT_TOL * group.roots[1])
 
     @pytest.mark.parametrize(
         "p", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0], [[1.0, 0.0, 0.0]]]

@@ -168,7 +168,7 @@ class TestMinimize:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, name, monkeypatch):
         # x is row 0 of the stencil stack: one `block_spectrum` call, and
-        # neither `lambda1_cluster` nor a measured embedding where the 3x3
+        # neither the dense cluster nor a measured embedding where the 3x3
         # block gives the cluster
         def refuse(*args):
             raise AssertionError("the measured path was taken")
@@ -179,7 +179,8 @@ class TestMinimize:
             stacks.append(len(weights))
             return block_spectrum(group, weights)
 
-        for measured in ("lambda1_cluster", "spectral_representation", "edge_class_lengths"):
+        for measured in ("_dense_lambda1_cluster", "spectral_representation",
+                         "edge_class_lengths"):
             monkeypatch.setattr(solids, measured, refuse)
         monkeypatch.setattr(solids, "block_spectrum", spectrum)
         x = closed_form_minimum(groups[name].datum)[0]
@@ -188,9 +189,9 @@ class TestMinimize:
         assert report.lam == spectral.rep_fourier(x, groups[name]).roots[0]
 
     def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
-        # a mu_1 that misses lambda_1: the cluster of x comes from
-        # lambda1_cluster, the finite differences still from the stack
-        true_rep, true_cluster = spectral.rep_fourier, solids.lambda1_cluster
+        # a mu_1 that misses lambda_1: the cluster of x comes from the
+        # dense eigensolve, the finite differences still from the stack
+        true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
         expected = critical_certificate(uniform_point(3), a3)
 
         def shifted(weights, group):
@@ -205,7 +206,7 @@ class TestMinimize:
             return cluster
 
         monkeypatch.setattr(spectral, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "lambda1_cluster", spy)
+        monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
         report = critical_certificate(uniform_point(3), a3)
         assert paths == ["dense"]
         assert report.gradient_norm == expected.gradient_norm
@@ -263,7 +264,7 @@ class TestMinimize:
         def refuse(*args):
             raise AssertionError("lambda_1 evaluated")
 
-        monkeypatch.setattr(solids, "lambda1_cluster", refuse)
+        monkeypatch.setattr(solids, "_dense_lambda1_cluster", refuse)
         monkeypatch.setattr(solids, "block_spectrum", refuse)
         with pytest.raises(DomainError, match="every weight to be at least FD_STEP") as err:
             critical_certificate(simplex_point(weights), h3)
@@ -541,6 +542,26 @@ class TestLimits:
         assert n == count
         assert np.count_nonzero(pattern) == 1
 
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_edge_limits_are_curve_limits(self, groups, name):
+        # x_k -> 0 leaves alpha_k alone wherever on the edge the target
+        # lies, also 1e-6 and 1e-9 from either end: the limit of C_(k+1)
+        # at t -> 0, bit for bit
+        group = groups[name]
+        near_ends = [1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9]
+        shares = np.concatenate((near_ends, np.random.default_rng(41).random(12)))
+        for k in range(3):
+            p_ref, pts_ref, pattern_ref = curve_limit(f"C{k + 1}", group, 0)
+            assert np.array_equal(pattern_ref, np.eye(3)[k])
+            for a in shares:
+                target = np.zeros(3)
+                target[[j for j in range(3) if j != k]] = a, 1.0 - a
+                p, n, pattern = boundary_limit(target, group)
+                assert np.array_equal(p, p_ref), target
+                assert n == len(pts_ref)
+                assert np.array_equal(pattern, pattern_ref)
+
     def test_vertex_limits_follow_curves(self, h3):
         for curve, j in CURVE_VERTICES.items():
             target = np.eye(3)[j]
@@ -678,9 +699,10 @@ class TestSweep:
 
     def test_row_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
         # a mu_1 that misses lambda_1 in the first row of every stack: sweep
-        # row 0 must leave the block path and come back through
-        # lambda1_cluster, which takes the dense cluster
-        true_rep, true_cluster = spectral.rep_fourier, solids.lambda1_cluster
+        # row 0 must leave the block path for the dense cluster, without a
+        # second spectrum of the row
+        true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
+        true_spectrum = spectral.block_spectrum
 
         def shifted(weights, group):
             rep = true_rep(weights, group)
@@ -688,17 +710,24 @@ class TestSweep:
             roots[0, 0] += 1.0
             return dataclasses.replace(rep, roots=roots)
 
-        seen = []
+        seen, spectra = [], []
 
         def spy(group, x):
             cluster = true_cluster(group, x)
             seen.append((x, cluster.path))
             return cluster
 
+        def spectrum(group, weights):
+            spectra.append(len(weights))
+            return true_spectrum(group, weights)
+
         expected = sweep_lambda1(a3, 6)
         monkeypatch.setattr(spectral, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "lambda1_cluster", spy)
+        monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
+        for module in (solids, spectral):
+            monkeypatch.setattr(module, "block_spectrum", spectrum)
         sweep = sweep_lambda1(a3, 6)
+        assert spectra == [15]
         assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
         assert seen[0][1] == "dense"
         assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
