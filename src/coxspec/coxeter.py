@@ -3,7 +3,7 @@
 A group is built from its matrix of orders m_ij: the simple roots are the
 Cholesky factor rows of the Gram matrix M_ij = -cos(pi/m_ij), generators
 are the corresponding reflections, and the full element list is produced
-by breadth-first closure under right multiplication.
+by breadth-first closure under right multiplication, on exact keys.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,10 @@ import numpy as np
 
 from .errors import CoxspecError, DomainError, MeshError
 
+# element_index: largest entrywise distance of a matrix to its element
 DEDUP_TOL = 1e-6
+# generate_group: eta = 2cos(pi/m) for m = 4, 5, 6 has eta^2 = p + q eta
+ETA_SQUARED = {4: (2, 0), 5: (1, 1), 6: (3, 0)}
 # generate_group: closure size at which a datum counts as not finite
 MAX_ELEMENTS = 100_000
 # irreducible_blocks: seed of the generic left operator, the relative
@@ -41,7 +44,13 @@ class CoxeterDatum:
     orders: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.orders, dtype=int)
+        # exact integers only: generate_group picks its ring from the orders
+        f = np.asarray(self.orders, dtype=float)
+        bad = np.argwhere(~np.isfinite(f) | (f != np.round(f)) | (np.abs(f) >= 2.0**31))
+        if len(bad):
+            entry = tuple(bad[0].tolist())
+            raise CoxeterError(f"{self.name}: order {entry} is {f[entry]:g}, not a finite integer below 2**31")
+        m = f.astype(int)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise CoxeterError("order matrix must be square")
         if not np.array_equal(m, m.T):
@@ -304,40 +313,48 @@ class ReflectionGroup:
 
 
 def generate_group(datum):
-    """Breadth-first closure of the generating reflections.
-
-    Elements are floating matrices deduplicated by entrywise distance;
-    the closure counts (24 / 48 / 120 for the built-ins) are stable under
-    this tolerance because distinct elements are well separated.
+    """Breadth-first closure of the generating reflections, each element g
+    found again by its numbers-game key g^-1 rho in fundamental-weight
+    coordinates (Bjorner and Brenti, GTM 231, 4.3): key(e) = (1, ..., 1)
+    and key(g s_j) = s_j key(g).  A coordinate is an integer, or a pair
+    a + b eta for eta = 2cos(pi/m), m the one order in `ETA_SQUARED`;
+    other data raise.  rho lies in the open chamber, so distinct elements
+    have distinct keys.  A new element's matrix is elements[i] @ generators[j].
     """
     roots = simple_roots(datum)
     k = datum.rank
     gens = np.stack([reflection_matrix(roots[j]) for j in range(k)])
+    high = sorted(set(datum.orders.ravel().tolist()) - {2, 3})
+    if len(high) > 1 or not set(high) <= ETA_SQUARED.keys():
+        raise CoxeterError(f"{datum.name}: exact keys need orders in 2..6, at most one above 3 (got {high})")
+    # s_j negates coordinate j and adds 2cos(pi/m_ij) times it to each
+    # coordinate i: key += step[:, j] key_j, with 2cos(pi/m) as an integer
+    # matrix on (a, b) and -2 in block j
+    d = 1 + len(high)
+    two_cos = {2: np.zeros((d, d), int), 3: np.eye(d, dtype=int)}
+    two_cos.update({m: np.array([[0, 1], ETA_SQUARED[m]]).T for m in high})
+    step = np.block([[two_cos[m] for m in row] for row in datum.orders]) - 2 * np.eye(k * d, dtype=int)
+    step = step.reshape(k * d, k, d)
 
+    index = {((1,) + (0,) * (d - 1)) * k: 0}  # key -> element
     elements = [np.eye(k)]
-    stacked = np.eye(k)[None, :, :]
     successors = []
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            successors.append(np.full(k, -1, dtype=int))
-            for j in range(k):
-                cand = elements[i] @ gens[j]
-                dist = np.abs(stacked - cand).max(axis=(1, 2))
-                hit = int(dist.argmin())
-                if dist[hit] < DEDUP_TOL:
-                    successors[i][j] = hit
-                else:
-                    if len(elements) >= MAX_ELEMENTS:
+    while len(successors) < len(index):
+        # one breadth-first level at a time: products[j][f] = key of level[f] s_j
+        level = np.array(list(index)[len(successors) :])
+        products = (level + np.einsum("fje,cje->jfc", level.reshape(-1, k, d), step)).tolist()
+        for i, row in enumerate(zip(*products), start=len(successors)):
+            successors.append([])
+            for j, key in enumerate(map(tuple, row)):
+                if key not in index:
+                    if len(index) >= MAX_ELEMENTS:
                         raise CoxeterError("group too large or not finite")
-                    elements.append(cand)
-                    stacked = np.concatenate([stacked, cand[None]], axis=0)
-                    successors[i][j] = len(elements) - 1
-                    new_frontier.append(len(elements) - 1)
-        frontier = new_frontier
+                    index[key] = len(index)
+                    elements.append(elements[i] @ gens[j])
+                successors[i].append(index[key])
 
-    successors = np.stack(successors)
+    stacked = np.stack(elements)
+    successors = np.array(successors)
     for arr in (roots, gens, stacked, successors):
         arr.flags.writeable = False
     return ReflectionGroup(

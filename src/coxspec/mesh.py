@@ -74,6 +74,8 @@ def build_orbit_mesh(group, point):
 def vertex_configuration(mesh, vertex=0):
     """Cyclic sequence of face sizes around a vertex, canonicalized to
     the lexicographically smallest rotation over both orientations."""
+    if not 0 <= vertex < len(mesh.vertices):
+        raise MeshError(f"vertex {vertex} is outside range(0, {len(mesh.vertices)})")
     v = mesh.vertices[vertex]
     incident = [f for f in mesh.faces if vertex in f]
     if not incident:
@@ -121,10 +123,13 @@ def export_off(mesh, destination):
 
 
 def parse_off(path):
-    """Read an OFF file; its counts must match its contents exactly, and
-    each face must have 3 or more distinct vertices."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    """Read an ASCII OFF file; its counts must match its contents exactly,
+    coordinates must be finite, faces must have 3 or more distinct vertices."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read OFF file {path}: {exc}") from exc
     if not tokens or tokens[0] != "OFF":
         raise MeshError(f"{path}: missing OFF header")
     try:
@@ -134,6 +139,8 @@ def parse_off(path):
         pos = 4
         flat = [float(t) for t in tokens[pos : pos + 3 * nv]]
         vertices = np.array(flat).reshape(nv, 3)
+        if not np.isfinite(vertices).all():
+            raise ValueError("non-finite coordinate")
         pos += 3 * nv
         faces = []
         for _ in range(nf):

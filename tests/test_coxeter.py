@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from coxspec.coxeter import (
+    DEDUP_TOL,
+    CoxeterDatum,
     CoxeterError,
     build_group,
     coxeter_datum,
@@ -37,6 +40,11 @@ class TestDatum:
             CoxeterDatum("bad", np.array([[2, 1], [1, 2]]))
         with pytest.raises(CoxeterError):
             CoxeterDatum("bad", np.array([[2, 3], [4, 2]]))
+        # once truncated to I2(3), a RuntimeWarning and then ">= 2", and a
+        # bare OverflowError
+        for value in (3.7, float("nan"), 1e30):
+            with pytest.raises(CoxeterError, match=re.escape(f"order (0, 1) is {value:g}, not a finite integer")):
+                CoxeterDatum("bad", [[2, value], [value, 2]])
 
 
 class TestSimpleRoots:
@@ -89,6 +97,92 @@ class TestReflection:
             for _ in range(int(datum.orders[i, j])):
                 power = power @ prod
             assert np.abs(power - np.eye(3)).max() <= 1e-9
+
+
+def float_closure(datum):
+    """The breadth-first closure that finds each product again by an
+    entrywise distance scan within `DEDUP_TOL`: the oracle of the exact
+    keys of `generate_group`.  Returns (elements, successors)."""
+    roots = simple_roots(datum)
+    k = datum.rank
+    gens = np.stack([reflection_matrix(roots[j]) for j in range(k)])
+
+    elements = [np.eye(k)]
+    stacked = np.eye(k)[None, :, :]
+    successors = []
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            successors.append(np.full(k, -1, dtype=int))
+            for j in range(k):
+                cand = elements[i] @ gens[j]
+                dist = np.abs(stacked - cand).max(axis=(1, 2))
+                hit = int(dist.argmin())
+                if dist[hit] < DEDUP_TOL:
+                    successors[i][j] = hit
+                else:
+                    elements.append(cand)
+                    stacked = np.concatenate([stacked, cand[None]], axis=0)
+                    successors[i][j] = len(elements) - 1
+                    new_frontier.append(len(elements) - 1)
+        frontier = new_frontier
+    return stacked, np.stack(successors)
+
+
+def dihedral(m):
+    return CoxeterDatum(f"I2({m})", np.array([[2, m], [m, 2]]))
+
+
+A4 = CoxeterDatum("A4", np.array([[2, 3, 2, 2], [3, 2, 3, 2], [2, 3, 2, 3], [2, 2, 3, 2]]))
+# I2(4) x I2(5): two different quadratic rings, Z[sqrt 2] and Z[phi]
+I2_4_X_I2_5 = CoxeterDatum(
+    "I2(4)xI2(5)", np.array([[2, 4, 2, 2], [4, 2, 2, 2], [2, 2, 2, 5], [2, 2, 5, 2]])
+)
+
+
+class TestExactClosure:
+    """`generate_group` finds each product by its exact numbers-game key;
+    the float distance scan is its oracle."""
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize(
+        "datum,order",
+        [(coxeter_datum("A3"), 24), (coxeter_datum("B3"), 48), (coxeter_datum("H3"), 120),
+         (dihedral(5), 10), (dihedral(6), 12), (A4, 120)],
+        ids=["A3", "B3", "H3", "I2(5)", "I2(6)", "A4"],
+    )
+    def test_matches_float_closure(self, monkeypatch, datum, order):
+        elements, successors = float_closure(datum)
+        # the closure reads no tolerance
+        monkeypatch.setattr("coxspec.coxeter.DEDUP_TOL", float("nan"))
+        group = generate_group(datum)
+        assert group.order == order
+        assert group.successors.dtype == successors.dtype
+        assert np.array_equal(group.successors, successors)
+        assert np.array_equal(group.elements, elements)
+
+    @pytest.mark.parametrize(
+        "chain,order", [((3, 4, 3), 1152), ((5, 3, 3), 14400)], ids=["F4", "H4"]
+    )
+    def test_rank4_orders(self, chain, order):
+        # linear diagrams, too large for the float scan in a test
+        m = np.full((4, 4), 2)
+        for i, v in enumerate(chain):
+            m[i, i + 1] = m[i + 1, i] = v
+        group = generate_group(CoxeterDatum("rank4", m))
+        assert group.order == order
+        # right multiplication by each generator permutes the elements
+        assert np.array_equal(np.sort(group.successors, axis=0), np.arange(order)[:, None].repeat(4, 1))
+
+    @pytest.mark.parametrize(
+        "datum,old_order", [(dihedral(7), 14), (I2_4_X_I2_5, 80)], ids=["I2(7)", "I2(4)xI2(5)"]
+    )
+    def test_data_beyond_one_quadratic_ring_rejected(self, datum, old_order):
+        # the float closure still closes them
+        assert len(float_closure(datum)[0]) == old_order
+        with pytest.raises(CoxeterError, match="exact keys need orders in 2..6, at most one above 3"):
+            generate_group(datum)
 
 
 class TestGroup:

@@ -170,6 +170,13 @@ class TestOrbitMeshes:
         for v in range(0, 60, 7):
             assert vertex_configuration(mesh, v) == config
 
+    @pytest.mark.parametrize("vertex", [-1, 120])
+    def test_vertex_configuration_rejects_missing_vertex(self, h3, vertex):
+        # once an IndexError (120) or "no incident faces" (-1)
+        mesh = build_orbit_mesh(h3, fundamental_point(h3, [1.0, 1.0, 1.0]).point)
+        with pytest.raises(MeshError, match=rf"vertex {vertex} is outside range\(0, 120\)"):
+            vertex_configuration(mesh, vertex)
+
 
     def test_orbit_faces_are_the_projected_walks(self, groups):
         for group in groups.values():
@@ -263,6 +270,27 @@ class TestOffObj:
         path = tmp_path / "degenerate.off"
         path.write_text(f"OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n{face}\n")
         with pytest.raises(MeshError, match=rf"face 1 \{listed[:-1]}\] does not have 3"):
+            parse_off(path)
+
+    def test_parse_rejects_missing_file(self, tmp_path):
+        # once a bare FileNotFoundError
+        path = tmp_path / "absent.off"
+        with pytest.raises(MeshError, match="cannot read OFF file .*absent.off"):
+            parse_off(path)
+
+    def test_parse_rejects_non_ascii(self, tmp_path):
+        # once a bare UnicodeDecodeError
+        path = tmp_path / "latin.off"
+        path.write_bytes("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n# \u00e9\n".encode("latin-1"))
+        with pytest.raises(MeshError, match="cannot read OFF file .*latin.off"):
+            parse_off(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite_coordinate(self, tmp_path, value):
+        # once accepted into the vertices
+        path = tmp_path / "nonfinite.off"
+        path.write_text(f"OFF\n3 1 3\n0 0 0\n1 {value} 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(MeshError, match="nonfinite.off: .*non-finite coordinate"):
             parse_off(path)
 
     def test_obj_and_off_vertices_agree(self, h3, tmp_path):
