@@ -231,6 +231,11 @@ class ReflectionGroup:
         ascending in d, with [j, c] = rho_c(s_j).  The invariance
         R_j U = U rho(s_j) is checked for every eigenspace.
         """
+        return self._representations[0]
+
+    @cached_property
+    def _representations(self):
+        # (irreducible_blocks, characters (irreps, classes) per dimension, classes)
         n, k = self.successors.shape
         inverse = np.argmin(self.mult, axis=1)
         coeffs = np.random.default_rng(BLOCK_SEED).standard_normal(n)
@@ -273,7 +278,41 @@ class ReflectionGroup:
             stack = np.stack([irrep[1] for irrep in by_dim[d]], axis=1)
             stack.flags.writeable = False
             blocks.append(stack)
-        return tuple(blocks)
+        return tuple(blocks), [np.array([ir[0] for ir in by_dim[d]]) for d in sorted(by_dim)], reps
+
+    @cached_property
+    def det_pairs(self):
+        """The representations of `irreducible_blocks` in pairs rho,
+        rho (x) det, from the characters read on one element per conjugacy
+        class: chi_{rho (x) det}(g) = det g chi_rho(g) (Serre, 2.1), so the
+        block of rho (x) det is minus that of rho.  Returns (pairs, stacks):
+        one (i, a, b) per pair, position i in `irreducible_blocks` and the
+        indices of rho and rho (x) det (a == b: self-paired), the geometric
+        pair (chi_a(g) = tr g) first, the trivial one (chi_a = 1) second;
+        and per position of the others, the read-only blocks (k, p, d, d) of
+        their rho_a with a bool (p,), true where b != a.  A missing
+        geometric or trivial character, or a partner, is a `CoxeterError`."""
+        blocks, chars, classes = self._representations
+        g = self.elements[classes]
+        where = [(i, c) for i, b in enumerate(blocks) for c in range(b.shape[1])]
+        chi = np.concatenate(chars)
+        hit = lambda want: np.abs(chi - want).max(axis=-1) <= BLOCK_CHARACTER_TOL  # noqa: E731
+        match = hit((np.linalg.det(g) * chi)[:, None])  # [a, b]: chi_b = det g chi_a
+        geometric, trivial = hit(np.trace(g, axis1=1, axis2=2)), hit(1.0)
+        for what, ok in (("geometric", geometric.any()), ("trivial", trivial.any()),
+                         ("det g chi", match.any(axis=1).all())):
+            if not ok:
+                raise CoxeterError(f"irreducible characters lack a {what} character")
+        partner, first = match.argmax(axis=1), [geometric.argmax(), trivial.argmax()]
+        rest = [a for a in range(len(chi)) if a <= partner[a] and not {a, partner[a]} & set(first)]
+        pairs = tuple((*where[a], where[partner[a]][1]) for a in first + rest)
+        stacks = []
+        for i, b in enumerate(blocks):
+            own = np.array([(a, c) for j, a, c in pairs[2:] if j == i], dtype=np.intp).reshape(-1, 2)
+            if len(own):
+                stacks.append((b[:, own[:, 0]], own[:, 0] != own[:, 1]))
+                stacks[-1][0].flags.writeable = stacks[-1][1].flags.writeable = False
+        return pairs, tuple(stacks)
 
     @cached_property
     def face_cycles(self):

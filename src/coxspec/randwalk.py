@@ -92,6 +92,9 @@ def project_to_simplex(raw):
     constraint.
     """
     r = np.asarray(raw, dtype=float)
+    # below fmax / n (NaN fails), neither the sums nor r - theta overflow
+    if not np.abs(r).max(initial=0.0) <= np.finfo(float).max / max(len(r), 2):
+        raise SimplexError(f"cannot project weights that are not finite or overflow their sum: {r}")
     desc = np.sort(r)[::-1]
     cum = np.cumsum(desc)
     for s in range(len(r), 0, -1):

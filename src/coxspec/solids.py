@@ -135,10 +135,12 @@ def critical_certificate(x, group, graph=None):
     measurement of the second-eigenvalue embedding, at one point x of
     shape (3,) (else `DomainError`) that passes `check_weights`.
 
-    x and its six stencil points are one `block_spectrum` stack: row 0
-    gives lambda_1, its gap and the class lengths (`_lambda1_rows`), the
-    other rows the finite differences.  `graph` is ignored:
-    perfbench/workloads.py still passes one."""
+    x and its six stencil points are one `rep_fourier` stack: row 0 gives
+    lambda_1, its gap and the class lengths (`_lambda1_rows`).  Where the
+    block gives it with gap > `GAP_GUARD`, lambda_1(x') = mu_1(x') at each
+    stencil point by Weyl's inequality (||P_x' - P_x|| <= 2 `FD_STEP`, 50
+    times below the guard), bit for bit `block_spectrum(x')[1]`; else the
+    stencil is one `block_spectrum`.  `graph` is ignored."""
     if np.shape(x) != (group.rank,):
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     x = simplex_point(x)
@@ -147,11 +149,13 @@ def critical_certificate(x, group, graph=None):
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
             f"got {x}"
         )
-    vals = block_spectrum(group, np.vstack((x, _pair_stencil(x[None], FD_STEP))))
-    lam, _, gap, lengths, _ = _lambda1_rows(group, x[None], vals[:1])
+    stack = np.vstack((x, _pair_stencil(x[None], FD_STEP)))
+    rep = rep_fourier(stack, group)
+    lam, _, gap, lengths, given = _lambda1_rows(group, x[None], rep.roots[:1], rep.vectors[:1])
     if gap[0] <= GAP_GUARD:
         raise DomainError(f"eigenvalue cluster gap {gap[0]:.2g} too small for finite differences")
-    plus, minus = vals[1:, 1].reshape(2, -1)
+    mu1 = rep.roots[1:, 0] if given[0] else block_spectrum(group, stack[1:])[:, 1]
+    plus, minus = mu1.reshape(2, -1)
     grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
     return CriticalReport(
         x=x,
@@ -325,17 +329,19 @@ class Sweep:
         return len(self.weights)
 
 
-def _lambda1_rows(group, weights, vals):
+def _lambda1_rows(group, weights, roots, vectors):
     """(eigenvalue, multiplicity, gap, class lengths (m, 3), given) of the
-    lambda_1 clusters of the points `weights` (m, 3) with descending
-    spectra `vals`: the rows of the sweep and of the certificates.  A row
-    the 3x3 block gives (`block_clusters`) takes `block_lengths`; any
-    other row the dense cluster (`_dense_lambda1_cluster`) and measured
-    lengths."""
-    lam, multiplicity, gap, vectors, given = block_clusters(group, weights, vals)
+    lambda_1 clusters of the points `weights` (m, 3) from the `roots`
+    (m, 3) and `vectors` (m, 3, 3) of their `rep_fourier`: the rows of the
+    sweep and of the certificates.  A row the 3x3 block gives
+    (`block_clusters`) is mu_1, of multiplicity 3, with `block_lengths`;
+    any other row the dense cluster (`_dense_lambda1_cluster`) and
+    measured lengths."""
+    gap, given = block_clusters(group, weights, roots)
+    lam, multiplicity = roots[:, 0].copy(), np.full(len(weights), 3)
     lengths = np.empty_like(weights)
     if given.any():
-        lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given])[1]
+        lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given, :, 0])[1]
     for r in np.flatnonzero(~given):
         x = simplex_point(weights[r])
         cluster = _dense_lambda1_cluster(group, x)
@@ -348,14 +354,14 @@ def sweep_lambda1(group, g):
     """Deterministic barycentric sweep of the open simplex at the lattice
     points (i, j, k) / (g + 1) with positive integer parts, as a `Sweep`.
 
-    The points are checked once; their spectra come from one batch of
-    block eigensolves and their rows from one `_lambda1_rows`.
+    The points are checked once; their 3x3 blocks are one `rep_fourier`
+    stack and their rows one `_lambda1_rows`.
     """
     if g < 2:
         raise DomainError("grid resolution must be at least 2")
     denom = g + 1
     ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
     weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
-    vals = block_spectrum(group, weights)
-    lam, multiplicity, _, lengths, given = _lambda1_rows(group, weights, vals)
+    rep = rep_fourier(weights, group)
+    lam, multiplicity, _, lengths, given = _lambda1_rows(group, weights, rep.roots, rep.vectors)
     return Sweep(weights, lam, multiplicity, lengths, np.where(given, "fourier", "dense"))

@@ -48,12 +48,6 @@ class SpectralCluster:
     path: str = "dense"  # "fourier" (3x3 block) or "dense" (full eigensolve)
 
 
-def _is_cut(vals):
-    # True between neighbours of the descending `vals` (last axis) that
-    # fall into different clusters
-    return vals[..., :-1] - vals[..., 1:] > CLUSTER_TOL
-
-
 def _warn_ambiguous(first, spread, size):
     # clusters (top eigenvalue, spread, multiplicity) wider than half the tolerance
     for c in np.flatnonzero(spread > 0.5 * CLUSTER_TOL):
@@ -71,7 +65,7 @@ def _value_clusters(vals):
     cluster; a cluster whose spread exceeds half the tolerance is flagged
     with a warning.
     """
-    cuts = np.flatnonzero(_is_cut(vals)) + 1
+    cuts = np.flatnonzero(vals[:-1] - vals[1:] > CLUSTER_TOL) + 1
     lo = np.concatenate(([0], cuts))
     hi = np.concatenate((cuts, [len(vals)]))
     _warn_ambiguous(vals[lo], vals[lo] - vals[hi - 1], hi - lo)
@@ -79,38 +73,6 @@ def _value_clusters(vals):
     padded = np.concatenate(([np.inf], means, [-np.inf]))
     gaps = np.minimum(padded[:-2] - means, means - padded[2:])
     return list(zip(means.tolist(), lo.tolist(), hi.tolist(), gaps.tolist()))
-
-
-def _lambda1_index(top_multiplicity):
-    # the cluster of the second-highest eigenvalue counted with
-    # multiplicity: the top one unless it is simple (elementwise on arrays)
-    return (top_multiplicity == 1) * 1
-
-
-def lambda1_clusters(vals):
-    """(eigenvalue, multiplicity, gap), each (m,), of the lambda_1 cluster
-    of each row of the descending spectra `vals` (m, n): the rule, warnings
-    and sums of `_value_clusters` on the clusters up to the row's third cut.
-    """
-    m, n = vals.shape
-    r = np.arange(m)[:, None]
-    cut = _is_cut(vals)
-    pos = np.argsort(~cut, axis=1, kind="stable")[:, :3]
-    # cluster bounds: 0, the first three cuts, and n past a row's last cut,
-    # where a cluster has spread 0 and its sum starts at the trailing 0
-    bounds = np.zeros((m, 4), dtype=np.intp)
-    bounds[:, 1:] = np.where(cut[r, pos], pos + 1, n)
-    size = bounds[:, 1:] - bounds[:, :-1]
-    first = vals[r, np.minimum(bounds[:, :3], n - 1)]
-    _warn_ambiguous(first.ravel(), (first - vals[r, bounds[:, 1:] - 1]).ravel(), size.ravel())
-    sums = np.add.reduceat(np.append(vals, 0.0), (bounds + n * r).ravel()).reshape(m, 4)
-    # the means between +inf and -inf, as in `_value_clusters`
-    means = np.full((m, 4), -np.inf)
-    means[:, 0] = np.inf
-    np.divide(sums[:, :3], size, out=means[:, 1:], where=size > 0)
-    c = _lambda1_index(size[:, 0])
-    above, lam, below = means[r, c[:, None] + np.arange(3)].T
-    return lam, size[r[:, 0], c], np.minimum(above - lam, lam - below)
 
 
 def spectrum_clusters(p):
@@ -140,35 +102,42 @@ def _check_stack(group, weights):
     return w
 
 
+def _pair_values(group, rows):
+    """Per stack of `ReflectionGroup.det_pairs`, the ascending eigenvalues
+    (m, p, d) of its blocks sum_j x_j rho(s_j) at the rows (m, k), one gemv
+    per point, and its pair mask (p,): rho (x) det has the negated values."""
+    for blocks, paired in group.det_pairs[1]:
+        k, p, d, _ = blocks.shape
+        mats = (rows[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, p, d, d)
+        # a 1x1 block is its own eigenvalue, bit for bit what eigvalsh returns
+        yield (mats[..., 0] if d == 1 else np.linalg.eigvalsh(mats)), paired
+
+
 def block_spectrum(group, weights):
     """Descending eigenvalues of P_X, counted with multiplicity, from the
-    irreducible blocks sum_j x_j rho(s_j) of `group.irreducible_blocks`:
-    each eigenvalue of a d-dimensional block is repeated d times, once per
-    copy of its representation in the regular representation.
+    det-pairs of irreducible blocks (`ReflectionGroup.det_pairs`): the
+    trivial eigenvalue sum_j x_j and its negative, the eigenvalues mu of
+    M = sum_j x_j sigma_j (`fourier.rep_fourier`) and -mu, 3 times each,
+    and per other pair the values of one block and their negatives, d
+    times each (a self-paired block's values only).
 
-    `weights` is one weight vector (k,) or a stack of them (m, k); the
-    result is (|G|,) or (m, |G|).  One stacked `eigvalsh` per block
-    dimension above 1 and chunk of `SPECTRUM_CHUNK` points; the block
-    matrices are one gemv per point, so each row of a stack is bit for bit
-    the spectrum of its point alone.  Weights of another shape, or not
-    finite, raise `DomainError`.
+    `weights` is one weight vector (k,) or a stack (m, k), solved in chunks
+    of `SPECTRUM_CHUNK` points; the result is (|G|,) or (m, |G|), each row
+    bit for bit its point alone.  Other shapes, or weights not finite,
+    raise `DomainError`.
     """
     w = _check_stack(group, weights)
     rows = np.atleast_2d(w)
     vals = np.empty((len(rows), group.order))
     for start in range(0, len(rows), SPECTRUM_CHUNK):
         chunk = rows[start:start + SPECTRUM_CHUNK]
-        col = 0
-        for blocks in group.irreducible_blocks:
-            k, irreps, d, _ = blocks.shape
-            mats = (chunk[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, irreps, d, d)
-            # a 1x1 block is its own eigenvalue, bit for bit what eigvalsh returns
-            eig = mats[..., 0] if d == 1 else np.linalg.eigvalsh(mats)
-            width = irreps * d * d
-            vals[start:start + len(chunk), col:col + width] = np.repeat(
-                eig.reshape(len(chunk), -1), d, axis=1
-            )
-            col += width
+        mu, t = rep_fourier(chunk, group).roots, chunk.sum(axis=1, keepdims=True)
+        parts = [t, -t] + [mu, -mu] * 3
+        for eig, paired in _pair_values(group, chunk):
+            d = eig.shape[-1]
+            parts += [np.repeat(eig.reshape(len(chunk), -1), d, axis=1),
+                      np.repeat(-eig[:, paired].reshape(len(chunk), -1), d, axis=1)]
+        vals[start:start + len(chunk)] = np.concatenate(parts, axis=1)
     vals.sort(axis=1)
     vals = vals[:, ::-1]
     return vals[0] if w.ndim == 1 else vals
@@ -222,35 +191,37 @@ def lambda1(group, weights):
     return float(vals[0]) if w.ndim == 1 else vals
 
 
-def block_clusters(group, weights, vals):
-    """The `lambda1_clusters` of a stack of points, their weights (m, 3)
-    and descending spectra (m, |G|), as (eigenvalue, multiplicity, gap,
-    vectors, given).  Row r is given by the 3x3 block where its cluster has
-    multiplicity 3 and eigenvalue mu_1, M v = mu_1 v for the unit
-    `vectors[r]` and M = sum_j x_j sigma_j (`fourier.rep_fourier`, not
-    formed where no row has multiplicity 3; `vectors` is then None); such
-    a row reports mu_1 as its eigenvalue, the other rows the cluster mean."""
-    lam, multiplicity, gap = lambda1_clusters(vals)
-    given = multiplicity == 3
-    if not given.any():
-        return lam, multiplicity, gap, None, given
-    rep = rep_fourier(weights, group)
-    mu1 = rep.roots[:, 0]
-    given &= np.abs(mu1 - lam) <= CLUSTER_TOL
-    return np.where(given, mu1, lam), multiplicity, gap, rep.vectors[:, :, 0], given
+def block_clusters(group, weights, roots):
+    """(gap, given), each (m,), of the lambda_1 clusters of the points
+    `weights` (m, 3) from the descending eigenvalues `roots` (m, 3) of
+    their blocks M = sum_j x_j sigma_j (`fourier.rep_fourier`), by the
+    isolation rule: row r is given where mu_1 exceeds every other
+    non-trivial eigenvalue by more than `CLUSTER_TOL` (mu_2, -mu_3, and
+    the other det-pairs' values with their negatives) and lies more than
+    `CLUSTER_TOL` below the trivial eigenvalue sum_j x_j.  Then lambda_1
+    is mu_1 with multiplicity 3, and its gap is the smaller of the two
+    distances, never more than the distance between cluster means."""
+    mu1 = roots[:, 0]
+    below = np.maximum(roots[:, 1], -roots[:, 2])
+    for eig, paired in _pair_values(group, weights):
+        top = np.where(paired, np.abs(eig).max(axis=-1), eig[..., -1])
+        below = np.maximum(below, top.max(axis=1))
+    gap = np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
+    return gap, gap > CLUSTER_TOL
 
 
-def block_cluster(group, x, vals):
-    """The one-point case of `block_clusters` with its sign-fixed basis
-    sqrt(3/|G|) (g v), or None where the 3x3 block does not give the
-    cluster: for M v = mu_1 v, f_r(g) = (g v)_r has
+def block_cluster(group, x):
+    """The lambda_1 cluster of the point x (3,) from its 3x3 block, with
+    the sign-fixed basis sqrt(3/|G|) (g v), or None where `block_clusters`
+    does not give it: for M v = mu_1 v, f_r(g) = (g v)_r has
     (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
     relations give the scale."""
-    lam, _, gap, vectors, given = block_clusters(group, x[None], vals[None])
+    rep = rep_fourier(x[None], group)
+    gap, given = block_clusters(group, x[None], rep.roots)
     if not given[0]:
         return None
-    basis = np.sqrt(3.0 / group.order) * (group.elements @ vectors[0, :, None])[..., 0]
-    return SpectralCluster(float(lam[0]), 3, fix_signs(basis), float(gap[0]), "fourier")
+    basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
+    return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap[0]), "fourier")
 
 
 def _residual_excess(res, lam, n):
@@ -280,20 +251,21 @@ def block_lengths(group, weights, lam, vectors):
 
 
 def _dense_lambda1_cluster(group, x):
-    # the lambda_1 cluster of the dense eigensolve of P_X
+    # the lambda_1 cluster of the dense eigensolve of P_X: the second
+    # cluster where the top one is simple, else the top one
     dense = spectrum_clusters(build_operator(group, x))
-    return dense[_lambda1_index(dense[0].multiplicity)]
+    return dense[dense[0].multiplicity == 1]
 
 
 def lambda1_cluster(group, x):
     """The cluster of P_X containing the second-highest eigenvalue.
 
-    The eigenvalues, the multiplicity and the gap come from
-    `block_spectrum`, the basis from the 3x3 block (`block_cluster`).
-    Elsewhere (a boundary point whose graph falls apart, or a degenerate
-    block) the cluster comes from the dense eigensolve.
+    Where the 3x3 block gives it (`block_cluster`), it is mu_1 with
+    multiplicity 3 and the block basis.  Elsewhere (a boundary point whose
+    graph falls apart, or a degenerate block) the cluster comes from the
+    dense eigensolve.
     """
-    cluster = block_cluster(group, x, block_spectrum(group, x))
+    cluster = block_cluster(group, _check_stack(group, x))
     return _dense_lambda1_cluster(group, x) if cluster is None else cluster
 
 

@@ -116,6 +116,16 @@ def brute_force_projection(raw):
 
 
 class TestProjection:
+    @pytest.mark.parametrize("raw", [[np.nan, 0.2, 0.3], [np.inf, 0.0, 0.0], [1e308, 1e308, -1e308]])
+    def test_rejects_non_finite_or_overflowing_input(self, raw):
+        # one line naming the input, before the sort and without a numpy
+        # overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimplexError, match="not finite or overflow their sum") as err:
+                project_to_simplex(raw)
+        assert "\n" not in str(err.value)
+
     def test_idempotent(self):
         x = simplex_point([0.2, 0.3, 0.5])
         y = project_to_simplex(x)

@@ -165,50 +165,72 @@ class TestMinimize:
             report = critical_certificate(x, group)
             assert report.gradient_norm == pointwise_gradient_norm(group, x)
 
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_stencil_mu1_is_pointwise_lambda1(self, groups, name):
+        # rows 1-6 of the certificate's `rep_fourier` stack are lambda_1 of
+        # each stencil point alone, bit for bit: entry 1 of its block spectrum
+        group = groups[name]
+        rng = np.random.default_rng(39)
+        points = [closed_form_minimum(group.datum)[0], uniform_point(3)]
+        points += list(sample_interior(rng, 3, margin=0.05, rows=20))
+        for x in points:
+            stack = solids._pair_stencil(np.asarray(x)[None], solids.FD_STEP)
+            mu1 = spectral.rep_fourier(np.vstack((x, stack)), group).roots[1:, 0]
+            assert mu1.tolist() == [block_spectrum(group, w)[1] for w in stack]
+
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, name, monkeypatch):
-        # x is row 0 of the stencil stack: one `block_spectrum` call, and
-        # neither the dense cluster nor a measured embedding where the 3x3
-        # block gives the cluster
+        # x is row 0 of one 7-row `rep_fourier` stack, whose rows 1-6 give
+        # the stencil: on a row the 3x3 block gives, no `block_spectrum`
+        # call, and neither the dense cluster nor a measured embedding
         def refuse(*args):
             raise AssertionError("the measured path was taken")
 
         stacks = []
 
-        def spectrum(group, weights):
-            stacks.append(len(weights))
-            return block_spectrum(group, weights)
+        def fourier(weights, group):
+            stacks.append(weights.shape)
+            return spectral.rep_fourier(weights, group)
 
         for measured in ("_dense_lambda1_cluster", "spectral_representation",
-                         "edge_class_lengths"):
+                         "edge_class_lengths", "block_spectrum"):
             monkeypatch.setattr(solids, measured, refuse)
-        monkeypatch.setattr(solids, "block_spectrum", spectrum)
+        monkeypatch.setattr(solids, "rep_fourier", fourier)
         x = closed_form_minimum(groups[name].datum)[0]
         report = critical_certificate(x, groups[name])
-        assert stacks == [7]
+        assert stacks == [(7, 3)]
         assert report.lam == spectral.rep_fourier(x, groups[name]).roots[0]
 
     def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
-        # a mu_1 that misses lambda_1: the cluster of x comes from the
-        # dense eigensolve, the finite differences still from the stack
+        # a mu_1 that misses lambda_1 in the certificate's stack: the
+        # cluster of x comes from the dense eigensolve, the finite
+        # differences from one `block_spectrum` of the six stencil points,
+        # whose own `rep_fourier` is the true one
         true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
+        true_spectrum = solids.block_spectrum
         expected = critical_certificate(uniform_point(3), a3)
 
         def shifted(weights, group):
             rep = true_rep(weights, group)
             return dataclasses.replace(rep, roots=rep.roots + 1.0)
 
-        paths = []
+        paths, stacks = [], []
 
         def spy(group, x):
             cluster = true_cluster(group, x)
             paths.append(cluster.path)
             return cluster
 
-        monkeypatch.setattr(spectral, "rep_fourier", shifted)
+        def spectrum(group, weights):
+            stacks.append(len(weights))
+            return true_spectrum(group, weights)
+
+        monkeypatch.setattr(solids, "rep_fourier", shifted)
         monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
+        monkeypatch.setattr(solids, "block_spectrum", spectrum)
         report = critical_certificate(uniform_point(3), a3)
-        assert paths == ["dense"]
+        assert paths == ["dense"] and stacks == [6]
         assert report.gradient_norm == expected.gradient_norm
         assert abs(report.lam - expected.lam) <= 1e-12
         assert np.abs(np.subtract(report.class_lengths, expected.class_lengths)).max() <= 1e-9
@@ -223,7 +245,7 @@ class TestMinimize:
         points += list(sample_interior(rng, 3, margin=0.05, rows=40))
         for x in points:
             report = critical_certificate(x, group)
-            cluster = block_cluster(group, x, block_spectrum(group, x))
+            cluster = block_cluster(group, x)
             measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
             assert np.abs(np.subtract(report.class_lengths, measured)).max() <= 1e-15
 
@@ -666,13 +688,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_stack_matches_points_bit_for_bit(self, groups, name, tmp_path):
-        # the oracle: one point at a time, each from its row of the stacked
-        # spectra through block_cluster, with the class lengths of
-        # block_state, and the CSV line formed from its fields; the
-        # measured lengths of the embedding agree to rounding
+        # the oracle: one point at a time through block_cluster, with the
+        # class lengths of block_state, and the CSV line formed from its
+        # fields; the measured lengths of the embedding agree to rounding
         group, g = groups[name], 24
         sweep = sweep_lambda1(group, g)
-        spectra = block_spectrum(group, np.asarray(sweep.weights))
         points = [
             simplex_point(np.array([i, j, g + 1 - i - j]) / (g + 1))
             for i in range(1, g) for j in range(1, g + 1 - i)
@@ -680,7 +700,7 @@ class TestSweep:
         assert len(sweep) == len(points) == 276
         lines = ["x,y,z,lambda1,mult,len1,len2,len3"]
         for r, x in enumerate(points):
-            cluster = block_cluster(group, x, spectra[r])
+            cluster = block_cluster(group, x)
             lengths = block_state(x, group)[2].tolist()
             measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
             assert np.array_equal(sweep.weights[r], x)
@@ -698,13 +718,15 @@ class TestSweep:
         assert out.read_text().splitlines() == lines
 
     def test_row_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
-        # a mu_1 that misses lambda_1 in the first row of every stack: sweep
-        # row 0 must leave the block path for the dense cluster, without a
-        # second spectrum of the row
+        # a mu_1 that misses lambda_1 in the first row of the sweep's one
+        # `rep_fourier` stack: sweep row 0 must leave the block path for the
+        # dense cluster, and no row takes a spectrum
         true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
         true_spectrum = spectral.block_spectrum
+        stacks = []
 
         def shifted(weights, group):
+            stacks.append(len(weights))
             rep = true_rep(weights, group)
             roots = rep.roots.copy()
             roots[0, 0] += 1.0
@@ -722,12 +744,12 @@ class TestSweep:
             return true_spectrum(group, weights)
 
         expected = sweep_lambda1(a3, 6)
-        monkeypatch.setattr(spectral, "rep_fourier", shifted)
+        monkeypatch.setattr(solids, "rep_fourier", shifted)
         monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
         for module in (solids, spectral):
             monkeypatch.setattr(module, "block_spectrum", spectrum)
         sweep = sweep_lambda1(a3, 6)
-        assert spectra == [15]
+        assert stacks == [15] and spectra == []
         assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
         assert seen[0][1] == "dense"
         assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
@@ -748,9 +770,9 @@ STACK = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]])
 def wrong_eigenvector_stack(group):
     """Three points with their mu_1 and top block eigenvectors, the vector
     of row 2 replaced by the eigenvector of mu_2."""
-    lam, _, _, vectors, given = block_clusters(group, STACK, block_spectrum(group, STACK))
-    assert given.all()
-    vectors = vectors.copy()
+    rep = spectral.rep_fourier(STACK, group)
+    assert block_clusters(group, STACK, rep.roots)[1].all()
+    lam, vectors = rep.roots[:, 0], rep.vectors[:, :, 0].copy()
     vectors[2] = spectral.rep_fourier(simplex_point(STACK[2]), group).vectors[:, 1]
     return STACK, lam, vectors
 
@@ -758,7 +780,7 @@ def wrong_eigenvector_stack(group):
 def moved_vertex_embedding(group):
     """The block embedding of the point STACK[0], with vertex 17 moved."""
     x = simplex_point(STACK[0])
-    cluster = block_cluster(group, x, block_spectrum(group, x))
+    cluster = block_cluster(group, x)
     basis = cluster.basis.copy()
     basis[17] *= 1.5
     return x, dataclasses.replace(cluster, basis=basis)

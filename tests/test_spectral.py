@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxspec
 from coxspec import coxeter
 from coxspec.coxeter import CoxeterError
 from coxspec.coxmaps import eta_rho
@@ -13,6 +18,7 @@ from coxspec.fourier import rep_fourier
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
     _lambda1_fn,
+    _lambda1_rows,
     block_state,
     minimize_lambda1,
     sweep_lambda1,
@@ -30,7 +36,8 @@ from coxspec.spectral import (
     lambda1_cluster,
     spectral_representation,
     _value_clusters,
-    lambda1_clusters,
+    _warn_ambiguous,
+    block_clusters,
     spectrum_clusters,
 )
 
@@ -102,6 +109,45 @@ class TestClusters:
             clusters = _value_clusters(vals)
         assert [(lo, hi) for _, lo, hi, _ in clusters] == [(0, 1), (1, 4), (4, 5)]
         assert clusters[1][0] == pytest.approx(0.5 - step, abs=1e-15)
+
+
+def _is_cut(vals):
+    # True between neighbours of the descending `vals` (last axis) that
+    # fall into different clusters
+    return vals[..., :-1] - vals[..., 1:] > CLUSTER_TOL
+
+
+def _lambda1_index(top_multiplicity):
+    # the cluster of the second-highest eigenvalue counted with
+    # multiplicity: the top one unless it is simple (elementwise on arrays)
+    return (top_multiplicity == 1) * 1
+
+
+def lambda1_clusters(vals):
+    """(eigenvalue, multiplicity, gap), each (m,), of the lambda_1 cluster
+    of each row of the descending spectra `vals` (m, n): the rule, warnings
+    and sums of `_value_clusters` on the clusters up to the row's third cut.
+    The cut rule on a sorted spectrum, the oracle of the isolation rule of
+    `block_clusters`."""
+    m, n = vals.shape
+    r = np.arange(m)[:, None]
+    cut = _is_cut(vals)
+    pos = np.argsort(~cut, axis=1, kind="stable")[:, :3]
+    # cluster bounds: 0, the first three cuts, and n past a row's last cut,
+    # where a cluster has spread 0 and its sum starts at the trailing 0
+    bounds = np.zeros((m, 4), dtype=np.intp)
+    bounds[:, 1:] = np.where(cut[r, pos], pos + 1, n)
+    size = bounds[:, 1:] - bounds[:, :-1]
+    first = vals[r, np.minimum(bounds[:, :3], n - 1)]
+    _warn_ambiguous(first.ravel(), (first - vals[r, bounds[:, 1:] - 1]).ravel(), size.ravel())
+    sums = np.add.reduceat(np.append(vals, 0.0), (bounds + n * r).ravel()).reshape(m, 4)
+    # the means between +inf and -inf, as in `_value_clusters`
+    means = np.full((m, 4), -np.inf)
+    means[:, 0] = np.inf
+    np.divide(sums[:, :3], size, out=means[:, 1:], where=size > 0)
+    c = _lambda1_index(size[:, 0])
+    above, lam, below = means[r, c[:, None] + np.arange(3)].T
+    return lam, size[r[:, 0], c], np.minimum(above - lam, lam - below)
 
 
 STEP = 0.6 * CLUSTER_TOL
@@ -480,23 +526,9 @@ class TestBlockSpectrum:
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_character_orthogonality(self, groups, name):
-        # rho(g) for every g by breadth-first products along `successors`,
-        # then sum_g chi_a(g) chi_b(g) = |G| delta_ab over all blocks
+        # sum_g chi_a(g) chi_b(g) = |G| delta_ab over all blocks
         group = groups[name]
-        chars = []
-        for b in group.irreducible_blocks:
-            for c in range(b.shape[1]):
-                rho = np.full((group.order, b.shape[2], b.shape[2]), np.nan)
-                rho[0] = np.eye(b.shape[2])
-                order = [0]
-                for prev in order:
-                    for j, nxt in enumerate(group.successors[prev]):
-                        if np.isnan(rho[nxt, 0, 0]):
-                            rho[nxt] = rho[prev] @ b[j, c]
-                            order.append(nxt)
-                assert len(order) == group.order
-                chars.append(np.trace(rho, axis1=1, axis2=2))
-        chars = np.array(chars)
+        chars = np.array(list(block_characters(group).values()))
         gram = chars @ chars.T
         assert np.abs(gram - group.order * np.eye(len(chars))).max() <= 1e-10
 
@@ -563,6 +595,153 @@ class TestBlockSpectrum:
         broken = dataclasses.replace(b3, successors=succ)
         with pytest.raises(CoxeterError):
             block_spectrum(broken, uniform_point(3))
+
+
+def block_characters(group):
+    """{(i, c): chi (|G|,)} of every block of `irreducible_blocks`, with
+    rho(g) for every g by breadth-first products along `successors`."""
+    chars = {}
+    for i, b in enumerate(group.irreducible_blocks):
+        for c in range(b.shape[1]):
+            rho = np.full((group.order, b.shape[2], b.shape[2]), np.nan)
+            rho[0] = np.eye(b.shape[2])
+            order = [0]
+            for prev in order:
+                for j, nxt in enumerate(group.successors[prev]):
+                    if np.isnan(rho[nxt, 0, 0]):
+                        rho[nxt] = rho[prev] @ b[j, c]
+                        order.append(nxt)
+            assert len(order) == group.order
+            chars[i, c] = np.trace(rho, axis1=1, axis2=2)
+    return chars
+
+
+def without_representation(group, which):
+    """A fresh copy of `group` whose representations lack the first
+    representation of pair `which` of `det_pairs`."""
+    blocks, chars, classes = group._representations
+    i, a, _ = group.det_pairs[0][which]
+    keep = np.arange(blocks[i].shape[1]) != a
+    fresh = dataclasses.replace(group)
+    vars(fresh)["_representations"] = (
+        blocks[:i] + (blocks[i][:, keep],) + blocks[i + 1:],
+        chars[:i] + [chars[i][keep]] + chars[i + 1:],
+        classes,
+    )
+    return fresh
+
+
+class TestDetPairs:
+    """The pairs rho, rho (x) det of `ReflectionGroup.det_pairs` against
+    characters taken on every element from the blocks themselves."""
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_pairs_cover_every_block_once(self, groups, name):
+        group = groups[name]
+        blocks = group.irreducible_blocks
+        pairs, stacks = group.det_pairs
+        members = [(i, c) for i, a, b in pairs for c in sorted({a, b})]
+        assert sorted(members) == [(i, c) for i, b in enumerate(blocks) for c in range(b.shape[1])]
+        assert sum(blocks[i].shape[2] ** 2 for i, _ in members) == group.order
+        # the stacks: the first block of every pair after the geometric and
+        # trivial ones, by dimension, read-only
+        want = [(blocks[i][:, a], a != b) for i, a, b in pairs[2:]]
+        got = [(stack[:, r], paired[r]) for stack, paired in stacks for r in range(len(paired))]
+        assert len(got) == len(want)
+        for (block, paired), (want_block, want_paired) in zip(got, want):
+            assert np.array_equal(block, want_block) and paired == want_paired
+        for stack, paired in stacks:
+            assert not stack.flags.writeable and not paired.flags.writeable
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_characters_of_the_pairs(self, groups, name):
+        group = groups[name]
+        chars = block_characters(group)
+        det = np.linalg.det(group.elements)
+        (gi, ga, _), (ti, ta, _) = group.det_pairs[0][:2]
+        assert np.abs(chars[gi, ga] - np.trace(group.elements, axis1=1, axis2=2)).max() <= 1e-10
+        assert np.abs(chars[ti, ta] - 1.0).max() <= 1e-10
+        for i, a, b in group.det_pairs[0]:
+            assert np.abs(chars[i, b] - det * chars[i, a]).max() <= 1e-10
+
+    @pytest.mark.parametrize("name,count", [("A3", 1), ("B3", 0), ("H3", 0)])
+    def test_self_paired(self, groups, name, count):
+        # A3's 2-dimensional representation is the only self-paired one
+        pairs = groups[name].det_pairs[0]
+        selfpaired = [(i, a) for i, a, b in pairs if a == b]
+        assert len(selfpaired) == count
+        assert all(groups[name].irreducible_blocks[i].shape[2] == 2 for i, _ in selfpaired)
+
+    @pytest.mark.parametrize("which,message", [(0, "geometric"), (1, "trivial"), (2, "det g chi")])
+    def test_missing_representation_raises(self, h3, which, message):
+        with pytest.raises(CoxeterError, match=f"lack a {message} character"):
+            without_representation(h3, which).det_pairs
+
+    def test_missing_geometric_raises_without_asserts(self):
+        script = (
+            "import sys; sys.path.insert(0, 'tests'); "
+            "from coxspec import build_group; from coxspec.coxeter import CoxeterError; "
+            "from test_spectral import without_representation\n"
+            "try:\n"
+            "    without_representation(build_group('A3'), 0).det_pairs\n"
+            "except CoxeterError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(coxspec.__file__))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run([sys.executable, "-O", "-c", script], cwd=root, capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src), text=True, check=True).stdout
+        assert "lack a geometric character" in out
+
+
+def rule_points(group):
+    """The grid-24 sweep points, seeded interior, side, vertex and near-X0
+    points, and three boundary points where the graph falls apart (no
+    isolated mu_1 there), as one stack."""
+    rng = np.random.default_rng(26)
+    seeded = [
+        region_point(group, region, rng.uniform(0.05, 1.0, 3), k)
+        for region in ("interior", "side", "vertex", "x0")
+        for k in range(3)
+        for _ in range(5)
+    ]
+    boundary = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]]
+    return np.vstack((sweep_lambda1(group, 24).weights, seeded, boundary))
+
+
+class TestIsolationRule:
+    """`block_clusters` against the cut rule of `lambda1_clusters` on the
+    sorted `block_spectrum`, the oracle."""
+
+    @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_matches_cut_rule(self, groups, name):
+        group = groups[name]
+        w = rule_points(group)
+        rep = rep_fourier(w, group)
+        roots = rep.roots
+        gap, given = block_clusters(group, w, roots)
+        vals = block_spectrum(group, w)
+        lam, multiplicity, cut_gap = lambda1_clusters(vals)
+        assert np.array_equal(given, (multiplicity == 3) & (np.abs(roots[:, 0] - lam) <= CLUSTER_TOL))
+        assert given[:276].all() and not given.all()
+        # the multiplicity of a row the block does not give is the dense one
+        off = np.flatnonzero(~given)
+        rows = _lambda1_rows(group, w[off], roots[off], rep.vectors[off])
+        assert np.array_equal(rows[1], multiplicity[off])
+        # mu_1 against the mean of its three copies: one rounding apart
+        assert np.all(gap[given] <= cut_gap[given] + 4 * np.finfo(float).eps)
+        # where the clusters around lambda_1 are single block values, the
+        # gaps agree: the trivial value above, one repeated value below
+        r = np.arange(len(w))
+        last = 4 + np.argmax(_is_cut(vals)[:, 4:], axis=1)
+        single = given & (vals[r, 4] == vals[r, last])
+        assert single.sum() >= 276
+        assert np.abs(gap - cut_gap)[single].max() <= 1e-12
+
+    def test_cut_rule_is_only_an_oracle(self):
+        for path in pathlib.Path(coxspec.__file__).parent.glob("*.py"):
+            assert "lambda1_clusters" not in path.read_text()
 
 
 def directional_derivative(f, weights, xi, h):
