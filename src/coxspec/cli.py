@@ -19,6 +19,7 @@ import numpy as np
 from .coxeter import BUILTIN_NAMES, build_group
 from .errors import CoxspecError, DomainError
 from .mesh import build_cayley_mesh, cayley_faces, export_obj, export_off
+from .outfile import cut_to_length, is_regular, open_in_place
 from .randwalk import build_operator, simplex_point, uniform_point
 from .solids import curve_point, minimize_lambda1, sweep_lambda1
 from .spectral import (
@@ -61,17 +62,22 @@ def _parse_point(args):
 
 @contextlib.contextmanager
 def _open_out(path):
-    """Open the --out file before any work is done; a path that cannot be
-    written is a one-line error, and a verb that fails leaves no file."""
+    """Open the --out file before any work is done, to be written over in
+    place (`outfile.open_in_place`); a path that cannot be written is a
+    one-line error, and a verb that fails leaves no file.  Only a regular
+    file is removed: `--out /dev/null` names a device."""
     try:
-        fh = open(path, "w", newline="")
+        fh = open_in_place(path, text=True)
     except OSError as exc:
         raise CoxspecError(f"cannot write --out {path}: {exc.strerror}") from None
+    regular = is_regular(fh)
     try:
         with fh:
             yield fh
+            cut_to_length(fh)
     except BaseException:
-        os.remove(path)
+        if regular:
+            os.remove(path)
         raise
 
 

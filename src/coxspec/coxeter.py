@@ -345,6 +345,13 @@ class ReflectionGroup:
                 cycles.append(rows)
         return tuple(cycles)
 
+    @cached_property
+    def orbit_memo(self):
+        """The one memo slot of `coxmaps.orbit_points` on this group: a
+        dict that holds at most the last orbit solved, keyed by the bytes
+        of its point."""
+        return {}
+
     def left_action_permutation(self, g):
         """Vertex permutation i -> index(element_g . element_i): row g of
         the Cayley table."""

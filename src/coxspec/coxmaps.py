@@ -178,10 +178,18 @@ def orbit_points(group, p):
     `DomainError`.  The elements are isometries, so H is then a subgroup,
     each image lies within the tolerance of its coset's point (checked
     too), and two points lie as far apart as some image off H from p.
+
+    The last orbit solved is kept on the group (`orbit_memo`), keyed by
+    the exact bytes of p, so a caller that meshes the orbit `curve_limit`
+    or `boundary_limit` has just found does not solve it again; both
+    arrays are read-only.  Bad input raises on every call.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (group.rank,) or not np.all(np.isfinite(p)):
         raise DomainError(f"orbit point must be {group.rank} finite coordinates")
+    memo, key = group.orbit_memo, p.tobytes()
+    if key in memo:
+        return memo[key]
     images = group.elements @ p
     # the distances on an exact power-of-two scale: finite for any finite p
     e = -np.frexp(np.abs(p).max())[1]
@@ -195,4 +203,8 @@ def orbit_points(group, p):
     moved = np.linalg.norm(scaled - scaled[is_rep][index], axis=1)
     if not (dist[~fixes].min(initial=np.inf) > 2 * tol and moved.max() <= tol):
         raise DomainError(f"ORBIT_TOL = {ORBIT_TOL:g} does not separate the orbit of {p}")
-    return images[is_rep], index
+    pts = images[is_rep]
+    pts.flags.writeable = index.flags.writeable = False
+    memo.clear()
+    memo[key] = pts, index
+    return pts, index

@@ -12,6 +12,7 @@ import numpy as np
 
 from .coxmaps import orbit_points
 from .errors import MeshError
+from .outfile import cut_to_length, open_in_place
 
 
 def _edge_set(faces):
@@ -60,7 +61,9 @@ def _collapse_cycle(cycle):
 
 def build_orbit_mesh(group, point):
     """Polytope of a group orbit: Cayley faces projected through the
-    orbit quotient, with degenerate cycles dropped."""
+    orbit quotient, with degenerate cycles dropped.  The vertices are
+    `orbit_points`' read-only array, taken from its memo right after
+    `curve_limit` or `boundary_limit` of the same point."""
     pts, index = orbit_points(group, point)
     faces = {}
     for cycles in group.face_cycles:
@@ -107,8 +110,9 @@ def _vertex_lines(vertices, prefix=""):
 def _write(destination, lines, kind):
     data = ("\n".join(lines) + "\n").encode()
     try:
-        with open(destination, "wb") as fh:
+        with open_in_place(destination) as fh:
             fh.write(data)
+            cut_to_length(fh)
     except OSError as exc:
         raise MeshError(f"cannot write {kind} file {destination}: {exc}") from exc
     return len(data)

@@ -83,26 +83,38 @@ def build_operator(group, x):
     return p
 
 
+def _support_scan(r):
+    # x_j = max(0, r_j - theta) for the largest support s of the sorted r
+    # with desc[s-1] > theta = (cum[s-1] - 1) / s, or None if none passes
+    desc = np.sort(r)[::-1]
+    cum = np.cumsum(desc)
+    for s in range(len(r), 0, -1):
+        theta = (cum[s - 1] - 1.0) / s
+        if desc[s - 1] > theta:
+            return np.maximum(0.0, r - theta)
+    return None
+
+
 def project_to_simplex(raw):
     """Euclidean projection onto {x >= 0, sum_j x_j = 1}.
 
     Sorting-based active-set method: with multiplier theta the solution
     is x_j = max(0, r_j - theta); the correct support is found by
     scanning the sorted r_j in decreasing order and verified against the
-    constraint.
+    constraint.  Entries of about 1e16 and above absorb the 1 in theta,
+    so that no support passes; only then is the scan run again on
+    r - max(r), which has the same projection.
     """
     r = np.asarray(raw, dtype=float)
     # below fmax / n (NaN fails), neither the sums nor r - theta overflow
     if not np.abs(r).max(initial=0.0) <= np.finfo(float).max / max(len(r), 2):
         raise SimplexError(f"cannot project weights that are not finite or overflow their sum: {r}")
-    desc = np.sort(r)[::-1]
-    cum = np.cumsum(desc)
-    for s in range(len(r), 0, -1):
-        theta = (cum[s - 1] - 1.0) / s
-        if desc[s - 1] > theta:
-            x = np.maximum(0.0, r - theta)
-            total = x.sum()
-            if abs(total - 1.0) > 1e-9:
-                raise SimplexError(f"projection violates the constraint: sum {total!r}")
-            return simplex_point(np.clip(x / total, 0.0, 1.0))
-    raise SimplexError("projection failed (empty support)")
+    x = _support_scan(r)
+    if x is None and len(r):
+        x = _support_scan(r - r.max())
+    if x is None:
+        raise SimplexError("projection failed (empty support)")
+    total = x.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise SimplexError(f"projection violates the constraint: sum {total!r}")
+    return simplex_point(np.clip(x / total, 0.0, 1.0))

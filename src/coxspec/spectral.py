@@ -263,9 +263,12 @@ def lambda1_cluster(group, x):
     Where the 3x3 block gives it (`block_cluster`), it is mu_1 with
     multiplicity 3 and the block basis.  Elsewhere (a boundary point whose
     graph falls apart, or a degenerate block) the cluster comes from the
-    dense eigensolve.
+    dense eigensolve.  `x` is one point (k,); a stack raises `DomainError`.
     """
-    cluster = block_cluster(group, _check_stack(group, x))
+    x = _check_stack(group, x)
+    if x.ndim != 1:
+        raise DomainError(f"x must be one point of shape ({group.rank},)")
+    cluster = block_cluster(group, x)
     return _dense_lambda1_cluster(group, x) if cluster is None else cluster
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,9 @@ import pytest
 import coxspec
 from coxspec import cli, verify
 from coxspec.cli import main
-from coxspec.coxmaps import fundamental_point, fundamental_vectors, orbit_points
+from coxspec.coxeter import coxeter_datum, generate_group
+from coxspec.coxmaps import ORBIT_TOL, fundamental_point, fundamental_vectors, orbit_points
+from coxspec.errors import DomainError
 from coxspec.mesh import (
     MeshDocument,
     MeshError,
@@ -623,3 +626,131 @@ class TestCli:
         assert main(["sweep", "--group", "A3", "--grid", "1", "--out", str(out_file)]) == 2
         assert capsys.readouterr().err.startswith("coxspec: ")
         assert not out_file.exists()
+
+
+class TestOrbitMemo:
+    def test_memo_matches_a_fresh_solve(self, groups):
+        for name, group in groups.items():
+            fresh = generate_group(coxeter_datum(name))
+            for p in limit_points(group) + [fundamental_point(group, [0.2, 0.3, 0.5]).point]:
+                pts, index = orbit_points(group, p)
+                assert orbit_points(group, p) == (pts, index) and orbit_points(group, p)[0] is pts
+                assert not pts.flags.writeable and not index.flags.writeable
+                fresh.orbit_memo.clear()
+                solved = orbit_points(fresh, p)
+                for memo, new in zip((pts, index), solved):
+                    assert memo.dtype == new.dtype and memo.tobytes() == new.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    pts[0, 0] = 0.0
+
+    def test_a_different_point_replaces_the_memo(self, h3):
+        p, q = limit_points(h3)[:2]
+        first = orbit_points(h3, p)
+        assert list(h3.orbit_memo) == [p.tobytes()]
+        orbit_points(h3, q)
+        assert list(h3.orbit_memo) == [q.tobytes()]
+        again = orbit_points(h3, p)
+        assert again is not first and list(h3.orbit_memo) == [p.tobytes()]
+        assert again[0].tobytes() == first[0].tobytes()
+
+    def test_mesh_reuses_the_limit_orbit(self, groups):
+        for group in groups.values():
+            for curve in ("C1", "C2", "C3"):
+                p, pts, _ = curve_limit(curve, group, 0)
+                assert build_orbit_mesh(group, p).vertices is pts
+
+    def test_bad_input_raises_on_every_call(self, h3):
+        p = fundamental_point(h3, [1.0, 1e-30, 1e-30]).point
+        for _ in range(2):
+            with pytest.raises(DomainError, match="finite coordinates"):
+                orbit_points(h3, np.array([np.nan, 0.0, 1.0]))
+            with pytest.raises(DomainError, match="does not separate"):
+                orbit_points(h3, p + 0.75 * ORBIT_TOL * h3.roots[1])
+
+
+@pytest.fixture
+def remove_spy(monkeypatch):
+    """os.remove replaced by a recorder that deletes nothing, so that no
+    test can unlink a device node."""
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    return removed
+
+
+class TestWriteInPlace:
+    SMALL = MeshDocument(vertices=np.eye(3), faces=[[0, 1, 2]])
+
+    @pytest.mark.parametrize("writer", [export_off, export_obj])
+    def test_shorter_mesh_over_a_longer_file(self, h3, tmp_path, writer):
+        over, fresh = tmp_path / "over", tmp_path / "fresh"
+        longer = writer(h3_mesh(h3), over)
+        nbytes = writer(self.SMALL, over)
+        assert nbytes < longer and nbytes == writer(self.SMALL, fresh)
+        assert over.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,longer,shorter",
+        [(["sweep", "--group", "A3"], ["--grid", "24"], ["--grid", "8"]),
+         (["curve", "--group", "A3", "--curve", "C2"], ["--samples", "50"], ["--samples", "5"])],
+        ids=["sweep", "curve"],
+    )
+    def test_shorter_csv_over_a_longer_file(self, tmp_path, capsys, argv, longer, shorter):
+        over, fresh = tmp_path / "over.csv", tmp_path / "fresh.csv"
+        assert main([*argv, *longer, "--out", str(over)]) == 0
+        size = over.stat().st_size
+        assert main([*argv, *shorter, "--out", str(over)]) == 0
+        assert main([*argv, *shorter, "--out", str(fresh)]) == 0
+        assert over.stat().st_size < size
+        assert over.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--group", "A3", "--grid", "4"], ["curve", "--group", "A3", "--curve", "C1"],
+         ["embed", "--group", "A3"]],
+        ids=["sweep", "curve", "embed"],
+    )
+    def test_out_devnull(self, capsys, remove_spy, argv):
+        assert main([*argv, "--out", os.devnull]) == 0
+        assert remove_spy == []
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_export_to_devnull_returns_the_byte_count(self, h3, tmp_path):
+        mesh = h3_mesh(h3)
+        path = tmp_path / "h3.off"
+        assert export_off(mesh, os.devnull) == export_off(mesh, path) == path.stat().st_size
+
+    def test_failed_verb_removes_only_a_regular_file(self, tmp_path, capsys, remove_spy):
+        argv = ["sweep", "--group", "A3", "--grid", "1", "--out"]
+        assert main([*argv, os.devnull]) == 2
+        assert remove_spy == []
+        out_file = str(tmp_path / "sweep.csv")
+        assert main([*argv, out_file]) == 2
+        assert remove_spy == [out_file]
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "by-open", "w"):
+                pass
+            export_off(self.SMALL, tmp_path / "by-off")
+            export_obj(self.SMALL, tmp_path / "by-obj")
+            main(["sweep", "--group", "A3", "--grid", "4", "--out", str(tmp_path / "by-out")])
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["by-open", "by-off", "by-obj", "by-out"], 0o640)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd/1"), reason="needs /dev/fd")
+    def test_out_to_a_pipe(self):
+        # a pipe cannot be cut (ftruncate fails on it) and does not seek
+        src = os.path.dirname(os.path.dirname(os.path.abspath(coxspec.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxspec.cli", "curve", "--group", "A3", "--curve", "C1",
+             "--samples", "3", "--out", "/dev/fd/1"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "t,x,y,z,lambda1,len1,len2,len3" and len(lines) == 5
+        assert lines[-1] == "wrote 3 samples to /dev/fd/1"

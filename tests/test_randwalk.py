@@ -152,6 +152,41 @@ class TestProjection:
         assert np.abs(y - expected).max() <= 1e-9
 
 
+def single_scan_projection(raw):
+    """The projection by one scan of the sorted r, with no shift: the
+    method before huge entries were scanned again on r - max(r)."""
+    r = np.asarray(raw, dtype=float)
+    desc = np.sort(r)[::-1]
+    cum = np.cumsum(desc)
+    for s in range(len(r), 0, -1):
+        theta = (cum[s - 1] - 1.0) / s
+        if desc[s - 1] > theta:
+            x = np.maximum(0.0, r - theta)
+            return np.clip(x / x.sum(), 0.0, 1.0)
+    return None
+
+
+class TestHugeProjection:
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [([3e16, 0.0, 0.0], [1.0, 0.0, 0.0]), ([1e17, 1e17, -1e17], [0.5, 0.5, 0.0]),
+         ([-1e17, -1e17, -3e17], [0.5, 0.5, 0.0]), ([1e300, 0.0, 1e300], [0.5, 0.0, 0.5])],
+    )
+    def test_huge_entries_project(self, raw, expected):
+        # the single scan finds no support: the 1 in theta is lost
+        assert single_scan_projection(raw) is None
+        assert project_to_simplex(raw).tolist() == expected
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_projecting_inputs_are_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=int(rng.integers(1, 6))) * 10.0 ** rng.integers(-3, 15)
+        reference = single_scan_projection(raw)
+        assert reference is not None
+        assert project_to_simplex(raw).tobytes() == reference.tobytes()
+
+
 class TestSpectralStructure:
     def test_bipartite_symmetry(self, groups):
         rng = np.random.default_rng(4)

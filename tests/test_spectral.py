@@ -212,6 +212,12 @@ class TestEmbedding:
         assert not check_faithful(pts)
         assert np.abs(pts - pts[0]).max() <= 1e-10
 
+    def test_lambda1_cluster_takes_one_point(self, h3):
+        # a stack once passed `_check_stack` and failed with an IndexError
+        with pytest.raises(DomainError) as err:
+            lambda1_cluster(h3, np.full((2, 3), 1 / 3))
+        assert str(err.value) == "x must be one point of shape (3,)"
+
     def test_residual_guard(self, groups):
         x = uniform_point(3)
         cluster = lambda1_cluster(groups["A3"], x)
