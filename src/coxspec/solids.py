@@ -3,6 +3,7 @@ minimum of lambda_1 over the simplex, criticality certificates, the three
 equal-length curves and the boundary degenerations.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +26,7 @@ from .randwalk import (
     simplex_point,
     uniform_point,
 )
-from .spectral import (
-    CLUSTER_TOL,
-    SPECTRUM_CHUNK,
-    _dense_lambda1_cluster,
-    block_clusters,
-    block_lengths,
-    block_spectrum,
-    edge_class_lengths,
-    lambda1,
-    spectral_representation,
-)
+from .spectral import CLUSTER_TOL, block_clusters, block_lengths, block_spectrum, lambda1
 
 FD_STEP = 1e-6
 EQUILATERAL_TOL = 1e-7
@@ -44,6 +35,9 @@ EQUILATERAL_TOL = 1e-7
 GAP_GUARD = 1e-4
 MIN_GRAD_TOL = 1e-9
 MAX_ITER = 10_000
+# _lambda1_fn: points per `block_spectrum` call, which bounds the
+# temporary block matrices to about 0.1 MiB on H3
+SPECTRUM_CHUNK = 64
 
 CURVE_PATTERNS = {
     # cone-coefficient pattern in t, (3,) for one t and (m, 3) for a 1-d
@@ -136,11 +130,11 @@ def critical_certificate(x, group, graph=None):
     shape (3,) (else `DomainError`) that passes `check_weights`.
 
     x and its six stencil points are one `rep_fourier` stack: row 0 gives
-    lambda_1, its gap and the class lengths (`_lambda1_rows`).  Where the
-    block gives it with gap > `GAP_GUARD`, lambda_1(x') = mu_1(x') at each
-    stencil point by Weyl's inequality (||P_x' - P_x|| <= 2 `FD_STEP`, 50
-    times below the guard), bit for bit `block_spectrum(x')[1]`; else the
-    stencil is one `block_spectrum`.  `graph` is ignored."""
+    lambda_1 and the class lengths (`_lambda1_rows`), and a gap at most
+    `GAP_GUARD` is a `DomainError`.  Above it, lambda_1(x') = mu_1(x') at
+    each stencil point by Weyl's inequality (||P_x' - P_x|| <= 2 `FD_STEP`,
+    50 times below the guard), bit for bit `block_spectrum(x')[1]`.
+    `graph` is ignored."""
     if np.shape(x) != (group.rank,):
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     x = simplex_point(x)
@@ -151,11 +145,8 @@ def critical_certificate(x, group, graph=None):
         )
     stack = np.vstack((x, _pair_stencil(x[None], FD_STEP)))
     rep = rep_fourier(stack, group)
-    lam, _, gap, lengths, given = _lambda1_rows(group, x[None], rep.roots[:1], rep.vectors[:1])
-    if gap[0] <= GAP_GUARD:
-        raise DomainError(f"eigenvalue cluster gap {gap[0]:.2g} too small for finite differences")
-    mu1 = rep.roots[1:, 0] if given[0] else block_spectrum(group, stack[1:])[:, 1]
-    plus, minus = mu1.reshape(2, -1)
+    lam, lengths = _lambda1_rows(group, x[None], rep.roots[:1], rep.vectors[:1], GAP_GUARD)
+    plus, minus = rep.roots[1:, 0].reshape(2, -1)
     grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
     return CriticalReport(
         x=x,
@@ -316,10 +307,8 @@ class Sweep:
     """The rows of `sweep_lambda1` as read-only columns."""
 
     weights: np.ndarray        # (m, 3) lattice points
-    lambda1: np.ndarray        # (m,) second eigenvalue
-    multiplicity: np.ndarray   # (m,) its multiplicity
-    class_lengths: np.ndarray  # (m, 3) from `block_lengths`, measured on "dense" rows
-    path: np.ndarray           # (m,) "fourier" or "dense", see `_lambda1_rows`
+    lambda1: np.ndarray        # (m,) second eigenvalue, of multiplicity 3
+    class_lengths: np.ndarray  # (m, 3) from `block_lengths`
 
     def __post_init__(self):
         for column in vars(self).values():
@@ -329,39 +318,39 @@ class Sweep:
         return len(self.weights)
 
 
-def _lambda1_rows(group, weights, roots, vectors):
-    """(eigenvalue, multiplicity, gap, class lengths (m, 3), given) of the
-    lambda_1 clusters of the points `weights` (m, 3) from the `roots`
-    (m, 3) and `vectors` (m, 3, 3) of their `rep_fourier`: the rows of the
-    sweep and of the certificates.  A row the 3x3 block gives
-    (`block_clusters`) is mu_1, of multiplicity 3, with `block_lengths`;
-    any other row the dense cluster (`_dense_lambda1_cluster`) and
-    measured lengths."""
-    gap, given = block_clusters(group, weights, roots)
-    lam, multiplicity = roots[:, 0].copy(), np.full(len(weights), 3)
-    lengths = np.empty_like(weights)
-    if given.any():
-        lengths[given] = block_lengths(group, weights[given], lam[given], vectors[given, :, 0])[1]
-    for r in np.flatnonzero(~given):
-        x = simplex_point(weights[r])
-        cluster = _dense_lambda1_cluster(group, x)
-        lam[r], multiplicity[r], gap[r] = cluster.eigenvalue, cluster.multiplicity, cluster.gap
-        lengths[r] = edge_class_lengths(spectral_representation(group, x, cluster), group)
-    return lam, multiplicity, gap, lengths, given
+def _lambda1_rows(group, weights, roots, vectors, min_gap):
+    """(mu_1, class lengths (m, 3)) of the points `weights` (m, 3) from the
+    `roots` (m, 3) and `vectors` (m, 3, 3) of their `rep_fourier`: the rows
+    of the sweep and of the certificates.  A row is lambda_1 with
+    multiplicity 3 where its gap (`block_clusters`) exceeds `min_gap`, at
+    least `CLUSTER_TOL`; the first row where it does not is a one-line
+    `DomainError`, raised before any length is formed."""
+    gap = block_clusters(group, weights, roots)
+    low = np.flatnonzero(~(gap > min_gap))  # NaN fails too
+    if len(low):
+        r = low[0]
+        raise DomainError(
+            f"lambda_1 cluster gap {gap[r]:.2g} at x = {weights[r]} is not above {min_gap:g}"
+        )
+    return roots[:, 0], block_lengths(group, weights, roots[:, 0], vectors[:, :, 0])[1]
 
 
 def sweep_lambda1(group, g):
     """Deterministic barycentric sweep of the open simplex at the lattice
     points (i, j, k) / (g + 1) with positive integer parts, as a `Sweep`.
 
-    The points are checked once; their 3x3 blocks are one `rep_fourier`
-    stack and their rows one `_lambda1_rows`.
+    `g` must be an integer (numpy integers included, bool not) of at least
+    2, else `DomainError`.  The points are checked once; their 3x3 blocks
+    are one `rep_fourier` stack and their rows one `_lambda1_rows`, where a
+    gap at most `CLUSTER_TOL` is a `DomainError`.  On the built-in groups
+    no point whose weights are all at least `FD_STEP` has such a gap (a
+    seeded scan in the tests), and every weight here is 1 / (g + 1) or more.
     """
-    if g < 2:
-        raise DomainError("grid resolution must be at least 2")
-    denom = g + 1
+    if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 2:
+        raise DomainError(f"grid resolution must be an integer of at least 2, got {g!r}")
+    denom = int(g) + 1  # np.uint8(255) + 1 would wrap to 0
     ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
     weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
     rep = rep_fourier(weights, group)
-    lam, multiplicity, _, lengths, given = _lambda1_rows(group, weights, rep.roots, rep.vectors)
-    return Sweep(weights, lam, multiplicity, lengths, np.where(given, "fourier", "dense"))
+    lam, lengths = _lambda1_rows(group, weights, rep.roots, rep.vectors, CLUSTER_TOL)
+    return Sweep(weights, lam, lengths)

@@ -22,9 +22,6 @@ EDGE_SPREAD_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 FAITHFUL_RTOL = 1e-6
 GRAM_PAIRS = 50
-# block_spectrum: points per stacked eigensolve, which bounds the
-# temporary block matrices to about 0.1 MiB on H3
-SPECTRUM_CHUNK = 64
 # lambda1: points per stacked eigensolve of the bipartite half.  An H3
 # point holds C and C C^T, two 60x60 arrays of 28 KiB (a stack of 100
 # full 120x120 operators alone would be 11 MiB).  On the verify workload
@@ -121,23 +118,21 @@ def block_spectrum(group, weights):
     and per other pair the values of one block and their negatives, d
     times each (a self-paired block's values only).
 
-    `weights` is one weight vector (k,) or a stack (m, k), solved in chunks
-    of `SPECTRUM_CHUNK` points; the result is (|G|,) or (m, |G|), each row
-    bit for bit its point alone.  Other shapes, or weights not finite,
-    raise `DomainError`.
+    `weights` is one weight vector (k,) or a stack (m, k), solved as one
+    stack; the result is (|G|,) or (m, |G|), each row bit for bit its
+    point alone.  A caller with many points bounds the temporaries by
+    passing them in chunks (`solids._lambda1_fn`).  Other shapes, or
+    weights not finite, raise `DomainError`.
     """
     w = _check_stack(group, weights)
     rows = np.atleast_2d(w)
-    vals = np.empty((len(rows), group.order))
-    for start in range(0, len(rows), SPECTRUM_CHUNK):
-        chunk = rows[start:start + SPECTRUM_CHUNK]
-        mu, t = rep_fourier(chunk, group).roots, chunk.sum(axis=1, keepdims=True)
-        parts = [t, -t] + [mu, -mu] * 3
-        for eig, paired in _pair_values(group, chunk):
-            d = eig.shape[-1]
-            parts += [np.repeat(eig.reshape(len(chunk), -1), d, axis=1),
-                      np.repeat(-eig[:, paired].reshape(len(chunk), -1), d, axis=1)]
-        vals[start:start + len(chunk)] = np.concatenate(parts, axis=1)
+    mu, t = rep_fourier(rows, group).roots, rows.sum(axis=1, keepdims=True)
+    parts = [t, -t] + [mu, -mu] * 3
+    for eig, paired in _pair_values(group, rows):
+        d = eig.shape[-1]
+        parts += [np.repeat(eig.reshape(len(rows), -1), d, axis=1),
+                  np.repeat(-eig[:, paired].reshape(len(rows), -1), d, axis=1)]
+    vals = np.concatenate(parts, axis=1)
     vals.sort(axis=1)
     vals = vals[:, ::-1]
     return vals[0] if w.ndim == 1 else vals
@@ -192,36 +187,21 @@ def lambda1(group, weights):
 
 
 def block_clusters(group, weights, roots):
-    """(gap, given), each (m,), of the lambda_1 clusters of the points
-    `weights` (m, 3) from the descending eigenvalues `roots` (m, 3) of
-    their blocks M = sum_j x_j sigma_j (`fourier.rep_fourier`), by the
-    isolation rule: row r is given where mu_1 exceeds every other
-    non-trivial eigenvalue by more than `CLUSTER_TOL` (mu_2, -mu_3, and
-    the other det-pairs' values with their negatives) and lies more than
-    `CLUSTER_TOL` below the trivial eigenvalue sum_j x_j.  Then lambda_1
-    is mu_1 with multiplicity 3, and its gap is the smaller of the two
-    distances, never more than the distance between cluster means."""
+    """The gaps (m,) of the lambda_1 clusters of the points `weights`
+    (m, 3) from the descending eigenvalues `roots` (m, 3) of their blocks
+    M = sum_j x_j sigma_j (`fourier.rep_fourier`), by the isolation rule:
+    the smaller of the distance from mu_1 down to every other non-trivial
+    eigenvalue (mu_2, -mu_3, and the other det-pairs' values with their
+    negatives) and the distance up to the trivial eigenvalue sum_j x_j.
+    Where a gap exceeds `CLUSTER_TOL`, lambda_1 is mu_1 with multiplicity
+    3, and the gap is never more than the distance between cluster means;
+    each caller compares the gaps with its own bound."""
     mu1 = roots[:, 0]
     below = np.maximum(roots[:, 1], -roots[:, 2])
     for eig, paired in _pair_values(group, weights):
         top = np.where(paired, np.abs(eig).max(axis=-1), eig[..., -1])
         below = np.maximum(below, top.max(axis=1))
-    gap = np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
-    return gap, gap > CLUSTER_TOL
-
-
-def block_cluster(group, x):
-    """The lambda_1 cluster of the point x (3,) from its 3x3 block, with
-    the sign-fixed basis sqrt(3/|G|) (g v), or None where `block_clusters`
-    does not give it: for M v = mu_1 v, f_r(g) = (g v)_r has
-    (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
-    relations give the scale."""
-    rep = rep_fourier(x[None], group)
-    gap, given = block_clusters(group, x[None], rep.roots)
-    if not given[0]:
-        return None
-    basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
-    return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap[0]), "fourier")
+    return np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
 
 
 def _residual_excess(res, lam, n):
@@ -250,26 +230,28 @@ def block_lengths(group, weights, lam, vectors):
     return c, np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
 
 
-def _dense_lambda1_cluster(group, x):
-    # the lambda_1 cluster of the dense eigensolve of P_X: the second
-    # cluster where the top one is simple, else the top one
-    dense = spectrum_clusters(build_operator(group, x))
-    return dense[dense[0].multiplicity == 1]
-
-
 def lambda1_cluster(group, x):
     """The cluster of P_X containing the second-highest eigenvalue.
 
-    Where the 3x3 block gives it (`block_cluster`), it is mu_1 with
-    multiplicity 3 and the block basis.  Elsewhere (a boundary point whose
-    graph falls apart, or a degenerate block) the cluster comes from the
-    dense eigensolve.  `x` is one point (k,); a stack raises `DomainError`.
+    Where the gap of `block_clusters` exceeds `CLUSTER_TOL`, it is mu_1
+    with multiplicity 3 and the sign-fixed basis sqrt(3/|G|) (g v)
+    (`path == "fourier"`): for M v = mu_1 v, f_r(g) = (g v)_r has
+    (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
+    relations give the scale.  Elsewhere (a boundary point whose graph
+    falls apart) it is the cluster of the dense eigensolve
+    (`path == "dense"`): the second one where the top one is simple, else
+    the top one.  `x` is one point (k,); a stack raises `DomainError`.
     """
     x = _check_stack(group, x)
     if x.ndim != 1:
         raise DomainError(f"x must be one point of shape ({group.rank},)")
-    cluster = block_cluster(group, x)
-    return _dense_lambda1_cluster(group, x) if cluster is None else cluster
+    rep = rep_fourier(x[None], group)
+    gap = block_clusters(group, x[None], rep.roots)[0]
+    if gap > CLUSTER_TOL:
+        basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
+        return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap), "fourier")
+    dense = spectrum_clusters(build_operator(group, x))
+    return dense[dense[0].multiplicity == 1]
 
 
 def spectral_representation(group, x, cluster):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -38,8 +39,8 @@ from coxspec.solids import (
     sweep_lambda1,
 )
 from coxspec.spectral import (
+    CLUSTER_TOL,
     InvarianceError,
-    block_cluster,
     block_clusters,
     block_lengths,
     block_spectrum,
@@ -180,10 +181,10 @@ class TestMinimize:
             assert mu1.tolist() == [block_spectrum(group, w)[1] for w in stack]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
-    def test_one_spectrum_per_certificate(self, groups, name, monkeypatch):
+    def test_one_spectrum_per_certificate(self, groups, name, monkeypatch, no_operator):
         # x is row 0 of one 7-row `rep_fourier` stack, whose rows 1-6 give
-        # the stencil: on a row the 3x3 block gives, no `block_spectrum`
-        # call, and neither the dense cluster nor a measured embedding
+        # the stencil: no `block_spectrum` call, no dense cluster and no
+        # measured embedding
         def refuse(*args):
             raise AssertionError("the measured path was taken")
 
@@ -193,47 +194,36 @@ class TestMinimize:
             stacks.append(weights.shape)
             return spectral.rep_fourier(weights, group)
 
-        for measured in ("_dense_lambda1_cluster", "spectral_representation",
-                         "edge_class_lengths", "block_spectrum"):
-            monkeypatch.setattr(solids, measured, refuse)
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        for measured in ("spectrum_clusters", "spectral_representation", "edge_class_lengths"):
+            monkeypatch.setattr(spectral, measured, refuse)
         monkeypatch.setattr(solids, "rep_fourier", fourier)
         x = closed_form_minimum(groups[name].datum)[0]
         report = critical_certificate(x, groups[name])
         assert stacks == [(7, 3)]
         assert report.lam == spectral.rep_fourier(x, groups[name]).roots[0]
 
-    def test_certificate_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
-        # a mu_1 that misses lambda_1 in the certificate's stack: the
-        # cluster of x comes from the dense eigensolve, the finite
-        # differences from one `block_spectrum` of the six stencil points,
-        # whose own `rep_fourier` is the true one
-        true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
-        true_spectrum = solids.block_spectrum
-        expected = critical_certificate(uniform_point(3), a3)
+    def test_certificate_off_the_block_is_refused(self, a3, monkeypatch, no_operator):
+        # a mu_1 that misses lambda_1 in the certificate's stack has a gap
+        # below GAP_GUARD: one-line DomainError before any length or
+        # finite difference, with no dense cluster and no `block_spectrum`
+        true_rep = spectral.rep_fourier
 
         def shifted(weights, group):
             rep = true_rep(weights, group)
             return dataclasses.replace(rep, roots=rep.roots + 1.0)
 
-        paths, stacks = [], []
-
-        def spy(group, x):
-            cluster = true_cluster(group, x)
-            paths.append(cluster.path)
-            return cluster
-
-        def spectrum(group, weights):
-            stacks.append(len(weights))
-            return true_spectrum(group, weights)
+        def refuse(*args):
+            raise AssertionError("the measured path was taken")
 
         monkeypatch.setattr(solids, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
-        monkeypatch.setattr(solids, "block_spectrum", spectrum)
-        report = critical_certificate(uniform_point(3), a3)
-        assert paths == ["dense"] and stacks == [6]
-        assert report.gradient_norm == expected.gradient_norm
-        assert abs(report.lam - expected.lam) <= 1e-12
-        assert np.abs(np.subtract(report.class_lengths, expected.class_lengths)).max() <= 1e-9
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        monkeypatch.setattr(solids, "block_lengths", refuse)
+        monkeypatch.setattr(spectral, "spectrum_clusters", refuse)
+        with pytest.raises(DomainError, match=r"lambda_1 cluster gap -\S+ at x = \[0\.33333333 "
+                                              r"0\.33333333 0\.33333333\] is not above 0\.0001$") as err:
+            critical_certificate(uniform_point(3), a3)
+        assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_certificate_lengths_match_the_measured_embedding(self, groups, name):
@@ -245,7 +235,8 @@ class TestMinimize:
         points += list(sample_interior(rng, 3, margin=0.05, rows=40))
         for x in points:
             report = critical_certificate(x, group)
-            cluster = block_cluster(group, x)
+            cluster = lambda1_cluster(group, x)
+            assert cluster.path == "fourier"
             measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
             assert np.abs(np.subtract(report.class_lengths, measured)).max() <= 1e-15
 
@@ -280,13 +271,13 @@ class TestMinimize:
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5, 0.0], [1 - 1.5e-6, 1e-6, 0.5e-6], [0.3, 0.7 - 9e-7, 9e-7]]
     )
-    def test_certificate_near_boundary_is_refused(self, h3, weights, monkeypatch):
+    def test_certificate_near_boundary_is_refused(self, h3, weights, monkeypatch, no_operator):
         # a stencil point would leave the simplex: one-line DomainError
         # before any evaluation
         def refuse(*args):
             raise AssertionError("lambda_1 evaluated")
 
-        monkeypatch.setattr(solids, "_dense_lambda1_cluster", refuse)
+        monkeypatch.setattr(solids, "rep_fourier", refuse)
         monkeypatch.setattr(solids, "block_spectrum", refuse)
         with pytest.raises(DomainError, match="every weight to be at least FD_STEP") as err:
             critical_certificate(simplex_point(weights), h3)
@@ -641,13 +632,18 @@ class TestSweep:
         sweep = sweep_lambda1(a3, 2)
         assert len(sweep) == 1
         assert np.abs(sweep.weights[0] - 1 / 3).max() <= 1e-12
-        assert sweep.multiplicity[0] == 3
+        cluster = lambda1_cluster(a3, sweep.weights[0])
+        assert (cluster.multiplicity, cluster.path) == (3, "fourier")
+        assert sweep.lambda1[0] == cluster.eigenvalue
 
     def test_rows_and_multiplicity(self, b3):
         g = 6
         sweep = sweep_lambda1(b3, g)
         assert len(sweep) == (g - 1) * g // 2
-        assert np.all(sweep.multiplicity == 3)
+        # every row is lambda_1 of multiplicity 3, the CSV's literal mult
+        for w, lam in zip(sweep.weights, sweep.lambda1):
+            cluster = lambda1_cluster(b3, w)
+            assert (cluster.multiplicity, cluster.eigenvalue) == (3, lam)
         assert sweep.class_lengths.shape == (len(sweep), 3)
 
     def test_minimum_row_near_closed_form(self, a3):
@@ -658,37 +654,41 @@ class TestSweep:
         assert np.abs(sweep.weights[best] - x0).max() <= 2.0 / g
         assert sweep.lambda1[best] >= lam0 - 1e-12
 
-    def test_builds_no_operator(self, a3, h3, no_operator):
+    def test_builds_no_operator(self, a3, h3, no_operator, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the measured path was taken")
+
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        for measured in ("spectrum_clusters", "spectral_representation", "edge_class_lengths"):
+            monkeypatch.setattr(spectral, measured, refuse)
         for group in (a3, h3):
             sweep = sweep_lambda1(group, 6)
             assert len(sweep) == 15
-            assert set(sweep.path) == {"fourier"}
 
     def test_rows_match_dense_clusters(self, b3):
         # the dense eigensolve as oracle: lambda_1 is the top cluster
         # after the simple eigenvalue 1
         sweep = sweep_lambda1(b3, 7)
-        for w, lam, multiplicity, measured in zip(
-            sweep.weights, sweep.lambda1, sweep.multiplicity, sweep.class_lengths
-        ):
+        for w, lam, measured in zip(sweep.weights, sweep.lambda1, sweep.class_lengths):
             x = simplex_point(w)
             dense = spectrum_clusters(build_operator(b3, x))[1]
             assert abs(lam - lambda1(b3, x)) <= 1e-12
-            assert multiplicity == dense.multiplicity
+            assert dense.multiplicity == 3
             lengths = edge_class_lengths(spectral_representation(b3, x, dense), b3)
             assert np.abs(measured - lengths).max() <= 1e-12
 
     def test_columns_are_read_only(self, a3):
         sweep = sweep_lambda1(a3, 4)
-        for column in (sweep.weights, sweep.lambda1, sweep.multiplicity,
-                       sweep.class_lengths, sweep.path):
+        columns = [f.name for f in dataclasses.fields(sweep)]
+        assert columns == ["weights", "lambda1", "class_lengths"]
+        for column in (sweep.weights, sweep.lambda1, sweep.class_lengths):
             assert len(column) == len(sweep) == 6
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_stack_matches_points_bit_for_bit(self, groups, name, tmp_path):
-        # the oracle: one point at a time through block_cluster, with the
+        # the oracle: one point at a time through lambda1_cluster, with the
         # class lengths of block_state, and the CSV line formed from its
         # fields; the measured lengths of the embedding agree to rounding
         group, g = groups[name], 24
@@ -700,15 +700,14 @@ class TestSweep:
         assert len(sweep) == len(points) == 276
         lines = ["x,y,z,lambda1,mult,len1,len2,len3"]
         for r, x in enumerate(points):
-            cluster = block_cluster(group, x)
+            cluster = lambda1_cluster(group, x)
             lengths = block_state(x, group)[2].tolist()
             measured = edge_class_lengths(spectral_representation(group, x, cluster), group)
+            assert cluster.path == "fourier"
             assert np.array_equal(sweep.weights[r], x)
             assert sweep.lambda1[r] == cluster.eigenvalue
-            assert sweep.multiplicity[r] == cluster.multiplicity
             assert sweep.class_lengths[r].tolist() == lengths
             assert np.abs(sweep.class_lengths[r] - measured).max() <= 1e-15
-            assert sweep.path[r] == cluster.path
             lines.append(",".join([
                 *(f"{w:.15g}" for w in x), f"{cluster.eigenvalue:.15g}",
                 str(cluster.multiplicity), *(f"{v:.15g}" for v in lengths),
@@ -717,51 +716,79 @@ class TestSweep:
         assert main(["sweep", "--group", name, "--grid", str(g), "--out", str(out)]) == 0
         assert out.read_text().splitlines() == lines
 
-    def test_row_off_the_block_takes_lambda1_cluster(self, a3, monkeypatch):
+    def test_row_off_the_block_is_refused(self, a3, monkeypatch, no_operator):
         # a mu_1 that misses lambda_1 in the first row of the sweep's one
-        # `rep_fourier` stack: sweep row 0 must leave the block path for the
-        # dense cluster, and no row takes a spectrum
-        true_rep, true_cluster = spectral.rep_fourier, solids._dense_lambda1_cluster
-        true_spectrum = spectral.block_spectrum
-        stacks = []
+        # `rep_fourier` stack: a one-line DomainError that names the row by
+        # its weights, before any length, with no dense cluster and no
+        # spectrum
+        true_rep = spectral.rep_fourier
 
         def shifted(weights, group):
-            stacks.append(len(weights))
             rep = true_rep(weights, group)
             roots = rep.roots.copy()
             roots[0, 0] += 1.0
             return dataclasses.replace(rep, roots=roots)
 
-        seen, spectra = [], []
+        def refuse(*args):
+            raise AssertionError("the measured path was taken")
 
-        def spy(group, x):
-            cluster = true_cluster(group, x)
-            seen.append((x, cluster.path))
-            return cluster
-
-        def spectrum(group, weights):
-            spectra.append(len(weights))
-            return true_spectrum(group, weights)
-
-        expected = sweep_lambda1(a3, 6)
+        first = sweep_lambda1(a3, 6).weights[0]
         monkeypatch.setattr(solids, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "_dense_lambda1_cluster", spy)
-        for module in (solids, spectral):
-            monkeypatch.setattr(module, "block_spectrum", spectrum)
-        sweep = sweep_lambda1(a3, 6)
-        assert stacks == [15] and spectra == []
-        assert len(seen) == 1 and np.array_equal(seen[0][0], sweep.weights[0])
-        assert seen[0][1] == "dense"
-        assert sweep.path.tolist() == ["dense"] + ["fourier"] * 14
-        assert abs(sweep.lambda1[0] - lambda1(a3, sweep.weights[0])) <= 1e-12
-        assert sweep.multiplicity[0] == 3
-        assert np.abs(sweep.class_lengths[0] - expected.class_lengths[0]).max() <= 1e-9
-        for column in ("lambda1", "multiplicity", "class_lengths"):
-            assert np.array_equal(getattr(sweep, column)[1:], getattr(expected, column)[1:])
+        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        monkeypatch.setattr(solids, "block_lengths", refuse)
+        monkeypatch.setattr(spectral, "spectrum_clusters", refuse)
+        with pytest.raises(DomainError, match=r"lambda_1 cluster gap -\S+ at x = (\S+ ?)+ "
+                                              r"is not above 1e-07$") as err:
+            sweep_lambda1(a3, 6)
+        assert "\n" not in str(err.value)
+        assert f"at x = {first} " in str(err.value)
 
     def test_rejects_small_grid(self, a3):
         with pytest.raises(DomainError):
             sweep_lambda1(a3, 1)
+
+    @pytest.mark.parametrize("g", [2.5, 3.0, np.float64(6.0), True, "6", None])
+    def test_rejects_a_grid_that_is_not_an_integer(self, a3, g):
+        with pytest.raises(DomainError, match="grid resolution must be an integer of at least 2"):
+            sweep_lambda1(a3, g)
+
+    def test_accepts_numpy_integers(self, a3):
+        expected = sweep_lambda1(a3, 6)
+        for g in (np.int64(6), np.uint8(6)):
+            sweep = sweep_lambda1(a3, g)
+            assert np.array_equal(sweep.weights, expected.weights)
+            assert np.array_equal(sweep.lambda1, expected.lambda1)
+        # g + 1 is formed as a Python int, so a uint8 grid of 255 does not wrap
+        assert len(sweep_lambda1(a3, np.uint8(255))) == 254 * 255 // 2
+
+
+class TestGapScan:
+    """The isolation rule gives every point whose weights are all at least
+    `FD_STEP`: the sweep and the certificates need no other lambda_1 rule."""
+
+    @staticmethod
+    def scan_points():
+        # a log grid of two weights from FD_STEP to 1/2 (the third the rest,
+        # at least FD_STEP) in all six orders, and seeded points whose two
+        # first weights are log-uniform on the same range
+        t = np.geomspace(solids.FD_STEP, 0.5, 40)
+        a, b = (v.ravel() for v in np.meshgrid(t, t))
+        grid = np.column_stack((a, b, 1 - a - b))
+        grid = grid[grid[:, 2] >= solids.FD_STEP]
+        perms = [grid[:, p] for p in itertools.permutations(range(3))]
+        rng = np.random.default_rng(25)
+        r = 10 ** rng.uniform(np.log10(solids.FD_STEP), np.log10(0.5), (4000, 2))
+        return np.vstack((*perms, np.column_stack((r, 1 - r.sum(axis=1)))))
+
+    @pytest.mark.parametrize("name,smallest", [("A3", 5.0e-7), ("B3", 3.1e-7), ("H3", 1.1e-7)])
+    def test_every_gap_exceeds_cluster_tol(self, groups, name, smallest):
+        group, w = groups[name], self.scan_points()
+        assert len(w) > 13_000 and w.min() >= solids.FD_STEP
+        assert np.abs(w.sum(axis=1) - 1).max() <= 1e-15
+        gap = block_clusters(group, w, spectral.rep_fourier(w, group).roots)
+        # the smallest gap, at a point FD_STEP from a vertex of the simplex
+        assert gap.min() > CLUSTER_TOL
+        assert smallest <= gap.min() <= 1.05 * smallest
 
 
 STACK = np.array([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3]])
@@ -771,7 +798,7 @@ def wrong_eigenvector_stack(group):
     """Three points with their mu_1 and top block eigenvectors, the vector
     of row 2 replaced by the eigenvector of mu_2."""
     rep = spectral.rep_fourier(STACK, group)
-    assert block_clusters(group, STACK, rep.roots)[1].all()
+    assert (block_clusters(group, STACK, rep.roots) > CLUSTER_TOL).all()
     lam, vectors = rep.roots[:, 0], rep.vectors[:, :, 0].copy()
     vectors[2] = spectral.rep_fourier(simplex_point(STACK[2]), group).vectors[:, 1]
     return STACK, lam, vectors
@@ -780,7 +807,7 @@ def wrong_eigenvector_stack(group):
 def moved_vertex_embedding(group):
     """The block embedding of the point STACK[0], with vertex 17 moved."""
     x = simplex_point(STACK[0])
-    cluster = block_cluster(group, x)
+    cluster = lambda1_cluster(group, x)
     basis = cluster.basis.copy()
     basis[17] *= 1.5
     return x, dataclasses.replace(cluster, basis=basis)

@@ -17,6 +17,7 @@ from coxspec.errors import DomainError
 from coxspec.fourier import rep_fourier
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
+    SPECTRUM_CHUNK,
     _lambda1_fn,
     _lambda1_rows,
     block_state,
@@ -26,7 +27,6 @@ from coxspec.solids import (
 from coxspec.spectral import (
     CLUSTER_TOL,
     ORACLE_CHUNK,
-    SPECTRUM_CHUNK,
     InvarianceError,
     block_spectrum,
     check_faithful,
@@ -335,10 +335,13 @@ class TestFourierCluster:
         assert np.abs(np.subtract(*lengths)).max() <= tol
 
     def test_fourier_path_on_sweep_grid(self, groups):
+        # every sweep row is the lambda_1 cluster the 3x3 block gives
         for group in groups.values():
             sweep = sweep_lambda1(group, 24)
             assert len(sweep) == 276
-            assert set(sweep.path) == {"fourier"}
+            for w, lam in zip(sweep.weights, sweep.lambda1):
+                cluster = lambda1_cluster(group, w)
+                assert (cluster.path, cluster.eigenvalue) == ("fourier", lam)
 
     @pytest.mark.parametrize(
         "weights,components",
@@ -726,15 +729,21 @@ class TestIsolationRule:
         w = rule_points(group)
         rep = rep_fourier(w, group)
         roots = rep.roots
-        gap, given = block_clusters(group, w, roots)
+        gap = block_clusters(group, w, roots)
+        given = gap > CLUSTER_TOL
         vals = block_spectrum(group, w)
         lam, multiplicity, cut_gap = lambda1_clusters(vals)
         assert np.array_equal(given, (multiplicity == 3) & (np.abs(roots[:, 0] - lam) <= CLUSTER_TOL))
         assert given[:276].all() and not given.all()
-        # the multiplicity of a row the block does not give is the dense one
+        # the rows and certificates refuse a row the block does not give,
+        # naming the first one; `lambda1_cluster` takes its dense cluster
         off = np.flatnonzero(~given)
-        rows = _lambda1_rows(group, w[off], roots[off], rep.vectors[off])
-        assert np.array_equal(rows[1], multiplicity[off])
+        with pytest.raises(DomainError, match="is not above 1e-07") as err:
+            _lambda1_rows(group, w, roots, rep.vectors, CLUSTER_TOL)
+        assert f"at x = {w[off[0]]} " in str(err.value)
+        for r in off:
+            cluster = lambda1_cluster(group, w[r])
+            assert (cluster.path, cluster.multiplicity) == ("dense", multiplicity[r])
         # mu_1 against the mean of its three copies: one rounding apart
         assert np.all(gap[given] <= cut_gap[given] + 4 * np.finfo(float).eps)
         # where the clusters around lambda_1 are single block values, the
