@@ -26,7 +26,7 @@ from .randwalk import (
     simplex_point,
     uniform_point,
 )
-from .spectral import CLUSTER_TOL, block_clusters, block_lengths, block_spectrum, lambda1
+from .spectral import CLUSTER_TOL, block_clusters, block_lengths, check_gaps, lambda1
 
 FD_STEP = 1e-6
 EQUILATERAL_TOL = 1e-7
@@ -35,9 +35,6 @@ EQUILATERAL_TOL = 1e-7
 GAP_GUARD = 1e-4
 MIN_GRAD_TOL = 1e-9
 MAX_ITER = 10_000
-# _lambda1_fn: points per `block_spectrum` call, which bounds the
-# temporary block matrices to about 0.1 MiB on H3
-SPECTRUM_CHUNK = 64
 
 CURVE_PATTERNS = {
     # cone-coefficient pattern in t, (3,) for one t and (m, 3) for a 1-d
@@ -68,16 +65,11 @@ def closed_form_minimum(datum):
 def _lambda1_fn(group):
     """lambda_1 as a function of a stack of weights (m, 3), as (m,): the
     function the finite differences and convexity probes evaluate.  The
-    stack is checked once and read from the irreducible blocks
-    `SPECTRUM_CHUNK` rows at a time, keeping entry 1 of each spectrum, so
-    no (m, |G|) array is held.  Each value is bit for bit that of its
-    point alone."""
+    stack is checked once and is one `rep_fourier` stack; each value is
+    the lam1 of `block_clusters`, bit for bit that of its point alone."""
     def f(weights):
         w = check_weights(weights)
-        vals = np.empty(len(w))
-        for s in range(0, len(w), SPECTRUM_CHUNK):
-            vals[s:s + SPECTRUM_CHUNK] = block_spectrum(group, w[s:s + SPECTRUM_CHUNK])[:, 1]
-        return vals
+        return block_clusters(group, w, rep_fourier(w, group).roots)[0]
 
     return f
 
@@ -133,8 +125,8 @@ def critical_certificate(x, group, graph=None):
     lambda_1 and the class lengths (`_lambda1_rows`), and a gap at most
     `GAP_GUARD` is a `DomainError`.  Above it, lambda_1(x') = mu_1(x') at
     each stencil point by Weyl's inequality (||P_x' - P_x|| <= 2 `FD_STEP`,
-    50 times below the guard), bit for bit `block_spectrum(x')[1]`.
-    `graph` is ignored."""
+    50 times below the guard), bit for bit the lam1 of `block_clusters` at
+    x' alone.  `graph` is ignored."""
     if np.shape(x) != (group.rank,):
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     x = simplex_point(x)
@@ -325,13 +317,8 @@ def _lambda1_rows(group, weights, roots, vectors, min_gap):
     multiplicity 3 where its gap (`block_clusters`) exceeds `min_gap`, at
     least `CLUSTER_TOL`; the first row where it does not is a one-line
     `DomainError`, raised before any length is formed."""
-    gap = block_clusters(group, weights, roots)
-    low = np.flatnonzero(~(gap > min_gap))  # NaN fails too
-    if len(low):
-        r = low[0]
-        raise DomainError(
-            f"lambda_1 cluster gap {gap[r]:.2g} at x = {weights[r]} is not above {min_gap:g}"
-        )
+    _, gap = block_clusters(group, weights, roots)
+    check_gaps(weights, gap, min_gap)
     return roots[:, 0], block_lengths(group, weights, roots[:, 0], vectors[:, :, 0])[1]
 
 

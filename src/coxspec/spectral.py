@@ -14,7 +14,6 @@ import numpy as np
 from .errors import CoxspecError, DomainError
 from .fourier import rep_fourier
 from .linalg import eigh_symmetric, fix_signs
-from .randwalk import build_operator
 
 CLUSTER_TOL = 1e-7
 EDGE_SPREAD_TOL = 1e-8
@@ -42,7 +41,7 @@ class SpectralCluster:
     multiplicity: int
     basis: np.ndarray  # (n, multiplicity), orthonormal columns
     gap: float = np.inf  # distance to the neighbouring clusters' eigenvalues
-    path: str = "dense"  # "fourier" (3x3 block) or "dense" (full eigensolve)
+    path: str = "dense"  # "fourier" (`lambda1_cluster`) or "dense" (`spectrum_clusters`)
 
 
 def _warn_ambiguous(first, spread, size):
@@ -120,9 +119,9 @@ def block_spectrum(group, weights):
 
     `weights` is one weight vector (k,) or a stack (m, k), solved as one
     stack; the result is (|G|,) or (m, |G|), each row bit for bit its
-    point alone.  A caller with many points bounds the temporaries by
-    passing them in chunks (`solids._lambda1_fn`).  Other shapes, or
-    weights not finite, raise `DomainError`.
+    point alone.  The library reads lambda_1 from `block_clusters`; the
+    whole sorted spectrum is public API and the tests' oracle.  Other
+    shapes, or weights not finite, raise `DomainError`.
     """
     w = _check_stack(group, weights)
     rows = np.atleast_2d(w)
@@ -187,21 +186,37 @@ def lambda1(group, weights):
 
 
 def block_clusters(group, weights, roots):
-    """The gaps (m,) of the lambda_1 clusters of the points `weights`
-    (m, 3) from the descending eigenvalues `roots` (m, 3) of their blocks
-    M = sum_j x_j sigma_j (`fourier.rep_fourier`), by the isolation rule:
-    the smaller of the distance from mu_1 down to every other non-trivial
-    eigenvalue (mu_2, -mu_3, and the other det-pairs' values with their
-    negatives) and the distance up to the trivial eigenvalue sum_j x_j.
-    Where a gap exceeds `CLUSTER_TOL`, lambda_1 is mu_1 with multiplicity
-    3, and the gap is never more than the distance between cluster means;
-    each caller compares the gaps with its own bound."""
+    """(lam1, gap), each (m,), of the lambda_1 clusters of the points
+    `weights` (m, 3) from the descending eigenvalues `roots` (m, 3) of
+    their blocks M = sum_j x_j sigma_j (`fourier.rep_fourier`): the one
+    place lambda_1 is read from the irreducible blocks.
+
+    lam1 is the largest of mu_1 and every other non-trivial eigenvalue
+    (mu_2, -mu_3, and the other det-pairs' values with their negatives):
+    lambda_1 counted with multiplicity, bit for bit entry 1 of
+    `block_spectrum`.  The gap is the isolation rule: the smaller of the
+    distance from mu_1 down to those values and the distance up to the
+    trivial eigenvalue sum_j x_j.  Where it exceeds `CLUSTER_TOL`,
+    lambda_1 is mu_1 with multiplicity 3, and the gap is never more than
+    the distance between cluster means; each caller compares the gaps
+    with its own bound (`check_gaps`)."""
     mu1 = roots[:, 0]
     below = np.maximum(roots[:, 1], -roots[:, 2])
     for eig, paired in _pair_values(group, weights):
         top = np.where(paired, np.abs(eig).max(axis=-1), eig[..., -1])
         below = np.maximum(below, top.max(axis=1))
-    return np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
+    return np.maximum(mu1, below), np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
+
+
+def check_gaps(weights, gap, min_gap):
+    """A one-line `DomainError` naming the first row of `weights` whose
+    `block_clusters` gap is not above `min_gap`; a NaN gap fails too."""
+    low = np.flatnonzero(~(gap > min_gap))
+    if len(low):
+        r = low[0]
+        raise DomainError(
+            f"lambda_1 cluster gap {gap[r]:.2g} at x = {weights[r]} is not above {min_gap:g}"
+        )
 
 
 def _residual_excess(res, lam, n):
@@ -231,37 +246,33 @@ def block_lengths(group, weights, lam, vectors):
 
 
 def lambda1_cluster(group, x):
-    """The cluster of P_X containing the second-highest eigenvalue.
-
-    Where the gap of `block_clusters` exceeds `CLUSTER_TOL`, it is mu_1
+    """The cluster of P_X containing the second-highest eigenvalue: mu_1
     with multiplicity 3 and the sign-fixed basis sqrt(3/|G|) (g v)
-    (`path == "fourier"`): for M v = mu_1 v, f_r(g) = (g v)_r has
+    (`path == "fourier"`).  For M v = mu_1 v, f_r(g) = (g v)_r has
     (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
-    relations give the scale.  Elsewhere (a boundary point whose graph
-    falls apart) it is the cluster of the dense eigensolve
-    (`path == "dense"`): the second one where the top one is simple, else
-    the top one.  `x` is one point (k,); a stack raises `DomainError`.
+    relations give the scale.
+
+    A point whose `block_clusters` gap is not above `CLUSTER_TOL` (a
+    boundary point whose graph falls apart, or an interior point too near
+    one) is a one-line `DomainError` from `check_gaps`; its clusters are
+    those of `spectrum_clusters` on the dense operator.  `x` is one point
+    (k,); a stack raises `DomainError`.
     """
     x = _check_stack(group, x)
     if x.ndim != 1:
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     rep = rep_fourier(x[None], group)
-    gap = block_clusters(group, x[None], rep.roots)[0]
-    if gap > CLUSTER_TOL:
-        basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
-        return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap), "fourier")
-    dense = spectrum_clusters(build_operator(group, x))
-    return dense[dense[0].multiplicity == 1]
+    _, gap = block_clusters(group, x[None], rep.roots)
+    check_gaps(x[None], gap, CLUSTER_TOL)
+    basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
+    return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap[0]), "fourier")
 
 
 def spectral_representation(group, x, cluster):
     """Embedding of the vertices: a copy of the cluster basis B, (n, k),
-    whose row i is the image of vertex i; flagged (warning) when the
-    eigenvalue is simple.  ||P B - lambda B||, with
+    whose row i is the image of vertex i.  ||P B - lambda B||, with
     P B = sum_j x_j B[successors[:, j]] by gathers along the Cayley graph
     and no dense operator, must be small, else `InvarianceError`."""
-    if cluster.multiplicity == 1:
-        warnings.warn("multiplicity-1 cluster: embedding into R^1")
     b, lam = cluster.basis, cluster.eigenvalue
     gathered = np.take(b, group.successors.T, axis=0).reshape(group.rank, -1)
     r = (x @ gathered).reshape(b.shape) - lam * b

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -338,13 +339,10 @@ class TestCli:
         assert "faithful True" in out
         assert parse_off(out_file).vertices.shape == (120, 3)
 
-    @pytest.mark.parametrize(
-        "argv,cluster,multiplicity",
-        [(["--eigenvalue", "0"], "0", 1), (["--point", "0.5,0.5,0"], "second", 30)],
-    )
-    def test_embed_needs_three_dimensions(self, tmp_path, argv, cluster, multiplicity):
-        # rejected before the embedding is formed: one stderr line (no
-        # multiplicity-1 warning), exit code 2 and no --out file
+    @staticmethod
+    def embed_h3(tmp_path, argv):
+        # `coxspec embed --group H3` in a subprocess: its code, its stderr
+        # lines and whether it left an --out file
         out_file = tmp_path / "k.off"
         src = os.path.dirname(os.path.dirname(os.path.abspath(coxspec.__file__)))
         env = {**os.environ, "PYTHONPATH": src}
@@ -353,12 +351,33 @@ class TestCli:
              "--out", str(out_file)],
             env=env, capture_output=True, text=True, timeout=120,
         )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
+        return proc.returncode, proc.stderr.splitlines(), out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv,cluster,multiplicity",
+        [(["--eigenvalue", "0"], "0", 1), (["--point", "0.5,0.5,0", "--eigenvalue", "0"], "0", 30)],
+    )
+    def test_embed_needs_three_dimensions(self, tmp_path, argv, cluster, multiplicity):
+        # rejected before the embedding is formed: one stderr line, exit
+        # code 2 and no --out file.  At (1/2, 1/2, 0) the graph falls into
+        # 4-cycles, and the dense top cluster has multiplicity 120 / 4
+        assert self.embed_h3(tmp_path, argv) == (2, [
             f"coxspec: mesh export needs a 3-dimensional embedding; --eigenvalue {cluster} "
             f"is a cluster of multiplicity {multiplicity}"
-        ]
-        assert not out_file.exists()
+        ], False)
+
+    @pytest.mark.parametrize(
+        "point,gap",
+        [("0.5,0.5,0", r"-1\.3e-15 at x = \[0\.5 0\.5 0\. \]"),
+         ("0.999999,5e-7,5e-7", r"5\.6e-08 at x = \[9\.99999e-01 5\.00000e-07 5\.00000e-07\]")],
+    )
+    def test_embed_second_refuses_a_point_off_the_rule(self, tmp_path, point, gap):
+        # a boundary point, and an interior point 5e-7 from an H3 corner
+        # whose isolation gap is below CLUSTER_TOL: one stderr line, with no
+        # ambiguity warning, exit code 2 and no --out file
+        code, lines, written = self.embed_h3(tmp_path, ["--point", point])
+        assert (code, len(lines), written) == (2, 1, False)
+        assert re.fullmatch(f"coxspec: lambda_1 cluster gap {gap} is not above 1e-07", lines[0])
 
     def test_curve_csv(self, tmp_path):
         out_file = tmp_path / "c2.csv"

@@ -183,8 +183,8 @@ class TestMinimize:
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, name, monkeypatch, no_operator):
         # x is row 0 of one 7-row `rep_fourier` stack, whose rows 1-6 give
-        # the stencil: no `block_spectrum` call, no dense cluster and no
-        # measured embedding
+        # the stencil: no other stack, no dense cluster and no measured
+        # embedding
         def refuse(*args):
             raise AssertionError("the measured path was taken")
 
@@ -194,7 +194,6 @@ class TestMinimize:
             stacks.append(weights.shape)
             return spectral.rep_fourier(weights, group)
 
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
         for measured in ("spectrum_clusters", "spectral_representation", "edge_class_lengths"):
             monkeypatch.setattr(spectral, measured, refuse)
         monkeypatch.setattr(solids, "rep_fourier", fourier)
@@ -206,7 +205,7 @@ class TestMinimize:
     def test_certificate_off_the_block_is_refused(self, a3, monkeypatch, no_operator):
         # a mu_1 that misses lambda_1 in the certificate's stack has a gap
         # below GAP_GUARD: one-line DomainError before any length or
-        # finite difference, with no dense cluster and no `block_spectrum`
+        # finite difference, with no dense cluster
         true_rep = spectral.rep_fourier
 
         def shifted(weights, group):
@@ -217,7 +216,6 @@ class TestMinimize:
             raise AssertionError("the measured path was taken")
 
         monkeypatch.setattr(solids, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
         monkeypatch.setattr(solids, "block_lengths", refuse)
         monkeypatch.setattr(spectral, "spectrum_clusters", refuse)
         with pytest.raises(DomainError, match=r"lambda_1 cluster gap -\S+ at x = \[0\.33333333 "
@@ -254,7 +252,7 @@ class TestMinimize:
         def refuse(*args):
             raise AssertionError("lambda_1 evaluated")
 
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
+        monkeypatch.setattr(solids, "rep_fourier", refuse)
         for given in (x, np.array(x)):
             with pytest.raises(error, match=message) as err:
                 critical_certificate(given, h3)
@@ -278,7 +276,6 @@ class TestMinimize:
             raise AssertionError("lambda_1 evaluated")
 
         monkeypatch.setattr(solids, "rep_fourier", refuse)
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
         with pytest.raises(DomainError, match="every weight to be at least FD_STEP") as err:
             critical_certificate(simplex_point(weights), h3)
         assert "\n" not in str(err.value)
@@ -658,7 +655,6 @@ class TestSweep:
         def refuse(*args):
             raise AssertionError("the measured path was taken")
 
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
         for measured in ("spectrum_clusters", "spectral_representation", "edge_class_lengths"):
             monkeypatch.setattr(spectral, measured, refuse)
         for group in (a3, h3):
@@ -719,8 +715,7 @@ class TestSweep:
     def test_row_off_the_block_is_refused(self, a3, monkeypatch, no_operator):
         # a mu_1 that misses lambda_1 in the first row of the sweep's one
         # `rep_fourier` stack: a one-line DomainError that names the row by
-        # its weights, before any length, with no dense cluster and no
-        # spectrum
+        # its weights, before any length, with no dense cluster
         true_rep = spectral.rep_fourier
 
         def shifted(weights, group):
@@ -734,7 +729,6 @@ class TestSweep:
 
         first = sweep_lambda1(a3, 6).weights[0]
         monkeypatch.setattr(solids, "rep_fourier", shifted)
-        monkeypatch.setattr(solids, "block_spectrum", refuse)
         monkeypatch.setattr(solids, "block_lengths", refuse)
         monkeypatch.setattr(spectral, "spectrum_clusters", refuse)
         with pytest.raises(DomainError, match=r"lambda_1 cluster gap -\S+ at x = (\S+ ?)+ "
@@ -785,9 +779,11 @@ class TestGapScan:
         group, w = groups[name], self.scan_points()
         assert len(w) > 13_000 and w.min() >= solids.FD_STEP
         assert np.abs(w.sum(axis=1) - 1).max() <= 1e-15
-        gap = block_clusters(group, w, spectral.rep_fourier(w, group).roots)
+        roots = spectral.rep_fourier(w, group).roots
+        lam1, gap = block_clusters(group, w, roots)
         # the smallest gap, at a point FD_STEP from a vertex of the simplex
         assert gap.min() > CLUSTER_TOL
+        assert np.array_equal(lam1, roots[:, 0])
         assert smallest <= gap.min() <= 1.05 * smallest
 
 
@@ -798,7 +794,7 @@ def wrong_eigenvector_stack(group):
     """Three points with their mu_1 and top block eigenvectors, the vector
     of row 2 replaced by the eigenvector of mu_2."""
     rep = spectral.rep_fourier(STACK, group)
-    assert (block_clusters(group, STACK, rep.roots) > CLUSTER_TOL).all()
+    assert (block_clusters(group, STACK, rep.roots)[1] > CLUSTER_TOL).all()
     lam, vectors = rep.roots[:, 0], rep.vectors[:, :, 0].copy()
     vectors[2] = spectral.rep_fourier(simplex_point(STACK[2]), group).vectors[:, 1]
     return STACK, lam, vectors

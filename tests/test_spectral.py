@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from coxspec.errors import DomainError
 from coxspec.fourier import rep_fourier
 from coxspec.randwalk import build_operator, sample_interior, simplex_point, uniform_point
 from coxspec.solids import (
-    SPECTRUM_CHUNK,
     _lambda1_fn,
     _lambda1_rows,
     block_state,
@@ -204,10 +204,13 @@ class TestEmbedding:
         assert check_faithful(pts)
 
     def test_top_cluster_not_faithful(self, groups):
-        # the constant eigenfunction collapses all vertices to one point
+        # the constant eigenfunction collapses all vertices to one point;
+        # the caller holds the multiplicity, so the embedding warns of nothing
         x = uniform_point(3)
         top = spectrum_clusters(build_operator(groups["A3"], x))[0]
-        with pytest.warns(UserWarning, match="multiplicity-1"):
+        assert top.multiplicity == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pts = spectral_representation(groups["A3"], x, top)
         assert not check_faithful(pts)
         assert np.abs(pts - pts[0]).max() <= 1e-10
@@ -300,6 +303,28 @@ def dense_lambda1_cluster(p):
     return clusters[1] if clusters[0].multiplicity == 1 else clusters[0]
 
 
+def assert_refused(group, x):
+    """`lambda1_cluster` refuses x with the one-line `DomainError` of the
+    isolation rule, and warns of nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^lambda_1 cluster gap \S+ at x = \[.*\] "
+                                              r"is not above 1e-07$") as err:
+            lambda1_cluster(group, x)
+    assert "\n" not in str(err.value)
+
+
+def component_size(group, weights):
+    """The size of each connected component of the graph of P_X at a point
+    with one or two positive weights: the order of the subgroup that their
+    generators generate."""
+    a, *b = np.flatnonzero(weights)
+    return 2 * int(group.datum.orders[a, b[0]]) if b else 2
+
+
+FALLING_APART = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.7]]
+
+
 class TestFourierCluster:
     """The 3x3-block cluster against the dense eigensolve as oracle."""
 
@@ -344,20 +369,39 @@ class TestFourierCluster:
                 assert (cluster.path, cluster.eigenvalue) == ("fourier", lam)
 
     @pytest.mark.parametrize(
-        "weights,components",
+        "weights,size",
         [([0.5, 0.5, 0.0], 4), ([1.0, 0.0, 0.0], 2), ([0.0, 0.0, 1.0], 2)],
     )
-    def test_dense_path_where_graph_falls_apart(self, groups, weights, components):
+    def test_dense_path_where_graph_falls_apart(self, groups, weights, size):
         # generators 0 and 1 commute, so x = (1/2, 1/2, 0) leaves 4-cycles
         # and a simplex vertex a perfect matching: lambda_1 = 1 with
-        # multiplicity n / (component size)
+        # multiplicity n / (component size).  `lambda1_cluster` refuses the
+        # point; the public dense path still gives that cluster
         x = simplex_point(weights)
         for group in groups.values():
-            cluster = lambda1_cluster(group, x)
+            assert_refused(group, x)
+            cluster = spectrum_clusters(build_operator(group, x))[0]
             assert cluster.path == "dense"
-            assert cluster.multiplicity == group.order // components
+            assert cluster.multiplicity == group.order // size
             assert cluster.eigenvalue == pytest.approx(1.0, abs=1e-12)
             spectral_representation(group, x, cluster)
+
+    @pytest.mark.parametrize("eps", [5e-7, 2e-7, 1e-7])
+    def test_refused_near_the_h3_corner(self, h3, eps):
+        # interior points whose isolation gap (5.6e-8, 2.3e-8, 1.1e-8) is
+        # below CLUSTER_TOL: refused, not chained into a dense cluster of
+        # multiplicity 4, 30 or 60 with ambiguity warnings
+        assert_refused(h3, simplex_point([1 - 2 * eps, eps, eps]))
+
+    def test_builds_no_operator(self, groups, no_operator):
+        # interior points give the block cluster, boundary points the
+        # one-line refusal, and neither builds the dense operator
+        rng = np.random.default_rng(27)
+        for group in groups.values():
+            for x in sample_interior(rng, 3, rows=4):
+                assert lambda1_cluster(group, x).path == "fourier"
+            for weights in FALLING_APART:
+                assert_refused(group, simplex_point(weights))
 
 
 REGION_POINTS = dict(
@@ -374,7 +418,8 @@ CLASS_COUNTS = {"A3": 5, "B3": 10, "H3": 10}
 
 def dense_value_cluster(group, x):
     """(eigenvalue, multiplicity, gap, path) of the lambda_1 cluster from a
-    dense `eigvalsh`, by the rule `lambda1_cluster` follows."""
+    dense `eigvalsh` by the cut rule of `_value_clusters`; path "fourier"
+    where it is the triple of mu_1."""
     vals = np.linalg.eigvalsh(build_operator(group, x))[::-1]
     clusters = _value_clusters(vals)
     lam, lo, hi, gap = clusters[1 if clusters[0][2] == 1 else 0]
@@ -461,25 +506,30 @@ class TestBlockSpectrum:
     @settings(max_examples=80, deadline=None)
     @given(**REGION_POINTS)
     def test_lambda1_cluster_matches_dense_clustering(self, groups, name, region, raw, k):
+        # every region point has weights of at least 1e-6, where the dense
+        # clusters and the isolation rule both give mu_1's triple
         x = region_point(groups[name], region, raw, k)
         cluster = lambda1_cluster(groups[name], x)
         lam, multiplicity, gap, path = dense_value_cluster(groups[name], x)
-        assert cluster.multiplicity == multiplicity
-        assert cluster.path == path
+        assert (cluster.multiplicity, cluster.path) == (multiplicity, path) == (3, "fourier")
         assert abs(cluster.eigenvalue - lam) <= 1e-12
         assert abs(cluster.gap - gap) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:ambiguous eigenvalue cluster")
     @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
     def test_boundary_points(self, groups, weights):
+        # the spectrum still matches; lambda_1's cluster is refused by
+        # `lambda1_cluster` and given by the public dense path
         x = simplex_point(weights)
         for group in groups.values():
             dense = np.linalg.eigvalsh(build_operator(group, x))[::-1]
             assert np.abs(block_spectrum(group, x) - dense).max() <= 1e-12
-            cluster = lambda1_cluster(group, x)
+            assert_refused(group, x)
+            top = spectrum_clusters(build_operator(group, x))[0]
             lam, multiplicity, gap, path = dense_value_cluster(group, x)
-            assert (cluster.multiplicity, cluster.path) == (multiplicity, path)
-            assert abs(cluster.eigenvalue - lam) <= 1e-12
+            assert (top.multiplicity, path) == (multiplicity, "dense")
+            assert multiplicity == group.order // component_size(group, weights)
+            assert abs(top.eigenvalue - lam) <= 1e-12
 
     @pytest.mark.bit_equal
     def test_stack_matches_single_points(self, groups):
@@ -506,15 +556,16 @@ class TestBlockSpectrum:
         ),
     )
     def test_stacked_lambda1_matches_single_points(self, groups, name, points):
-        # the points repeated to span two chunks of SPECTRUM_CHUNK rows
+        # the points alone and repeated to 100 rows, against each point
+        # alone and entry 1 of its sorted block spectrum
         group = groups[name]
         f = _lambda1_fn(group)
-        stack = np.array([region_point(group, *point) for point in points])
-        stack = np.resize(stack, (SPECTRUM_CHUNK + len(points), 3))
-        vals = f(stack)
-        assert vals.shape == (len(stack),)
-        for w, val in zip(stack, vals):
-            assert val == f(w[None])[0] == block_spectrum(group, w)[1]
+        points = np.array([region_point(group, *point) for point in points])
+        for stack in (points, np.resize(points, (100, 3))):
+            vals = f(stack)
+            assert vals.shape == (len(stack),)
+            for w, val in zip(stack, vals):
+                assert val == f(w[None])[0] == block_spectrum(group, w)[1]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_dimensions_cover_the_group(self, groups, name):
@@ -729,21 +780,26 @@ class TestIsolationRule:
         w = rule_points(group)
         rep = rep_fourier(w, group)
         roots = rep.roots
-        gap = block_clusters(group, w, roots)
+        lam1, gap = block_clusters(group, w, roots)
         given = gap > CLUSTER_TOL
         vals = block_spectrum(group, w)
+        # lambda_1 counted with multiplicity, at every point
+        assert np.array_equal(lam1, vals[:, 1])
         lam, multiplicity, cut_gap = lambda1_clusters(vals)
         assert np.array_equal(given, (multiplicity == 3) & (np.abs(roots[:, 0] - lam) <= CLUSTER_TOL))
-        assert given[:276].all() and not given.all()
-        # the rows and certificates refuse a row the block does not give,
-        # naming the first one; `lambda1_cluster` takes its dense cluster
+        # off the rule: exactly the points where the graph falls apart
         off = np.flatnonzero(~given)
+        assert off.tolist() == list(range(len(w) - 3, len(w)))
+        # the rows, the certificates and `lambda1_cluster` refuse a row the
+        # block does not give, naming the first one; the public dense path
+        # gives its cluster, of multiplicity |G| / (component size)
         with pytest.raises(DomainError, match="is not above 1e-07") as err:
             _lambda1_rows(group, w, roots, rep.vectors, CLUSTER_TOL)
         assert f"at x = {w[off[0]]} " in str(err.value)
         for r in off:
-            cluster = lambda1_cluster(group, w[r])
-            assert (cluster.path, cluster.multiplicity) == ("dense", multiplicity[r])
+            assert_refused(group, w[r])
+            top = spectrum_clusters(build_operator(group, w[r]))[0]
+            assert top.multiplicity == multiplicity[r] == group.order // component_size(group, w[r])
         # mu_1 against the mean of its three copies: one rounding apart
         assert np.all(gap[given] <= cut_gap[given] + 4 * np.finfo(float).eps)
         # where the clusters around lambda_1 are single block values, the
