@@ -11,7 +11,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CoxspecError, DomainError, MeshError
+from .errors import CoxspecError, DomainError, InvarianceError, MeshError
 
 # element_index: largest entrywise distance of a matrix to its element
 DEDUP_TOL = 1e-6
@@ -123,9 +123,9 @@ class ReflectionGroup:
     elements[i] @ generators[j]; `generate_group` makes all four arrays
     read-only.  The group is its own Cayley graph: vertices are the
     element indices, and `successors` gives the neighbour along each
-    generator class.  Its `edges`, the Cayley table `mult`, the
-    `irreducible_blocks` and the `face_cycles` are derived from
-    `successors` on first use.
+    generator class.  Its `edges`, `bipartite_half`, the Cayley table
+    `mult`, the `irreducible_blocks` and the `face_cycles` are derived
+    from `successors` on first use.
     """
 
     datum: CoxeterDatum
@@ -175,6 +175,28 @@ class ReflectionGroup:
             raise DomainError(f"fundamental vectors are not dual to the roots (deviation {dev:.2g})")
         p.flags.writeable = False
         return p, v
+
+    @cached_property
+    def bipartite_half(self):
+        """Row and columns of the edges of the even-to-odd block C of P_X: the
+        row (|G|/2,) of each even element (det g = +1) and the columns
+        (|G|/2, k) of its neighbours along each class, read-only.  Every
+        generator reflects, so an edge joins elements of opposite det sign;
+        one that does not is an `InvarianceError`."""
+        even = np.linalg.det(self.elements) > 0
+        succ = self.successors
+        same = even[succ] == even[:, None]
+        if same.any():
+            i, j = np.argwhere(same)[0]
+            raise InvarianceError(
+                f"edge {i}-{succ[i, j]} of class {j} joins two elements of equal det sign"
+            )
+        half = np.empty(len(even), dtype=np.intp)  # position of each element in its half
+        half[even] = np.arange(even.sum())
+        half[~even] = np.arange((~even).sum())
+        rows, cols = half[even], half[succ[even]]
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
 
     @cached_property
     def mult(self):
@@ -285,12 +307,13 @@ class ReflectionGroup:
         """The representations of `irreducible_blocks` in pairs rho,
         rho (x) det, from the characters read on one element per conjugacy
         class: chi_{rho (x) det}(g) = det g chi_rho(g) (Serre, 2.1), so the
-        block of rho (x) det is minus that of rho.  Returns (pairs, stacks):
+        block of rho (x) det is minus that of rho.  Returns (pairs, stack):
         one (i, a, b) per pair, position i in `irreducible_blocks` and the
         indices of rho and rho (x) det (a == b: self-paired), the geometric
         pair (chi_a(g) = tr g) first, the trivial one (chi_a = 1) second;
-        and per position of the others, the read-only blocks (k, p, d, d) of
-        their rho_a with a bool (p,), true where b != a.  A missing
+        and, read-only, the rho_a(s_j) of the P others in that order,
+        zero-padded to the largest dimension D as one stack (k, P, D, D), a
+        bool (P,), true where b != a, and their dimensions (P,).  A missing
         geometric or trivial character, or a partner, is a `CoxeterError`."""
         blocks, chars, classes = self._representations
         g = self.elements[classes]
@@ -306,13 +329,13 @@ class ReflectionGroup:
         partner, first = match.argmax(axis=1), [geometric.argmax(), trivial.argmax()]
         rest = [a for a in range(len(chi)) if a <= partner[a] and not {a, partner[a]} & set(first)]
         pairs = tuple((*where[a], where[partner[a]][1]) for a in first + rest)
-        stacks = []
-        for i, b in enumerate(blocks):
-            own = np.array([(a, c) for j, a, c in pairs[2:] if j == i], dtype=np.intp).reshape(-1, 2)
-            if len(own):
-                stacks.append((b[:, own[:, 0]], own[:, 0] != own[:, 1]))
-                stacks[-1][0].flags.writeable = stacks[-1][1].flags.writeable = False
-        return pairs, tuple(stacks)
+        dims = np.array([blocks[i].shape[2] for i, _, _ in pairs[2:]])
+        stack = np.zeros((self.rank, len(dims), dims.max(), dims.max()))
+        for r, (i, a, _) in enumerate(pairs[2:]):
+            stack[:, r, :dims[r], :dims[r]] = blocks[i][:, a]
+        paired = np.array([a != b for _, a, b in pairs[2:]])
+        stack.flags.writeable = paired.flags.writeable = dims.flags.writeable = False
+        return pairs, (stack, paired, dims)
 
     @cached_property
     def face_cycles(self):

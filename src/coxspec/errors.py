@@ -13,3 +13,8 @@ class DomainError(CoxspecError):
 class MeshError(CoxspecError):
     """A mesh that cannot be built, read or written: a Cayley face cycle
     of the wrong length, a malformed OFF file or an unwritable path."""
+
+
+class InvarianceError(CoxspecError):
+    """Signals a broken eigensolver or clustering: a quantity that must
+    be constant across an edge class or orbit is not."""

@@ -30,10 +30,11 @@ def check_weights(weights):
     checked by `_WEIGHT_RULES`; a `SimplexError` names the first rule and
     row that fail."""
     w = np.asarray(weights, dtype=float)
-    # accepted in one pass: NaN and inf fail the range test, so the sum of
-    # a row with both infinities is not taken
-    inside = ((w >= -SIMPLEX_TOL) & (w <= 1 + SIMPLEX_TOL)).all()
-    if inside and (np.abs(w.sum(axis=-1) - 1.0) <= SIMPLEX_TOL).all():
+    # accepted in three reductions: NaN and inf fail the range test, so the
+    # sum of a row with both infinities is not taken
+    if (np.minimum.reduce(w, None, initial=np.inf) >= -SIMPLEX_TOL
+            and np.maximum.reduce(w, None, initial=-np.inf) <= 1 + SIMPLEX_TOL
+            and np.maximum.reduce(abs(w.sum(axis=-1) - 1.0), None, initial=0.0) <= SIMPLEX_TOL):
         return w
     for rule, broken in _WEIGHT_RULES:
         bad = broken(w)
@@ -87,7 +88,7 @@ def _support_scan(r):
     # x_j = max(0, r_j - theta) for the largest support s of the sorted r
     # with desc[s-1] > theta = (cum[s-1] - 1) / s, or None if none passes
     desc = np.sort(r)[::-1]
-    cum = np.cumsum(desc)
+    cum, desc = np.cumsum(desc).tolist(), desc.tolist()
     for s in range(len(r), 0, -1):
         theta = (cum[s - 1] - 1.0) / s
         if desc[s - 1] > theta:
@@ -117,4 +118,5 @@ def project_to_simplex(raw):
     total = x.sum()
     if abs(total - 1.0) > 1e-9:
         raise SimplexError(f"projection violates the constraint: sum {total!r}")
-    return simplex_point(np.clip(x / total, 0.0, 1.0))
+    # 0 <= x_j <= total, a sum of non-negative floats, so no clip is needed
+    return simplex_point(x / total)

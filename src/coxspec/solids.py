@@ -3,6 +3,7 @@ minimum of lambda_1 over the simplex, criticality certificates, the three
 equal-length curves and the boundary degenerations.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -77,6 +78,8 @@ def _lambda1_fn(group):
 # the steps of the central differences: xi = e_a - e_b for a < b, then -xi
 _XI = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 _STENCIL_STEPS = np.stack((_XI, -_XI))[:, None]  # (2, 1, 3, 3)
+# x + _CERT_STENCIL is x, then _pair_stencil(x[None], FD_STEP), bit for bit
+_CERT_STENCIL = np.vstack((np.zeros(3), FD_STEP * _STENCIL_STEPS.reshape(-1, 3)))
 
 
 def _pair_stencil(weights, h):
@@ -121,12 +124,12 @@ def critical_certificate(x, group, graph=None):
     measurement of the second-eigenvalue embedding, at one point x of
     shape (3,) (else `DomainError`) that passes `check_weights`.
 
-    x and its six stencil points are one `rep_fourier` stack: row 0 gives
-    lambda_1 and the class lengths (`_lambda1_rows`), and a gap at most
-    `GAP_GUARD` is a `DomainError`.  Above it, lambda_1(x') = mu_1(x') at
-    each stencil point by Weyl's inequality (||P_x' - P_x|| <= 2 `FD_STEP`,
-    50 times below the guard), bit for bit the lam1 of `block_clusters` at
-    x' alone.  `graph` is ignored."""
+    x and its six stencil points are one `rep_fourier` stack, one add
+    `x + _CERT_STENCIL`: row 0 gives lambda_1 and the class lengths
+    (`_lambda1_rows`), and a gap at most `GAP_GUARD` is a `DomainError`.
+    Above it, lambda_1(x') = mu_1(x') at each stencil point by Weyl's
+    inequality (||P_x' - P_x|| <= 2 `FD_STEP`, 50 times below the guard),
+    bit for bit the lam1 of `block_clusters` at x' alone.  `graph` is ignored."""
     if np.shape(x) != (group.rank,):
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     x = simplex_point(x)
@@ -135,17 +138,17 @@ def critical_certificate(x, group, graph=None):
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
             f"got {x}"
         )
-    stack = np.vstack((x, _pair_stencil(x[None], FD_STEP)))
-    rep = rep_fourier(stack, group)
+    rep = rep_fourier(x + _CERT_STENCIL, group)
     lam, lengths = _lambda1_rows(group, x[None], rep.roots[:1], rep.vectors[:1], GAP_GUARD)
-    plus, minus = rep.roots[1:, 0].reshape(2, -1)
-    grad_norm = float(np.linalg.norm((plus - minus) / (2 * FD_STEP)))
+    mu1 = rep.roots[1:, 0]
+    grad = (mu1[:3] - mu1[3:]) / (2 * FD_STEP)
+    lengths = lengths[0].tolist()
     return CriticalReport(
         x=x,
         lam=float(lam[0]),
-        gradient_norm=grad_norm,
-        class_lengths=lengths[0].tolist(),
-        equilateral=_is_equilateral(lengths[0]),
+        gradient_norm=math.sqrt(grad @ grad),  # np.linalg.norm, bit for bit
+        class_lengths=lengths,
+        equilateral=_is_equilateral(lengths),
     )
 
 
@@ -160,7 +163,7 @@ def block_state(x, group):
     rep = rep_fourier(x, group)
     c, lengths = block_lengths(group, x[None], rep.roots[:1], rep.vectors[None, :, 0])
     g = 1.0 - 2.0 * c[0]**2
-    return float(rep.roots[0]), g - g.mean(), lengths[0]
+    return float(rep.roots[0]), g - g.sum() / len(g), lengths[0]  # g.mean(), bit for bit
 
 
 def minimize_lambda1(group):

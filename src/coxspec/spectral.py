@@ -6,16 +6,25 @@ walks on vertex transitive graphs the image lies on a sphere and edges
 within an equivalence class share a common Euclidean length.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoxspecError, DomainError
+from .errors import DomainError, InvarianceError
 from .fourier import rep_fourier
 from .linalg import eigh_symmetric, fix_signs
 
 CLUSTER_TOL = 1e-7
+# lambda1_cluster: the least isolation gap (`block_clusters`) that decides
+# mu_1 = lambda_1.  It is a rounding bound, since the gap shrinks linearly
+# towards the boundary (0.0564 e at the H3 corner (1 - e, e/2, e/2)): eigh
+# is backward stable on the symmetric blocks (d <= 5, ||M|| <= sum_j x_j = 1),
+# so by Weyl's inequality each computed value is within a small multiple of
+# d eps ||M||, below 1e-14, of an exact one (Golub and Van Loan, 8.1 and
+# 8.3); a gap is off by at most 2e-14, and 1e-12 leaves a factor of 50
+ISOLATION_TOL = 1e-12
 EDGE_SPREAD_TOL = 1e-8
 # ||P B - lambda B|| allowed per unit of max(1, |lambda|) sqrt(|G|)
 RESIDUAL_TOL = 1e-8
@@ -28,11 +37,6 @@ GRAM_PAIRS = 50
 # same time; peak RSS rose over the full single solves by 0.1-0.3 MiB at
 # 4 points and by 0.5-0.6 MiB at 16
 ORACLE_CHUNK = 4
-
-
-class InvarianceError(CoxspecError):
-    """Signals a broken eigensolver or clustering: a quantity that must
-    be constant across an edge class or orbit is not."""
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,12 @@ def _check_stack(group, weights):
 
 
 def _pair_values(group, rows):
-    """Per stack of `ReflectionGroup.det_pairs`, the ascending eigenvalues
-    (m, p, d) of its blocks sum_j x_j rho(s_j) at the rows (m, k), one gemv
-    per point, and its pair mask (p,): rho (x) det has the negated values."""
-    for blocks, paired in group.det_pairs[1]:
-        k, p, d, _ = blocks.shape
-        mats = (rows[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, p, d, d)
-        # a 1x1 block is its own eigenvalue, bit for bit what eigvalsh returns
-        yield (mats[..., 0] if d == 1 else np.linalg.eigvalsh(mats)), paired
+    """Ascending eigenvalues (m, P, D) of the padded blocks sum_j x_j rho(s_j)
+    of `ReflectionGroup.det_pairs` at the rows (m, k), one gemv per point
+    and one `eigvalsh`; a block of dimension d adds D - d exact zeros."""
+    blocks = group.det_pairs[1][0]
+    k, p, d, _ = blocks.shape
+    return np.linalg.eigvalsh((rows[:, None, :] @ blocks.reshape(k, -1)).reshape(-1, p, d, d))
 
 
 def block_spectrum(group, weights):
@@ -115,7 +117,8 @@ def block_spectrum(group, weights):
     trivial eigenvalue sum_j x_j and its negative, the eigenvalues mu of
     M = sum_j x_j sigma_j (`fourier.rep_fourier`) and -mu, 3 times each,
     and per other pair the values of one block and their negatives, d
-    times each (a self-paired block's values only).
+    times each (a self-paired block's values only), from the padded stack
+    `block_clusters` reads, less its zeros: entry 1 is bit for bit its lam1.
 
     `weights` is one weight vector (k,) or a stack (m, k), solved as one
     stack; the result is (|G|,) or (m, |G|), each row bit for bit its
@@ -127,34 +130,16 @@ def block_spectrum(group, weights):
     rows = np.atleast_2d(w)
     mu, t = rep_fourier(rows, group).roots, rows.sum(axis=1, keepdims=True)
     parts = [t, -t] + [mu, -mu] * 3
-    for eig, paired in _pair_values(group, rows):
-        d = eig.shape[-1]
-        parts += [np.repeat(eig.reshape(len(rows), -1), d, axis=1),
-                  np.repeat(-eig[:, paired].reshape(len(rows), -1), d, axis=1)]
+    eig = _pair_values(group, rows)
+    eig = np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1), axis=-1)
+    _, paired, dims = group.det_pairs[1]
+    for v, d, both in zip(eig.swapaxes(0, 1), dims.tolist(), paired.tolist()):
+        # the block's values by falling |value|: its D - d padding zeros last
+        parts += [np.repeat(v[:, :d], d, axis=1)] + [np.repeat(-v[:, :d], d, axis=1)] * both
     vals = np.concatenate(parts, axis=1)
     vals.sort(axis=1)
     vals = vals[:, ::-1]
     return vals[0] if w.ndim == 1 else vals
-
-
-def _bipartite_half(group):
-    """Row and columns of the edges of the even-to-odd block C of P_X: the
-    row (|G|/2,) of each even element (det g = +1) and the columns
-    (|G|/2, k) of its neighbours along each class.  Every generator
-    reflects, so an edge joins elements of opposite det sign; one that
-    does not is an `InvarianceError`."""
-    even = np.linalg.det(group.elements) > 0
-    succ = group.successors
-    same = even[succ] == even[:, None]
-    if same.any():
-        i, j = np.argwhere(same)[0]
-        raise InvarianceError(
-            f"edge {i}-{succ[i, j]} of class {j} joins two elements of equal det sign"
-        )
-    half = np.empty(len(even), dtype=np.intp)  # position of each element in its half
-    half[even] = np.arange(even.sum())
-    half[~even] = np.arange((~even).sum())
-    return half[even], half[succ[even]]
 
 
 def lambda1(group, weights):
@@ -166,13 +151,14 @@ def lambda1(group, weights):
     The Cayley graph is bipartite by the sign of det g, so
     P = [[0, C], [C^T, 0]] and the eigenvalues of P are +-sigma_i(C): lambda_1
     is sqrt of entry 1 of the descending `eigvalsh(C C^T)`, with C the
-    |G|/2 x |G|/2 block filled from `successors`.  No |G| x |G| array and
-    no irreducible block is formed.  `ORACLE_CHUNK` points at a time, each
-    solved alone, so a row of a stack is bit for bit its point alone.
-    Weights of another shape, or not finite, raise `DomainError`.
+    |G|/2 x |G|/2 block filled along `ReflectionGroup.bipartite_half`.  No
+    |G| x |G| array and no irreducible block is formed.  `ORACLE_CHUNK` points
+    at a time, each solved alone, so a row of a stack is bit for bit its
+    point alone.  Weights of another shape, or not finite, raise
+    `DomainError`.
     """
     w = _check_stack(group, weights)
-    rows, cols = _bipartite_half(group)
+    rows, cols = group.bipartite_half
     points = np.atleast_2d(w)
     vals = np.empty(len(points))
     for start in range(0, len(points), ORACLE_CHUNK):
@@ -196,15 +182,16 @@ def block_clusters(group, weights, roots):
     lambda_1 counted with multiplicity, bit for bit entry 1 of
     `block_spectrum`.  The gap is the isolation rule: the smaller of the
     distance from mu_1 down to those values and the distance up to the
-    trivial eigenvalue sum_j x_j.  Where it exceeds `CLUSTER_TOL`,
+    trivial eigenvalue sum_j x_j.  Where it exceeds `ISOLATION_TOL`,
     lambda_1 is mu_1 with multiplicity 3, and the gap is never more than
     the distance between cluster means; each caller compares the gaps
-    with its own bound (`check_gaps`)."""
+    with its own bound (`check_gaps`).  The other pairs' values are one
+    padded stack (`_pair_values`), whose zeros never move the maximum:
+    max(mu_2, -mu_3) >= 0, as mu_3 <= mu_2."""
     mu1 = roots[:, 0]
-    below = np.maximum(roots[:, 1], -roots[:, 2])
-    for eig, paired in _pair_values(group, weights):
-        top = np.where(paired, np.abs(eig).max(axis=-1), eig[..., -1])
-        below = np.maximum(below, top.max(axis=1))
+    eig = _pair_values(group, weights)
+    top = np.where(group.det_pairs[1][1], np.maximum(eig[..., -1], -eig[..., 0]), eig[..., -1])
+    below = np.maximum(np.maximum(roots[:, 1], -roots[:, 2]), top.max(axis=1))
     return np.maximum(mu1, below), np.minimum(weights.sum(axis=1) - mu1, mu1 - below)
 
 
@@ -221,7 +208,7 @@ def check_gaps(weights, gap, min_gap):
 
 def _residual_excess(res, lam, n):
     # ||P B - lambda B|| over its tolerance, NaN for a NaN residual
-    return res / (RESIDUAL_TOL * np.sqrt(n) * np.maximum(1.0, np.abs(lam)))
+    return res / (RESIDUAL_TOL * math.sqrt(n) * np.maximum(1.0, np.abs(lam)))
 
 
 def block_lengths(group, weights, lam, vectors):
@@ -242,7 +229,7 @@ def block_lengths(group, weights, lam, vectors):
     if not excess.max() <= 1.0:  # NaN fails too
         i = excess.argmax()
         raise InvarianceError(f"cluster basis residual too large at row {i}: {res[i]:.2g}")
-    return c, np.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
+    return c, math.sqrt(3.0 / group.order) * 2.0 * np.abs(c)
 
 
 def lambda1_cluster(group, x):
@@ -252,18 +239,18 @@ def lambda1_cluster(group, x):
     (P f_r)(g) = sum_j x_j (g sigma_j v)_r = mu_1 f_r(g), and Schur's
     relations give the scale.
 
-    A point whose `block_clusters` gap is not above `CLUSTER_TOL` (a
-    boundary point whose graph falls apart, or an interior point too near
-    one) is a one-line `DomainError` from `check_gaps`; its clusters are
-    those of `spectrum_clusters` on the dense operator.  `x` is one point
-    (k,); a stack raises `DomainError`.
+    A point whose `block_clusters` gap is not above `ISOLATION_TOL`, the
+    rounding bound of the block eigenvalues (a boundary point whose graph
+    falls apart), is a one-line `DomainError` from `check_gaps`; its
+    clusters are those of `spectrum_clusters` on the dense operator.  `x`
+    is one point (k,); a stack raises `DomainError`.
     """
     x = _check_stack(group, x)
     if x.ndim != 1:
         raise DomainError(f"x must be one point of shape ({group.rank},)")
     rep = rep_fourier(x[None], group)
     _, gap = block_clusters(group, x[None], rep.roots)
-    check_gaps(x[None], gap, CLUSTER_TOL)
+    check_gaps(x[None], gap, ISOLATION_TOL)
     basis = np.sqrt(3.0 / group.order) * (group.elements @ rep.vectors[0, :, :1])[..., 0]
     return SpectralCluster(float(rep.roots[0, 0]), 3, fix_signs(basis), float(gap[0]), "fourier")
 

@@ -368,16 +368,27 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "point,gap",
-        [("0.5,0.5,0", r"-1\.3e-15 at x = \[0\.5 0\.5 0\. \]"),
-         ("0.999999,5e-7,5e-7", r"5\.6e-08 at x = \[9\.99999e-01 5\.00000e-07 5\.00000e-07\]")],
+        [("0.5,0.5,0", r"-1\.3e-15 at x = \[0\.5 0\.5 0\. \]")],
     )
     def test_embed_second_refuses_a_point_off_the_rule(self, tmp_path, point, gap):
-        # a boundary point, and an interior point 5e-7 from an H3 corner
-        # whose isolation gap is below CLUSTER_TOL: one stderr line, with no
-        # ambiguity warning, exit code 2 and no --out file
+        # a boundary point, whose isolation gap is rounding: one stderr
+        # line, with no ambiguity warning, exit code 2 and no --out file
         code, lines, written = self.embed_h3(tmp_path, ["--point", point])
         assert (code, len(lines), written) == (2, 1, False)
-        assert re.fullmatch(f"coxspec: lambda_1 cluster gap {gap} is not above 1e-07", lines[0])
+        assert re.fullmatch(f"coxspec: lambda_1 cluster gap {gap} is not above 1e-12", lines[0])
+
+    def test_embed_second_near_the_h3_corner(self, tmp_path, capsys):
+        # an interior point 5e-7 from an H3 corner: its isolation gap 5.6e-8
+        # is below CLUSTER_TOL but above ISOLATION_TOL, so the block cluster
+        # of multiplicity 3 is exported, with nothing on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "--group", "H3", "--point", "0.999999,5e-7,5e-7",
+                         "--out", str(tmp_path / "corner.off")])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert "eigenvalue 0.999999943616824 multiplicity 3" in out.splitlines()
+        assert (tmp_path / "corner.off").is_file()
 
     def test_curve_csv(self, tmp_path):
         out_file = tmp_path / "c2.csv"

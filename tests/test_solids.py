@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -179,6 +180,51 @@ class TestMinimize:
             stack = solids._pair_stencil(np.asarray(x)[None], solids.FD_STEP)
             mu1 = spectral.rep_fourier(np.vstack((x, stack)), group).roots[1:, 0]
             assert mu1.tolist() == [block_spectrum(group, w)[1] for w in stack]
+
+    @pytest.mark.bit_equal
+    def test_certificate_stencil_is_one_add(self, groups):
+        # x + _CERT_STENCIL is x, then its six stencil points, bit for bit
+        rng = np.random.default_rng(40)
+        points = [closed_form_minimum(g.datum)[0] for g in groups.values()]
+        points += list(sample_interior(rng, 3, margin=0.0, rows=50))
+        for x in points:
+            want = np.vstack((x, solids._pair_stencil(np.asarray(x)[None], solids.FD_STEP)))
+            assert (x + solids._CERT_STENCIL).tobytes() == want.tobytes()
+
+    # float.hex of lam, gradient_norm and the class lengths of
+    # `critical_certificate` at X0, and the sha256 of those fields and
+    # `equilateral`, one line per point, at 32 seeded points (seed 28), as
+    # computed by the per-dimension block solves the padded stack replaced
+    CERTIFICATE_X0 = {
+        "A3": "0x1.999999999999cp-1 0x1.c8becb181cefbp-33 0x1.c9f25c5bfedd4p-3 "
+              "0x1.c9f25c5bfedd0p-3 0x1.c9f25c5bfedddp-3",
+        "B3": "0x1.d056e7317901ep-1 0x1.5e9eca960e10ap-32 0x1.b9d594d0d2af3p-4 "
+              "0x1.b9d594d0d2af9p-4 0x1.b9d594d0d2afep-4",
+        "H3": "0x1.ee4b35cc8bef0p-1 0x1.a6dd2cebcd57dp-34 0x1.54a54596e659ep-5 "
+              "0x1.54a54596e659cp-5 0x1.54a54596e659ap-5",
+    }
+    CERTIFICATE_SHA256 = {
+        "A3": "59aec0f3d6037e46563aa3fcf0c7a4b4318425c8efdb2737379d4543edb3561a",
+        "B3": "84bac172885a22eb3c2b5d64578b7c0316717018fa8b157eb8f127e4ea915ef7",
+        "H3": "da3ddcba42af953aefbd2f7702568c5bafa5be55e40f8ea570c2b4748d7690ec",
+    }
+
+    @pytest.mark.bit_equal
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_certificates_pinned(self, groups, name):
+        def fields(report):
+            return [report.lam.hex(), report.gradient_norm.hex()] + [
+                v.hex() for v in report.class_lengths]
+
+        group = groups[name]
+        report = critical_certificate(closed_form_minimum(group.datum)[0], group)
+        assert " ".join(fields(report)) == self.CERTIFICATE_X0[name]
+        assert report.equilateral
+        digest = hashlib.sha256()
+        for x in sample_interior(np.random.default_rng(28), 3, rows=32):
+            report = critical_certificate(x, group)
+            digest.update((" ".join(fields(report) + [str(report.equilateral)]) + "\n").encode())
+        assert digest.hexdigest() == self.CERTIFICATE_SHA256[name]
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_one_spectrum_per_certificate(self, groups, name, monkeypatch, no_operator):

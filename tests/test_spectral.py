@@ -26,6 +26,7 @@ from coxspec.solids import (
 )
 from coxspec.spectral import (
     CLUSTER_TOL,
+    ISOLATION_TOL,
     ORACLE_CHUNK,
     InvarianceError,
     block_spectrum,
@@ -35,6 +36,7 @@ from coxspec.spectral import (
     lambda1,
     lambda1_cluster,
     spectral_representation,
+    _pair_values,
     _value_clusters,
     _warn_ambiguous,
     block_clusters,
@@ -309,7 +311,7 @@ def assert_refused(group, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"^lambda_1 cluster gap \S+ at x = \[.*\] "
-                                              r"is not above 1e-07$") as err:
+                                              f"is not above {ISOLATION_TOL:g}$") as err:
             lambda1_cluster(group, x)
     assert "\n" not in str(err.value)
 
@@ -387,11 +389,18 @@ class TestFourierCluster:
             spectral_representation(group, x, cluster)
 
     @pytest.mark.parametrize("eps", [5e-7, 2e-7, 1e-7])
-    def test_refused_near_the_h3_corner(self, h3, eps):
+    def test_fourier_near_the_h3_corner(self, h3, eps):
         # interior points whose isolation gap (5.6e-8, 2.3e-8, 1.1e-8) is
-        # below CLUSTER_TOL: refused, not chained into a dense cluster of
-        # multiplicity 4, 30 or 60 with ambiguity warnings
-        assert_refused(h3, simplex_point([1 - 2 * eps, eps, eps]))
+        # below CLUSTER_TOL but far above ISOLATION_TOL: the block cluster,
+        # with no warning (the dense clusters chain into multiplicity 4, 30
+        # or 60 there)
+        x = simplex_point([1 - 2 * eps, eps, eps])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cluster = lambda1_cluster(h3, x)
+        assert (cluster.path, cluster.multiplicity) == ("fourier", 3)
+        assert ISOLATION_TOL < cluster.gap <= CLUSTER_TOL
+        assert abs(cluster.eigenvalue - lambda1(h3, x)) <= 1e-13
 
     def test_builds_no_operator(self, groups, no_operator):
         # interior points give the block cluster, boundary points the
@@ -402,6 +411,91 @@ class TestFourierCluster:
                 assert lambda1_cluster(group, x).path == "fourier"
             for weights in FALLING_APART:
                 assert_refused(group, simplex_point(weights))
+
+
+NEAR_EPS = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
+
+
+def near_boundary_points(rng):
+    """Seeded interior points near every side and vertex of the simplex, at
+    each smallest weight eps of `NEAR_EPS`: two per side k (x_k = eps) and
+    two per vertex k (the other weights eps and eps u, u = 1 and u drawn
+    from [1, 10]), as one stack."""
+    points = []
+    for eps in NEAR_EPS:
+        for k in range(3):
+            i, j = [a for a in range(3) if a != k]
+            for t in rng.uniform(0.05, 0.95, 2):
+                w = np.empty(3)
+                w[k], w[i], w[j] = eps, (1 - eps) * t, (1 - eps) * (1 - t)
+                points.append(w)
+            for u in (1.0, rng.uniform(1.0, 10.0)):
+                w = np.empty(3)
+                w[i], w[j], w[k] = eps, eps * u, 1 - eps - eps * u
+                points.append(w)
+    return np.array([simplex_point(w) for w in points])
+
+
+def unpadded_pair_values(group, rows):
+    """The ascending eigenvalues (m, d) of each other pair's block
+    sum_j x_j rho(s_j), solved at its own dimension, one list entry per
+    pair of `det_pairs`: the reference of the padded stack."""
+    return [
+        np.linalg.eigvalsh(np.einsum("mj,jab->mab", rows, group.irreducible_blocks[i][:, a]))
+        for i, a, _ in group.det_pairs[0][2:]
+    ]
+
+
+class TestIsolationTol:
+    """`lambda1_cluster` by the rounding bound `ISOLATION_TOL`, near every
+    side and vertex, where the isolation gap shrinks linearly with the
+    smallest weight, against the dense oracle; and the padded stack of the
+    other blocks at those smallest gaps."""
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_fourier_near_the_boundary(self, groups, name):
+        group = groups[name]
+        points = near_boundary_points(np.random.default_rng(28))
+        dense = lambda1(group, points)
+        n = group.order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, lam in zip(points, dense):
+                cluster = lambda1_cluster(group, x)
+                assert (cluster.path, cluster.multiplicity) == ("fourier", 3)
+                assert cluster.gap > ISOLATION_TOL
+                assert abs(cluster.eigenvalue - lam) <= 1e-13
+                # the dense spectrum separates the triple too, and the block
+                # basis spans its eigenspace, to Davis-Kahan's n eps / gap
+                vals, vecs = np.linalg.eigh(build_operator(group, x))
+                vals, vecs = vals[::-1], vecs[:, ::-1]
+                dense_gap = min(vals[0] - vals[1], vals[3] - vals[4])
+                assert dense_gap > ISOLATION_TOL
+                b, d = cluster.basis, vecs[:, 1:4]
+                tol = 1e-12 + n * np.finfo(float).eps / dense_gap
+                assert np.abs(b @ b.T - d @ d.T).max() <= tol
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_padded_stack_at_the_smallest_gaps(self, groups, name):
+        group = groups[name]
+        points = near_boundary_points(np.random.default_rng(28))
+        _, paired, dims = group.det_pairs[1]
+        padded = _pair_values(group, points)
+        mu = rep_fourier(points, group).roots
+        below = np.maximum(mu[:, 1], -mu[:, 2])
+        for r, own in enumerate(unpadded_pair_values(group, points)):
+            # each block's values by falling |value|: its own solve to
+            # rounding, then D - d exact zeros
+            by_size = np.take_along_axis(padded[:, r], np.argsort(-np.abs(padded[:, r]), axis=1),
+                                         axis=1)
+            assert not by_size[:, dims[r]:].any()
+            assert np.abs(np.sort(by_size[:, :dims[r]], axis=1) - own).max() <= 1e-14
+            top = np.maximum(own[:, -1], -own[:, 0]) if paired[r] else own[:, -1]
+            below = np.maximum(below, top)
+        lam1, gap = block_clusters(group, points, mu)
+        reference = np.minimum(points.sum(axis=1) - mu[:, 0], mu[:, 0] - below)
+        assert np.abs(gap - reference).max() <= 1e-15
+        assert np.array_equal(lam1, block_spectrum(group, points)[:, 1])
 
 
 REGION_POINTS = dict(
@@ -477,6 +571,21 @@ class TestLambda1Oracle:
         tampered = dataclasses.replace(group, successors=succ)
         with pytest.raises(InvarianceError, match=f"edge 0-{succ[0, 0]} of class 0 joins"):
             lambda1(tampered, uniform_point(3))
+
+    def test_parity_table_once_per_group(self, groups, monkeypatch):
+        # the bipartite half is a read-only property of the group: a second
+        # lambda1 takes no det of the elements
+        group = dataclasses.replace(groups["B3"])
+        first = lambda1(group, uniform_point(3))
+        rows, cols = group.bipartite_half
+        assert not rows.flags.writeable and not cols.flags.writeable
+
+        def no_det(a):
+            raise AssertionError("det taken again")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert lambda1(group, uniform_point(3)) == first
+        assert group.bipartite_half[0] is rows
 
     @pytest.mark.parametrize(
         "weights", [[0.5, 0.5], np.full((2, 2, 3), 1 / 3), [np.nan, 0.5, 0.5], [np.inf, 0, 0]]
@@ -699,19 +808,40 @@ class TestDetPairs:
     def test_pairs_cover_every_block_once(self, groups, name):
         group = groups[name]
         blocks = group.irreducible_blocks
-        pairs, stacks = group.det_pairs
+        pairs, (stack, paired, dims) = group.det_pairs
         members = [(i, c) for i, a, b in pairs for c in sorted({a, b})]
         assert sorted(members) == [(i, c) for i, b in enumerate(blocks) for c in range(b.shape[1])]
         assert sum(blocks[i].shape[2] ** 2 for i, _ in members) == group.order
-        # the stacks: the first block of every pair after the geometric and
-        # trivial ones, by dimension, read-only
-        want = [(blocks[i][:, a], a != b) for i, a, b in pairs[2:]]
-        got = [(stack[:, r], paired[r]) for stack, paired in stacks for r in range(len(paired))]
-        assert len(got) == len(want)
-        for (block, paired), (want_block, want_paired) in zip(got, want):
-            assert np.array_equal(block, want_block) and paired == want_paired
-        for stack, paired in stacks:
-            assert not stack.flags.writeable and not paired.flags.writeable
+        # the stack: the first block of every pair after the geometric and
+        # trivial ones, once each in pair order, zero-padded to the largest
+        # dimension; read-only
+        rest = pairs[2:]
+        size = max(blocks[i].shape[2] for i, _, _ in rest)
+        assert stack.shape == (group.rank, len(rest), size, size)
+        assert dims.tolist() == [blocks[i].shape[2] for i, _, _ in rest]
+        assert paired.tolist() == [a != b for _, a, b in rest]
+        for r, (i, a, _) in enumerate(rest):
+            d = dims[r]
+            assert np.array_equal(stack[:, r, :d, :d], blocks[i][:, a])
+            assert not stack[:, r, d:].any() and not stack[:, r, :, d:].any()
+        for arr in (stack, paired, dims):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+    def test_padding_values_are_zero(self, groups, name):
+        # a block of dimension d < D has D - d exact zeros among its padded
+        # values at seeded interior, side, vertex and boundary points (A3's
+        # one other block has no padding)
+        group = groups[name]
+        rng = np.random.default_rng(29)
+        points = np.vstack([
+            region_point(group, region, rng.uniform(0.05, 1.0, 3), k)
+            for region in ("interior", "side", "vertex") for k in range(3) for _ in range(10)
+        ] + FALLING_APART)
+        padded = _pair_values(group, points)
+        for r, d in enumerate(group.det_pairs[1][2]):
+            smallest = np.sort(np.abs(padded[:, r]), axis=1)[:, :padded.shape[-1] - d]
+            assert not smallest.any()
 
     @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
     def test_characters_of_the_pairs(self, groups, name):
