@@ -56,6 +56,8 @@ def _parse_point(args):
         weights = [float(t) for t in args.point.split(",")]
     except ValueError:
         raise CoxspecError(f"--point must be numbers x,y,z, got {args.point!r}") from None
+    # kept apart from the rule of `check_weights`, whose shape message
+    # speaks of arrays: this one names the flag and echoes what was typed
     if len(weights) != 3:
         raise CoxspecError(f"--point must be three numbers x,y,z, got {args.point!r}")
     return simplex_point(weights)

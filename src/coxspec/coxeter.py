@@ -1,4 +1,5 @@
-"""Finite rank-3 Coxeter reflection groups and their Cayley graphs.
+"""Finite Coxeter reflection groups of any rank and their Cayley graphs;
+the built-ins A3, B3 and H3 are of rank 3.
 
 A group is built from its matrix of orders m_ij: the simple roots are the
 Cholesky factor rows of the Gram matrix M_ij = -cos(pi/m_ij), generators
@@ -101,10 +102,7 @@ def simple_roots(datum):
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise CoxeterError(f"{datum.name}: not a finite Coxeter group") from None
-    roots = chol  # row i is n_i
-    if np.linalg.det(roots) <= 0:
-        raise CoxeterError(f"{datum.name}: simple roots are not positively oriented")
-    return roots
+    return chol  # row i is n_i
 
 
 def reflection_matrix(n):

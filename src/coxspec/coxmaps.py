@@ -114,7 +114,7 @@ def psi_maps(fp: FundamentalPoint):
     xprime = v * (minv @ alphas[..., None])[..., 0] / alphas
     total = xprime.sum(axis=-1)
     lam = (total - 2.0 * v) / total
-    x = check_weights(xprime / total[..., None])
+    x = check_weights(xprime / total[..., None], group.rank)
     x.flags.writeable = False
 
     # defining relation, checked rather than assumed
@@ -132,7 +132,9 @@ def _pf_pair(group, x):
     A = V D^{-1} M^{-1}, D = diag(x), with the volume V, for one interior
     point (3,) or a stack (m, 3): A is similar to the symmetric
     S = V D^{-1/2} M^{-1} D^{-1/2}, and S u = lam u gives A alpha = lam alpha
-    for alpha = D^{-1/2} u."""
+    for alpha = D^{-1/2} u.  `x` passes `check_weights`, and then the
+    stricter interior test."""
+    x = check_weights(x, group.rank)
     interior = (x > 0).all(axis=-1)
     if not interior.all():
         raise DomainError(f"requires an interior simplex point{_worst(~interior)[1]}")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .randwalk import check_weights
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,8 @@ class RepSpectrum:
 def rep_fourier(x, group):
     """Fourier transform of the walk at the geometric representation: the
     one place that forms M = sum_j x_j sigma_j and diagonalises it.  `x` is
-    one point's checked weights (3,) or a stack (m, 3), whose fields stack."""
+    one point (3,) or a stack (m, 3), whose fields stack, of weights that
+    each library caller has checked (`check_weights`): the unchecked kernel."""
     if group.rank != 3:
         raise DomainError(f"geometric Fourier transform needs rank 3, got rank {group.rank}")
     gens = group.generators
@@ -42,8 +44,9 @@ def char_poly_coeffs(mat):
 
 def crosscheck_mu1(x, group):
     """|mu_1(X) - lambda_1(P_X)| of one point (3,) or each row of a stack
-    (m, 3), as a float or (m,): the top eigenvalue of the 3x3 block against
-    the dense eigensolve of the whole graph (`spectral.lambda1`)."""
+    (m, 3), checked by `check_weights`, as a float or (m,): the top eigenvalue
+    of the 3x3 block against the dense solve of the whole graph (`lambda1`)."""
     from .spectral import lambda1  # spectral imports this module
 
+    x = check_weights(x, group.rank)
     return np.abs(rep_fourier(x, group).roots[..., 0] - lambda1(group, x))

@@ -8,13 +8,13 @@ generators are involutions.
 
 import numpy as np
 
-from .errors import CoxspecError
+from .errors import DomainError
 
 SIMPLEX_TOL = 1e-12
 
 
-class SimplexError(CoxspecError):
-    pass
+class SimplexError(DomainError):
+    """Weights that are not one point or a stack of points of the simplex."""
 
 
 # in this order: a point that is not finite fails before its sum is taken
@@ -25,11 +25,14 @@ _WEIGHT_RULES = (
 )
 
 
-def check_weights(weights):
+def check_weights(weights, k):
     """The weights of one point (k,) or a stack (m, k) as a float array,
-    checked by `_WEIGHT_RULES`; a `SimplexError` names the first rule and
-    row that fail."""
+    checked by `_WEIGHT_RULES`: the one rule for a simplex point, which
+    every public entry that takes weights applies.  A `SimplexError` names
+    the wrong shape, or the first rule and row that fail."""
     w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != k:
+        raise SimplexError(f"weights must have shape ({k},) or (m, {k}); got shape {w.shape}")
     # accepted in three reductions: NaN and inf fail the range test, so the
     # sum of a row with both infinities is not taken
     if (np.minimum.reduce(w, None, initial=np.inf) >= -SIMPLEX_TOL
@@ -44,13 +47,14 @@ def check_weights(weights):
             raise SimplexError(f"weights {rule}{where}")
 
 
-def simplex_point(weights):
+def simplex_point(weights, k=None):
     """Invariant transition probabilities, one weight per edge class, as a
-    read-only float copy (k,) checked by `check_weights`."""
+    read-only float copy of one point (k,) checked by `check_weights`; k
+    is the point's length unless given."""
     w = np.array(weights, dtype=float)
     if w.ndim != 1:
-        raise SimplexError("weights must be a 1-d array")
-    check_weights(w)
+        raise SimplexError(f"weights must be a 1-d array, one point; got shape {w.shape}")
+    check_weights(w, len(w) if k is None else k)
     w.flags.writeable = False
     return w
 
@@ -66,7 +70,7 @@ def sample_interior(rng, n_classes, margin=0.02, rows=None):
     bit for bit the points of `rows` calls in turn, which also leave the
     generator in the same state.  Read-only, checked by `check_weights`."""
     w = margin + rng.random(n_classes if rows is None else (rows, n_classes))
-    w = check_weights(w / w.sum(axis=-1, keepdims=True))
+    w = check_weights(w / w.sum(axis=-1, keepdims=True), n_classes)
     w.flags.writeable = False
     return w
 
@@ -74,9 +78,8 @@ def sample_interior(rng, n_classes, margin=0.02, rows=None):
 def build_operator(group, x):
     """The dense |G| x |G| symmetric stochastic matrix with zero diagonal
     realizing X on the Cayley graph of `group`: only the dense oracle and
-    the dense clusters read it."""
-    if len(x) != group.rank:
-        raise SimplexError(f"point has {len(x)} classes, group has rank {group.rank}")
+    the dense clusters read it.  `x` is one point (`simplex_point`)."""
+    x = simplex_point(x, group.rank)
     n = group.order
     p = np.zeros((n, n))
     # the neighbours g s_j of g are distinct, so no entry is set twice
@@ -107,6 +110,8 @@ def project_to_simplex(raw):
     r - max(r), which has the same projection.
     """
     r = np.asarray(raw, dtype=float)
+    if r.ndim != 1:
+        raise SimplexError(f"can project only one point, a 1-d array; got shape {r.shape}")
     # below fmax / n (NaN fails), neither the sums nor r - theta overflow
     if not np.abs(r).max(initial=0.0) <= np.finfo(float).max / max(len(r), 2):
         raise SimplexError(f"cannot project weights that are not finite or overflow their sum: {r}")

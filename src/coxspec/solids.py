@@ -64,12 +64,13 @@ def closed_form_minimum(datum):
 
 
 def _lambda1_fn(group):
-    """lambda_1 as a function of a stack of weights (m, 3), as (m,): the
-    function the finite differences and convexity probes evaluate.  The
-    stack is checked once and is one `rep_fourier` stack; each value is
-    the lam1 of `block_clusters`, bit for bit that of its point alone."""
+    """lambda_1 as a function of a stack of weights (m, 3), as (m,), one
+    point being a stack of one: the function the finite differences and
+    convexity probes evaluate.  The stack is checked once (`check_weights`)
+    and is one `rep_fourier` stack; each value is the lam1 of
+    `block_clusters`, bit for bit that of its point alone."""
     def f(weights):
-        w = check_weights(weights)
+        w = np.atleast_2d(check_weights(weights, group.rank))
         return block_clusters(group, w, rep_fourier(w, group).roots)[0]
 
     return f
@@ -121,8 +122,8 @@ def _is_equilateral(lengths):
 
 def critical_certificate(x, group, graph=None):
     """Finite-difference criticality check paired with the equilateral
-    measurement of the second-eigenvalue embedding, at one point x of
-    shape (3,) (else `DomainError`) that passes `check_weights`.
+    measurement of the second-eigenvalue embedding, at one point x
+    (`simplex_point`) whose weights are all at least `FD_STEP`.
 
     x and its six stencil points are one `rep_fourier` stack, one add
     `x + _CERT_STENCIL`: row 0 gives lambda_1 and the class lengths
@@ -130,9 +131,7 @@ def critical_certificate(x, group, graph=None):
     Above it, lambda_1(x') = mu_1(x') at each stencil point by Weyl's
     inequality (||P_x' - P_x|| <= 2 `FD_STEP`, 50 times below the guard),
     bit for bit the lam1 of `block_clusters` at x' alone.  `graph` is ignored."""
-    if np.shape(x) != (group.rank,):
-        raise DomainError(f"x must be one point of shape ({group.rank},)")
-    x = simplex_point(x)
+    x = simplex_point(x, group.rank)
     if x.min() < FD_STEP:
         raise DomainError(
             f"finite differences need every weight to be at least FD_STEP = {FD_STEP:g}; "
@@ -274,14 +273,12 @@ def boundary_limit(target, group, curve=None):
     entrywise, so x'_k >= V (M^-1)_kk, and x_k -> 0 needs sum x' -> inf.
     The other two weights stay positive, so both other alpha_j -> 0.
     Vertex targets are curve dependent and require a curve id; a curve
-    id, where given, must name a curve for every target.  The target's
-    weights are checked by `check_weights`, as every other point's are.
+    id, where given, must name a curve for every target.  The target is
+    one point (`simplex_point`), as every other point is.
     """
     if curve is not None:
         _check_curve(curve)
-    if np.shape(target) != (group.rank,):
-        raise DomainError(f"target must be one point of shape ({group.rank},)")
-    target = check_weights(target)
+    target = simplex_point(target, group.rank)
     zeros = np.flatnonzero(target <= SIMPLEX_TOL)
     if len(zeros) == 0:
         raise DomainError("target must lie on the simplex boundary")
@@ -340,7 +337,7 @@ def sweep_lambda1(group, g):
         raise DomainError(f"grid resolution must be an integer of at least 2, got {g!r}")
     denom = int(g) + 1  # np.uint8(255) + 1 would wrap to 0
     ij = np.array([(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)])
-    weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom)
+    weights = check_weights(np.column_stack((ij, denom - ij.sum(axis=1))) / denom, 3)
     rep = rep_fourier(weights, group)
     lam, lengths = _lambda1_rows(group, weights, rep.roots, rep.vectors, CLUSTER_TOL)
     return Sweep(weights, lam, lengths)

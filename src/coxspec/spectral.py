@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DomainError, InvarianceError
 from .fourier import rep_fourier
 from .linalg import eigh_symmetric, fix_signs
+from .randwalk import check_weights, simplex_point
 
 CLUSTER_TOL = 1e-7
 # lambda1_cluster: the least isolation gap (`block_clusters`) that decides
@@ -91,17 +92,6 @@ def spectrum_clusters(p):
     ]
 
 
-def _check_stack(group, weights):
-    # one weight vector (k,) or a stack (m, k) of finite weights, as floats
-    w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.shape[-1] != group.rank or not np.all(np.isfinite(w)):
-        raise DomainError(
-            f"weights must be finite, of shape ({group.rank},) or (m, {group.rank}); "
-            f"got shape {w.shape}"
-        )
-    return w
-
-
 def _pair_values(group, rows):
     """Ascending eigenvalues (m, P, D) of the padded blocks sum_j x_j rho(s_j)
     of `ReflectionGroup.det_pairs` at the rows (m, k), one gemv per point
@@ -123,10 +113,10 @@ def block_spectrum(group, weights):
     `weights` is one weight vector (k,) or a stack (m, k), solved as one
     stack; the result is (|G|,) or (m, |G|), each row bit for bit its
     point alone.  The library reads lambda_1 from `block_clusters`; the
-    whole sorted spectrum is public API and the tests' oracle.  Other
-    shapes, or weights not finite, raise `DomainError`.
+    whole sorted spectrum is public API and the tests' oracle.  The
+    weights are checked by `check_weights`.
     """
-    w = _check_stack(group, weights)
+    w = check_weights(weights, group.rank)
     rows = np.atleast_2d(w)
     mu, t = rep_fourier(rows, group).roots, rows.sum(axis=1, keepdims=True)
     parts = [t, -t] + [mu, -mu] * 3
@@ -154,10 +144,9 @@ def lambda1(group, weights):
     |G|/2 x |G|/2 block filled along `ReflectionGroup.bipartite_half`.  No
     |G| x |G| array and no irreducible block is formed.  `ORACLE_CHUNK` points
     at a time, each solved alone, so a row of a stack is bit for bit its
-    point alone.  Weights of another shape, or not finite, raise
-    `DomainError`.
+    point alone.  The weights are checked by `check_weights`.
     """
-    w = _check_stack(group, weights)
+    w = check_weights(weights, group.rank)
     rows, cols = group.bipartite_half
     points = np.atleast_2d(w)
     vals = np.empty(len(points))
@@ -243,11 +232,9 @@ def lambda1_cluster(group, x):
     rounding bound of the block eigenvalues (a boundary point whose graph
     falls apart), is a one-line `DomainError` from `check_gaps`; its
     clusters are those of `spectrum_clusters` on the dense operator.  `x`
-    is one point (k,); a stack raises `DomainError`.
+    is one point (`simplex_point`).
     """
-    x = _check_stack(group, x)
-    if x.ndim != 1:
-        raise DomainError(f"x must be one point of shape ({group.rank},)")
+    x = simplex_point(x, group.rank)
     rep = rep_fourier(x[None], group)
     _, gap = block_clusters(group, x[None], rep.roots)
     check_gaps(x[None], gap, ISOLATION_TOL)
@@ -259,7 +246,9 @@ def spectral_representation(group, x, cluster):
     """Embedding of the vertices: a copy of the cluster basis B, (n, k),
     whose row i is the image of vertex i.  ||P B - lambda B||, with
     P B = sum_j x_j B[successors[:, j]] by gathers along the Cayley graph
-    and no dense operator, must be small, else `InvarianceError`."""
+    and no dense operator, must be small, else `InvarianceError`.  `x` is
+    one point (`simplex_point`)."""
+    x = simplex_point(x, group.rank)
     b, lam = cluster.basis, cluster.eigenvalue
     gathered = np.take(b, group.successors.T, axis=0).reshape(group.rank, -1)
     r = (x @ gathered).reshape(b.shape) - lam * b

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxspec.coxmaps import fundamental_point, psi_maps
+from coxspec import build_group, fourier, linalg
+from coxspec.coxmaps import fundamental_point, psi_delta_inverse, psi_lambda_of, psi_maps
+from coxspec.errors import DomainError
+from coxspec.fourier import crosscheck_mu1
 from coxspec.linalg import eigh_symmetric
 from coxspec.randwalk import (
     SimplexError,
@@ -17,8 +21,15 @@ from coxspec.randwalk import (
     simplex_point,
     uniform_point,
 )
-from coxspec.solids import closed_form_minimum, curve_point, minimize_lambda1
-from coxspec.spectral import lambda1
+from coxspec.solids import (
+    _lambda1_fn,
+    boundary_limit,
+    closed_form_minimum,
+    critical_certificate,
+    curve_point,
+    minimize_lambda1,
+)
+from coxspec.spectral import block_spectrum, lambda1, lambda1_cluster, spectral_representation
 
 
 class TestSimplexPoint:
@@ -40,10 +51,10 @@ class TestSimplexPoint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimplexError, match=f"{rule}.* at row 2"):
-                check_weights(stack)
+                check_weights(stack, 3)
             with pytest.raises(SimplexError, match=rule):
                 simplex_point(row)
-        assert check_weights(stack[:2]).shape == (2, 3)
+        assert check_weights(stack[:2], 3).shape == (2, 3)
 
     def test_copy_of_the_input(self):
         w = np.array([0.2, 0.3, 0.5])
@@ -124,6 +135,12 @@ class TestProjection:
             warnings.simplefilter("error")
             with pytest.raises(SimplexError, match="not finite or overflow their sum") as err:
                 project_to_simplex(raw)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("raw", [[[0.2, 0.3, 0.5], [1, 2, 3]], 3.0, [[0.9, 0.4, -0.2]]])
+    def test_rejects_a_raw_vector_that_is_not_1d(self, raw):
+        with pytest.raises(SimplexError, match="can project only one point") as err:
+            project_to_simplex(raw)
         assert "\n" not in str(err.value)
 
     def test_idempotent(self):
@@ -239,7 +256,7 @@ class TestSampleInterior:
     def test_stack_is_checked_and_read_only(self):
         stack = sample_interior(np.random.default_rng(6), 4, rows=7)
         assert stack.shape == (7, 4) and stack.dtype == float
-        assert np.array_equal(check_weights(stack), stack)
+        assert np.array_equal(check_weights(stack, 4), stack)
         # each weight is at least the margin before the division by a sum below k (1 + margin)
         assert (stack > 0.02 / (4 * (1 + 0.02))).all()
         with pytest.raises(ValueError):
@@ -270,3 +287,76 @@ def test_points_are_read_only_arrays(a3, source):
     assert isinstance(x, np.ndarray) and x.shape == (3,) and x.dtype == float
     with pytest.raises(ValueError):
         x[0] = 0.5
+
+
+# the H3 cluster of the point every entry but `boundary_limit` accepts
+CLUSTER = lambda1_cluster(build_group("H3"), [0.2, 0.3, 0.5])
+# every public entry that takes weights, as f(group, weights), bound here
+# before `no_operator` patches the modules; each applies `check_weights`
+# where the weights enter
+WEIGHT_ENTRIES = {
+    "lambda1": lambda1,
+    "block_spectrum": block_spectrum,
+    "lambda1_cluster": lambda1_cluster,
+    "build_operator": build_operator,
+    "crosscheck_mu1": lambda g, w: crosscheck_mu1(w, g),
+    "psi_delta_inverse": psi_delta_inverse,
+    "psi_lambda_of": psi_lambda_of,
+    "_lambda1_fn": lambda g, w: _lambda1_fn(g)(w),
+    "spectral_representation": lambda g, w: spectral_representation(g, w, CLUSTER),
+    "critical_certificate": lambda g, w: critical_certificate(w, g),
+    "boundary_limit": lambda g, w: boundary_limit(w, g),
+}
+# the entries once took some of these: on H3, lambda1_cluster gave a cluster
+# of eigenvalue 1.451 at the sum 1.5 and lambda1 1.889 at (1.5, -0.25, -0.25),
+# block_spectrum a top value of 1.5, psi_lambda_of 0.9511 (0.9674 at the
+# point normalised), build_operator a NaN operator and rows summing to 1.5,
+# and psi_lambda_of and _lambda1_fn a numpy ValueError at shape (2,)
+OFF_THE_SIMPLEX = {
+    "shape (2,)": [0.5, 0.5],
+    "shape (1, 1, 3)": [[[1 / 3, 1 / 3, 1 / 3]]],
+    "NaN": [np.nan, 0.5, 0.5],
+    "inf": [np.inf, 0.0, 0.0],
+    "negative": [1.2, -0.2, 0.0],
+    "sum 1.5": [0.5, 0.5, 0.5],
+    "[2, 0, 0]": [2.0, 0.0, 0.0],
+    "[1.5, -0.25, -0.25]": [1.5, -0.25, -0.25],
+}
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch, no_operator):
+    """No dense operator, no `rep_fourier` at any module that binds it,
+    and no numpy eigensolver or Perron-Frobenius iteration."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxspec":
+            for attr in ("rep_fourier", "perron_frobenius"):
+                if getattr(module, attr, None) in (fourier.rep_fourier, linalg.perron_frobenius):
+                    monkeypatch.setattr(module, attr, refuse)
+    for attr in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, attr, refuse)
+
+
+class TestOneRule:
+    """`check_weights` is applied where the weights enter each public
+    entry: a point off the simplex is a one-line `DomainError` before any
+    eigensolve."""
+
+    @pytest.mark.parametrize("bad", OFF_THE_SIMPLEX)
+    @pytest.mark.parametrize("entry", WEIGHT_ENTRIES)
+    def test_refused_before_any_eigensolve(self, h3, entry, bad, no_eigensolve):
+        for given in (OFF_THE_SIMPLEX[bad], np.array(OFF_THE_SIMPLEX[bad])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as err:
+                    WEIGHT_ENTRIES[entry](h3, given)
+            assert isinstance(err.value, SimplexError)
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("entry", WEIGHT_ENTRIES)
+    def test_takes_a_list(self, h3, entry):
+        # psi_delta_inverse once ended in a TypeError on a list
+        WEIGHT_ENTRIES[entry](h3, [0.0, 0.5, 0.5] if entry == "boundary_limit" else [0.2, 0.3, 0.5])

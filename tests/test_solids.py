@@ -288,7 +288,7 @@ class TestMinimize:
         "x,error,message",
         [
             ([0.5, 0.5, 0.5], SimplexError, "weights do not sum to 1"),
-            ([[0.2, 0.3, 0.5]], DomainError, r"x must be one point of shape \(3,\)"),
+            ([[0.2, 0.3, 0.5]], SimplexError, r"1-d array, one point; got shape \(1, 3\)"),
             ([0.2, 0.3, np.nan], SimplexError, "weights must be finite"),
         ],
     )
@@ -666,7 +666,8 @@ class TestLimits:
         assert np.abs(pattern - pattern_ref).max() <= 1e-9
 
     def test_target_shape_rejected(self, h3):
-        with pytest.raises(DomainError, match=r"target must be one point of shape \(3,\)"):
+        rule = r"weights must have shape \(3,\) or \(m, 3\); got shape \(2,\)"
+        with pytest.raises(SimplexError, match=rule):
             boundary_limit([0.5, 0.5], h3)
 
 

@@ -44,6 +44,8 @@ from coxspec.spectral import (
 )
 
 PHI = (1 + np.sqrt(5)) / 2
+# the shape and finiteness rules of `check_weights` on a rank-3 group
+BAD_WEIGHTS = r"weights must (have shape \(3,\) or \(m, 3\); got shape|be finite)"
 
 CANONICAL = {
     "A3": (1 + np.sqrt(2)) / 3,
@@ -218,10 +220,10 @@ class TestEmbedding:
         assert np.abs(pts - pts[0]).max() <= 1e-10
 
     def test_lambda1_cluster_takes_one_point(self, h3):
-        # a stack once passed `_check_stack` and failed with an IndexError
+        # a stack is refused by `simplex_point`, before any eigensolve
         with pytest.raises(DomainError) as err:
             lambda1_cluster(h3, np.full((2, 3), 1 / 3))
-        assert str(err.value) == "x must be one point of shape (3,)"
+        assert str(err.value) == "weights must be a 1-d array, one point; got shape (2, 3)"
 
     def test_residual_guard(self, groups):
         x = uniform_point(3)
@@ -591,7 +593,7 @@ class TestLambda1Oracle:
         "weights", [[0.5, 0.5], np.full((2, 2, 3), 1 / 3), [np.nan, 0.5, 0.5], [np.inf, 0, 0]]
     )
     def test_rejects_bad_weights(self, groups, weights):
-        with pytest.raises(DomainError, match="weights must be finite"):
+        with pytest.raises(DomainError, match=BAD_WEIGHTS):
             lambda1(groups["A3"], weights)
 
 
@@ -750,11 +752,12 @@ class TestBlockSpectrum:
         [[0.5, 0.5], [[0.2, 0.8]], [[[1 / 3] * 3]], [np.nan, 0.5, 0.5], [[0.2, 0.3, np.inf]]],
     )
     def test_rejects_bad_weights(self, h3, weights):
-        with pytest.raises(DomainError, match="weights must be finite"):
+        with pytest.raises(DomainError, match=BAD_WEIGHTS):
             block_spectrum(h3, weights)
 
     def test_class_count_mismatch(self, groups):
-        # the check in block_spectrum stands in for the one in build_operator
+        # a point of two classes on a rank-3 group: refused by the shape
+        # test of `check_weights`, which `simplex_point` applies with the rank
         with pytest.raises(DomainError, match=r"shape \(3,\)"):
             lambda1_cluster(groups["A3"], simplex_point([0.5, 0.5]))
 
